@@ -40,6 +40,17 @@ CASES = [
       "--json", "--deterministic"], 0),
     ("parse_error_arity.json",
      ["msg-nf", "(mpair (nonce 1))", "--json", "--deterministic"], 2),
+    ("check_rat_congruence.json", ["check", "rat-congruence", "--json", "--deterministic"], 0),
+    ("int_eval_err_atom.json", ["int-eval", "x", "--json", "--deterministic"], 2),
+    ("int_eval_err_empty.json", ["int-eval", "()", "--json", "--deterministic"], 2),
+    ("int_eval_err_arity.json", ["int-eval", "(+ 1)", "--json", "--deterministic"], 2),
+    ("int_eval_err_unknown_op.json", ["int-eval", "(xor 1 2)", "--json", "--deterministic"], 2),
+    ("int_eval_err_arg_type.json",
+     ["int-eval", "(+ (le 1 2) 3)", "--json", "--deterministic"], 2),
+    ("int_eval_err_head.json", ["int-eval", "(1 2)", "--json", "--deterministic"], 2),
+    ("rat_eval_err_atom.json", ["rat-eval", "x", "--json", "--deterministic"], 2),
+    ("rat_eval_err_arity.json", ["rat-eval", "(neg 1 2)", "--json", "--deterministic"], 2),
+    ("rat_eval_err_unknown_op.json", ["rat-eval", "(- 1 2)", "--json", "--deterministic"], 2),
 ]
 
 

@@ -169,6 +169,15 @@ class TestCheckRespects:
         report = check_respects(RespectMap(lambda x: x, barren, plain_eq), 10)
         assert report.verdict is Verdict.NO_SAMPLES
 
+    def test_counterexample_position_pinned(self):
+        # A refutation deep in generator order pins the scan order and count.
+        m = RespectMap(lambda p: (p[0] - p[1]) + (p[0] > 3), intrel, plain_eq)
+        report = check_respects(m, 400)
+        assert report.verdict is Verdict.REFUTED
+        assert report.checked == 14
+        assert report.counterexample == (IntPair(3, 0), IntPair(4, 1))
+        assert revalidate_counterexample(m, report)
+
 
 class TestCheckRespects2:
     def test_addition_certified(self):
@@ -181,6 +190,20 @@ class TestCheckRespects2:
         m2 = RespectMap2(lambda p, q: p[0] + q[0], intrel, intrel, plain_eq)
         report = check_respects2(m2, 100)
         assert report.verdict is Verdict.REFUTED
+        assert revalidate_counterexample2(m2, report)
+
+    def test_row_major_counterexample_pinned(self):
+        # Refuted in row 0, column 13 of the 21 x 21 product at budget 400.
+        m2 = RespectMap2(
+            lambda p, q: (p[0] - p[1]) + (q[0] - q[1]) + (p[0] + q[0] > 4),
+            intrel, intrel, plain_eq,
+        )
+        report = check_respects2(m2, 400)
+        assert report.verdict is Verdict.REFUTED
+        assert report.checked == 14
+        assert report.counterexample == (
+            (IntPair(0, 0), IntPair(1, 1)), (IntPair(3, 0), IntPair(4, 1))
+        )
         assert revalidate_counterexample2(m2, report)
 
 
@@ -202,6 +225,7 @@ class TestRespects2ViaCommutativity:
         # shortcut must bail out to the full check, which certifies.
         assert report.verdict is Verdict.CERTIFIED
         assert "not commutative" in report.note
+        assert report.checked == 403
 
     def test_mismatched_relations_rejected(self):
         m2 = RespectMap2(lambda p, q: 0, intrel, ratrel, plain_eq)
