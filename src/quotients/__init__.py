@@ -12,20 +12,15 @@ from .equiv import (
     EquivClass,
     EquivRelation,
     LiftedFunction,
-    LiftedFunction2,
     RespectMap,
-    RespectMap2,
     Verdict,
     check_equivalence,
     check_respects,
-    check_respects2,
     class_eq,
     class_of,
-    lift1,
-    lift2,
+    lift,
     respects2_via_commutativity,
     revalidate_counterexample,
-    revalidate_counterexample2,
 )
 from .errors import (
     DomainError,
@@ -42,20 +37,15 @@ __all__ = [
     "EquivClass",
     "EquivRelation",
     "LiftedFunction",
-    "LiftedFunction2",
     "RespectMap",
-    "RespectMap2",
     "Verdict",
     "check_equivalence",
     "check_respects",
-    "check_respects2",
     "class_eq",
     "class_of",
-    "lift1",
-    "lift2",
+    "lift",
     "respects2_via_commutativity",
     "revalidate_counterexample",
-    "revalidate_counterexample2",
     "DomainError",
     "ParseError",
     "QuotientError",

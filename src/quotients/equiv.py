@@ -23,9 +23,6 @@ from typing import Callable, Generic, Iterable, Sequence, TypeVar
 from .errors import DomainError, RelationMismatchError, UncertifiedLiftError
 
 T = TypeVar("T")
-S = TypeVar("S")
-S1 = TypeVar("S1")
-S2 = TypeVar("S2")
 D = TypeVar("D")
 
 
@@ -59,7 +56,7 @@ class EquivRelation(Generic[T]):
         return f"EquivRelation({self.name!r})"
 
     def same_as(self, other: "EquivRelation") -> bool:
-        return self.name == other.name
+        return self.name == other.name and self.decider == other.decider
 
 
 @dataclass(frozen=True)
@@ -92,33 +89,23 @@ class EquivClass(Generic[T]):
 
 
 @dataclass(frozen=True)
-class RespectMap(Generic[S, D]):
-    """A candidate function from one quotient, with its target equality.
+class RespectMap(Generic[D]):
+    """A candidate function on representatives, with one source relation
+    per argument and its target equality.
 
     `target_eq` is plain equality for functions into ordinary values, or a
     target relation's decider for functions back into (representatives of) a
     quotient.
     """
 
-    function: Callable[[S], D]
-    source: EquivRelation[S]
+    function: Callable[..., D]
+    sources: tuple[EquivRelation, ...]
     target_eq: Callable[[D, D], bool]
     name: str = ""
 
 
 @dataclass(frozen=True)
-class RespectMap2(Generic[S1, S2, D]):
-    """Two-argument analog of :class:`RespectMap`."""
-
-    function: Callable[[S1, S2], D]
-    source1: EquivRelation[S1]
-    source2: EquivRelation[S2]
-    target_eq: Callable[[D, D], bool]
-    name: str = ""
-
-
-@dataclass(frozen=True)
-class CongruenceReport(Generic[S]):
+class CongruenceReport:
     """Outcome of a bounded congruence check.
 
     `checked` is the number of cases actually examined (the generator may
@@ -290,64 +277,56 @@ def class_eq(a: EquivClass[T], b: EquivClass[T]) -> bool:
     return a.relation.decider(a.representative, b.representative)
 
 
-def check_respects(m: RespectMap[S, D], budget: int) -> CongruenceReport[S]:
-    """Check `target_eq(f(x), f(y))` over generated related pairs (x, y)."""
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    f = m.function
-    checked = 0
-    for x, y in itertools.islice(m.source.related_pairs(budget), budget):
-        checked += 1
-        if not m.target_eq(f(x), f(y)):
-            return CongruenceReport(Verdict.REFUTED, checked, (x, y))
-    if checked == 0:
-        return CongruenceReport(Verdict.NO_SAMPLES, 0)
-    return CongruenceReport(Verdict.CERTIFIED, checked)
+def check_respects(m: RespectMap[D], budget: int) -> CongruenceReport:
+    """Check `target_eq(f(x1, ..., xn), f(y1, ..., yn))` over related pairs.
 
-
-def check_respects2(m2: RespectMap2[S1, S2, D], budget: int) -> CongruenceReport:
-    """Check `target_eq(f(x, u), f(y, v))` over pairs of related pairs.
-
-    Related pairs (x, y) are drawn from the first source relation and
-    (u, v) from the second; their product is scanned in row-major order up
-    to `budget` cases.  A counterexample is the pair ((x, y), (u, v)).
+    Each source relation contributes related pairs (xi, yi): the first
+    `budget` of them for one argument, `int(budget ** (1/n)) + 1` for n
+    arguments.  Their product is scanned in row-major order up to `budget`
+    cases.  A counterexample is the pair (x, y) for one argument and the
+    tuple of per-argument pairs ((x1, y1), ..., (xn, yn)) otherwise.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    side = max(1, int(budget ** 0.5) + 1)
-    pairs1 = list(itertools.islice(m2.source1.related_pairs(side), side))
-    pairs2 = list(itertools.islice(m2.source2.related_pairs(side), side))
-    f = m2.function
+    n = len(m.sources)
+    side = budget if n == 1 else int(budget ** (1 / n)) + 1
+    per_source = [list(itertools.islice(rel.related_pairs(side), side)) for rel in m.sources]
+    lefts = itertools.product(*[[x for x, _ in pairs] for pairs in per_source])
+    rights = itertools.product(*[[y for _, y in pairs] for pairs in per_source])
+    f = m.function
+    verdicts = map(m.target_eq, itertools.starmap(f, lefts), itertools.starmap(f, rights))
     checked = 0
-    for (x, y), (u, v) in itertools.product(pairs1, pairs2):
-        if checked >= budget:
-            break
+    for ok in itertools.islice(verdicts, budget):
         checked += 1
-        if not m2.target_eq(f(x, u), f(y, v)):
-            return CongruenceReport(Verdict.REFUTED, checked, ((x, y), (u, v)))
+        if not ok:
+            # The failing case, recovered by its row-major position.
+            case = next(itertools.islice(itertools.product(*per_source), checked - 1, None))
+            return CongruenceReport(Verdict.REFUTED, checked, case[0] if n == 1 else case)
     if checked == 0:
         return CongruenceReport(Verdict.NO_SAMPLES, 0)
     return CongruenceReport(Verdict.CERTIFIED, checked)
 
 
-def respects2_via_commutativity(m2: RespectMap2[S, S, D], budget: int) -> CongruenceReport:
+check_respects2 = check_respects  # kept: bench/ calls or patches this name
+
+
+def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceReport:
     """Certify a two-argument function via commutativity plus one argument.
 
     When `f` is commutative (up to the target equality) and respects the
     relation in its first argument, it respects it in both.  If the
     commutativity probe fails, this falls back to the full two-argument
-    check and says so in the report's note.  Requires both source relations
-    to be the same relation.
+    check and says so in the report's note.  Requires a two-argument map
+    whose source relations are the same relation.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if not m2.source1.same_as(m2.source2):
+    rel, other = m.sources
+    if not rel.same_as(other):
         raise RelationMismatchError(
-            "commutativity shortcut needs one relation, got "
-            f"{m2.source1.name} and {m2.source2.name}"
+            f"commutativity shortcut needs one relation, got {rel.name} and {other.name}"
         )
-    rel = m2.source1
-    f = m2.function
+    f = m.function
     side = max(1, int(budget ** 0.5) + 1)
     pairs = list(itertools.islice(rel.related_pairs(side), side))
     elems = _sample_elements(rel, pairs)
@@ -360,8 +339,8 @@ def respects2_via_commutativity(m2: RespectMap2[S, S, D], budget: int) -> Congru
         if checked >= half:
             break
         checked += 1
-        if not m2.target_eq(f(a, b), f(b, a)):
-            full = check_respects2(m2, budget)
+        if not m.target_eq(f(a, b), f(b, a)):
+            full = check_respects(m, budget)
             note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
             return CongruenceReport(full.verdict, checked + full.checked, full.counterexample, note)
 
@@ -370,7 +349,7 @@ def respects2_via_commutativity(m2: RespectMap2[S, S, D], budget: int) -> Congru
             if checked >= budget:
                 break
             checked += 1
-            if not m2.target_eq(f(x, c), f(y, c)):
+            if not m.target_eq(f(x, c), f(y, c)):
                 return CongruenceReport(Verdict.REFUTED, checked, ((x, y), (c, c)))
     return CongruenceReport(
         Verdict.CERTIFIED, checked, note="via commutativity and single-argument respect"
@@ -378,53 +357,35 @@ def respects2_via_commutativity(m2: RespectMap2[S, S, D], budget: int) -> Congru
 
 
 @dataclass(frozen=True)
-class LiftedFunction(Generic[S, D]):
+class LiftedFunction(Generic[D]):
     """A function on class values, obtained by applying the underlying map
-    to the stored representative.
+    to the stored representatives.
 
     `checked` records whether a certified congruence report backed the lift;
     unchecked lifts are permitted only when explicitly requested and stay
     flagged here.
     """
 
-    map: RespectMap[S, D]
-    certificate: CongruenceReport[S] | None
-    checked: bool
-
-    def __call__(self, a: EquivClass[S]) -> D:
-        if not a.relation.same_as(self.map.source):
-            raise RelationMismatchError(
-                f"lifted over {self.map.source.name}, applied to {a.relation.name}"
-            )
-        return self.map.function(a.representative)
-
-
-@dataclass(frozen=True)
-class LiftedFunction2(Generic[S1, S2, D]):
-    """Two-argument analog of :class:`LiftedFunction`."""
-
-    map: RespectMap2[S1, S2, D]
+    map: RespectMap[D]
     certificate: CongruenceReport | None
     checked: bool
 
-    def __call__(self, a: EquivClass[S1], b: EquivClass[S2]) -> D:
-        if not a.relation.same_as(self.map.source1):
-            raise RelationMismatchError(
-                f"lifted over {self.map.source1.name}, applied to {a.relation.name}"
-            )
-        if not b.relation.same_as(self.map.source2):
-            raise RelationMismatchError(
-                f"lifted over {self.map.source2.name}, applied to {b.relation.name}"
-            )
-        return self.map.function(a.representative, b.representative)
+    def __call__(self, *classes: EquivClass) -> D:
+        sources = self.map.sources
+        if len(classes) != len(sources):
+            raise TypeError(f"lifted function takes {len(sources)} arguments, got {len(classes)}")
+        for a, rel in zip(classes, sources):
+            if not a.relation.same_as(rel):
+                raise RelationMismatchError(f"lifted over {rel.name}, applied to {a.relation.name}")
+        return self.map.function(*[a.representative for a in classes])
 
 
-def lift1(
-    cert: CongruenceReport[S] | None,
-    m: RespectMap[S, D],
+def lift(
+    cert: CongruenceReport | None,
+    m: RespectMap[D],
     strict: bool = True,
-) -> LiftedFunction[S, D]:
-    """Lift a one-argument map to class values.
+) -> LiftedFunction[D]:
+    """Lift a map to class values.
 
     In strict mode (the default) a certified report is required; a refuted
     or missing one raises, carrying the counterexample.  Passing
@@ -439,36 +400,11 @@ def lift1(
     return LiftedFunction(m, cert, certified)
 
 
-def lift2(
-    cert: CongruenceReport | None,
-    m2: RespectMap2[S1, S2, D],
-    strict: bool = True,
-) -> LiftedFunction2[S1, S2, D]:
-    """Two-argument analog of :func:`lift1`."""
-    certified = cert is not None and cert.certified
-    if strict and not certified:
-        detail = "no certificate" if cert is None else f"verdict {cert.verdict}"
-        if cert is not None and cert.counterexample is not None:
-            detail += f", counterexample {cert.counterexample!r}"
-        raise UncertifiedLiftError(f"strict lift rejected: {detail}", report=cert)
-    return LiftedFunction2(m2, cert, certified)
-
-
-def revalidate_counterexample(m: RespectMap[S, D], report: CongruenceReport[S]) -> bool:
-    """Re-check a refuted one-argument report from scratch."""
+def revalidate_counterexample(m: RespectMap[D], report: CongruenceReport) -> bool:
+    """Re-check a refuted report from scratch."""
     if report.counterexample is None:
         return False
-    x, y = report.counterexample
-    return m.source.decider(x, y) and not m.target_eq(m.function(x), m.function(y))
-
-
-def revalidate_counterexample2(m2: RespectMap2, report: CongruenceReport) -> bool:
-    """Re-check a refuted two-argument report from scratch."""
-    if report.counterexample is None:
-        return False
-    (x, y), (u, v) = report.counterexample
-    return (
-        m2.source1.decider(x, y)
-        and m2.source2.decider(u, v)
-        and not m2.target_eq(m2.function(x, u), m2.function(y, v))
-    )
+    pairs = (report.counterexample,) if len(m.sources) == 1 else report.counterexample
+    xs, ys = zip(*pairs)
+    related = all(rel.decider(x, y) for rel, (x, y) in zip(m.sources, pairs))
+    return related and not m.target_eq(m.function(*xs), m.function(*ys))

@@ -10,10 +10,11 @@ test oracle.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .equiv import EquivClass, EquivRelation, RespectMap, RespectMap2, class_of
+from .equiv import EquivClass, EquivRelation, RespectMap, class_of
 from .errors import RelationMismatchError
 
 
@@ -132,10 +133,10 @@ def nat_pair(p) -> int:
     return p[0] - p[1] if p[0] >= p[1] else 0
 
 
-NEG_MAP = RespectMap(neg_pair, intrel, intrel_holds, name="neg")
-NAT_MAP = RespectMap(nat_pair, intrel, lambda a, b: a == b, name="nat")
-ADD_MAP = RespectMap2(add_pair, intrel, intrel, intrel_holds, name="add")
-MUL_MAP = RespectMap2(mul_pair, intrel, intrel, intrel_holds, name="mul")
+NEG_MAP = RespectMap(neg_pair, (intrel,), intrel_holds, name="neg")
+NAT_MAP = RespectMap(nat_pair, (intrel,), operator.eq, name="nat")
+ADD_MAP = RespectMap(add_pair, (intrel, intrel), intrel_holds, name="add")
+MUL_MAP = RespectMap(mul_pair, (intrel, intrel), intrel_holds, name="mul")
 
 
 def _rep(z: QInt, w: QInt) -> tuple[IntPair, IntPair]:

@@ -20,12 +20,12 @@ their lifted operations rely on the rewriting route.
 
 from __future__ import annotations
 
-import enum
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .equiv import EquivClass, EquivRelation, RespectMap, RespectMap2, class_of
+from .equiv import EquivClass, EquivRelation, RespectMap, class_of
 from .errors import UniverseTooLargeError
 
 
@@ -121,37 +121,6 @@ def normalize(t: FreeMsg) -> FreeMsg:
     if isinstance(body, Crypt) and body.key == t.key:
         return body.body
     return Decrypt(t.key, body)
-
-
-def _step_outermost(t: FreeMsg) -> FreeMsg | None:
-    """One outermost-leftmost rewrite step, or None if t is normal."""
-    reduced = _reduce_root(t)
-    if reduced is not None:
-        return reduced
-    if isinstance(t, MPair):
-        left = _step_outermost(t.left)
-        if left is not None:
-            return MPair(left, t.right)
-        right = _step_outermost(t.right)
-        if right is not None:
-            return MPair(t.left, right)
-        return None
-    if isinstance(t, (Crypt, Decrypt)):
-        body = _step_outermost(t.body)
-        if body is not None:
-            return type(t)(t.key, body)
-        return None
-    return None
-
-
-def normalize_outermost(t: FreeMsg) -> FreeMsg:
-    """Outermost reduction; agreement with `normalize` is confluence
-    evidence, not an assumption."""
-    while True:
-        stepped = _step_outermost(t)
-        if stepped is None:
-            return t
-        t = stepped
 
 
 def is_normal(t: FreeMsg) -> bool:
@@ -393,95 +362,6 @@ def closure_oracle(
     return pairs
 
 
-class MsgRule(enum.Enum):
-    """The eight rules generating the message equivalence.  CD and DC are
-    the cancellation axioms; NONCE, MPAIR, CRYPT, and DECRYPT propagate the
-    relation through the constructors (and make it reflexive); SYM and
-    TRANS close it into an equivalence.  Used only by the closure oracle."""
-
-    CD = "CD"
-    DC = "DC"
-    NONCE = "NONCE"
-    MPAIR = "MPAIR"
-    CRYPT = "CRYPT"
-    DECRYPT = "DECRYPT"
-    SYM = "SYM"
-    TRANS = "TRANS"
-
-
-def rule_instances(
-    rule: MsgRule,
-    rel: set[tuple[FreeMsg, FreeMsg]],
-    terms: list[FreeMsg],
-    keys: tuple[int, ...],
-) -> set[tuple[FreeMsg, FreeMsg]]:
-    """Conclusions one rule can draw from `rel`, with every premise pair in
-    `rel` and every mentioned term inside the universe `terms`."""
-    tset = set(terms)
-    out: set[tuple[FreeMsg, FreeMsg]] = set()
-    if rule is MsgRule.CD:
-        for t in terms:
-            if isinstance(t, Crypt) and isinstance(t.body, Decrypt) and t.key == t.body.key:
-                out.add((t, t.body.body))
-    elif rule is MsgRule.DC:
-        for t in terms:
-            if isinstance(t, Decrypt) and isinstance(t.body, Crypt) and t.key == t.body.key:
-                out.add((t, t.body.body))
-    elif rule is MsgRule.NONCE:
-        for t in terms:
-            if isinstance(t, Nonce):
-                out.add((t, t))
-    elif rule is MsgRule.MPAIR:
-        for x, x1 in rel:
-            for y, y1 in rel:
-                a, b = MPair(x, y), MPair(x1, y1)
-                if a in tset and b in tset:
-                    out.add((a, b))
-    elif rule is MsgRule.CRYPT:
-        for x, x1 in rel:
-            for k in keys:
-                a, b = Crypt(k, x), Crypt(k, x1)
-                if a in tset and b in tset:
-                    out.add((a, b))
-    elif rule is MsgRule.DECRYPT:
-        for x, x1 in rel:
-            for k in keys:
-                a, b = Decrypt(k, x), Decrypt(k, x1)
-                if a in tset and b in tset:
-                    out.add((a, b))
-    elif rule is MsgRule.SYM:
-        out.update((v, u) for u, v in rel)
-    elif rule is MsgRule.TRANS:
-        by_first: dict = {}
-        for u, v in rel:
-            by_first.setdefault(u, []).append(v)
-        for u, v in rel:
-            for w in by_first.get(v, ()):
-                out.add((u, w))
-    return out
-
-
-def closure_oracle_naive(
-    bound: int,
-    keys=DEFAULT_KEYS,
-    nonces=DEFAULT_NONCES,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> set[tuple[FreeMsg, FreeMsg]]:
-    """Reference fixpoint: apply all eight rules round by round until
-    nothing new appears.  Quadratic per round; only for small bounds, where
-    it cross-checks the union-find engine."""
-    keys, nonces = _domains(keys, nonces)
-    terms = enumerate_terms(bound, keys, nonces, max_terms)
-    rel: set[tuple[FreeMsg, FreeMsg]] = set()
-    while True:
-        new: set[tuple[FreeMsg, FreeMsg]] = set()
-        for rule in MsgRule:
-            new |= rule_instances(rule, rel, terms, keys) - rel
-        if not new:
-            return rel
-        rel |= new
-
-
 @lru_cache(maxsize=8)
 def _sorted_pairs(bound: int, keys, nonces, max_terms: int):
     terms, labels = _closure(bound, keys, nonces, max_terms)
@@ -523,26 +403,37 @@ def msg_relation(
 msgrel: EquivRelation[FreeMsg] = msg_relation()
 
 
-# Respect maps for the free functions, ready for the congruence checker.
-FREENONCES_MAP = RespectMap(freenonces, msgrel, lambda a, b: a == b, name="freenonces")
-FREELEFT_MAP = RespectMap(freeleft, msgrel, msg_eq, name="freeleft")
-FREERIGHT_MAP = RespectMap(freeright, msgrel, msg_eq, name="freeright")
-FREEDISCRIM_MAP = RespectMap(freediscrim, msgrel, lambda a, b: a == b, name="freediscrim")
-FREEDISCRIM_TRUNCATED_MAP = RespectMap(
-    freediscrim_truncated, msgrel, lambda a, b: a == b, name="freediscrim_truncated"
+def free_maps(rel: EquivRelation[FreeMsg]) -> dict[str, RespectMap]:
+    """Respect maps for the free functions over `rel`, keyed by name, ready
+    for the congruence checker; `freediscrim_truncated` is the negative
+    test."""
+    return {
+        name: RespectMap(fn, (rel,), target_eq, name=name)
+        for name, fn, target_eq in (
+            ("freenonces", freenonces, operator.eq),
+            ("freeleft", freeleft, msg_eq),
+            ("freeright", freeright, msg_eq),
+            ("freediscrim", freediscrim, operator.eq),
+            ("freediscrim_truncated", freediscrim_truncated, operator.eq),
+        )
+    }
+
+
+FREENONCES_MAP, FREELEFT_MAP, FREERIGHT_MAP, FREEDISCRIM_MAP, FREEDISCRIM_TRUNCATED_MAP = (
+    free_maps(msgrel).values()
 )
 
 
-def mpair_map() -> RespectMap2:
-    return RespectMap2(MPair, msgrel, msgrel, msg_eq, name="MPAIR")
+def mpair_map() -> RespectMap:
+    return RespectMap(MPair, (msgrel, msgrel), msg_eq, name="MPAIR")
 
 
 def crypt_map(k: int) -> RespectMap:
-    return RespectMap(lambda t: Crypt(k, t), msgrel, msg_eq, name=f"CRYPT {k}")
+    return RespectMap(lambda t: Crypt(k, t), (msgrel,), msg_eq, name=f"CRYPT {k}")
 
 
 def decrypt_map(k: int) -> RespectMap:
-    return RespectMap(lambda t: Decrypt(k, t), msgrel, msg_eq, name=f"DECRYPT {k}")
+    return RespectMap(lambda t: Decrypt(k, t), (msgrel,), msg_eq, name=f"DECRYPT {k}")
 
 
 # ---------------------------------------------------------------------------

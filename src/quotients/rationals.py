@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .equiv import EquivClass, EquivRelation, RespectMap, RespectMap2, class_of
+from .equiv import EquivClass, EquivRelation, RespectMap, class_of
 from .errors import DomainError, RelationMismatchError
 
 
@@ -135,9 +135,9 @@ def inv_pair(p) -> RatPair:
     return RatPair(p[1], p[0])
 
 
-RAT_ADD_MAP = RespectMap2(add_pair, ratrel, ratrel, ratrel_holds, name="rat_add")
-RAT_MUL_MAP = RespectMap2(mul_pair, ratrel, ratrel, ratrel_holds, name="rat_mul")
-RAT_NEG_MAP = RespectMap(neg_pair, ratrel, ratrel_holds, name="rat_neg")
+RAT_ADD_MAP = RespectMap(add_pair, (ratrel, ratrel), ratrel_holds, name="rat_add")
+RAT_MUL_MAP = RespectMap(mul_pair, (ratrel, ratrel), ratrel_holds, name="rat_mul")
+RAT_NEG_MAP = RespectMap(neg_pair, (ratrel,), ratrel_holds, name="rat_neg")
 
 
 def _rep(a: QRat, b: QRat) -> tuple[RatPair, RatPair]:

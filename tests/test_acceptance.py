@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from msg_oracles import normalize_outermost
 from quotients.equiv import check_respects
 from quotients.integers import add, from_native, le, mul, neg, qint, to_nat, to_native
 from quotients.messages import (
@@ -29,7 +30,6 @@ from quotients.messages import (
     nonce,
     nonces,
     normalize,
-    normalize_outermost,
     right,
 )
 from quotients.rationals import (

@@ -125,6 +125,20 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "int-congruence", "--budget", "0"],
+    ["check", "int-congruence", "--budget", "-3"],
+    ["msg-fn", "nonces", "(nonce 1)", "--budget", "0"],
+    ["oracle-msgrel", "--bound", "0"],
+    ["check", "msg-equivalence", "--bound", "x"],
+], ids=["budget-0", "budget-negative", "msg-fn-budget-0", "bound-0", "bound-not-int"])
+def test_non_positive_budget_or_bound_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--json"])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_unknown_operator_is_an_error(capsys):
     rc = cli.main(["int-eval", "(xor 1 2)", "--json", "--deterministic"])
     doc = json.loads(capsys.readouterr().out)
@@ -181,6 +195,21 @@ class TestConfigFile:
         cfg.write_text('{"budget": -5}')
         monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
         rc = cli.main(["check", "int-equivalence", "--json", "--deterministic"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        assert doc["status"] == "error"
+
+    @pytest.mark.parametrize("config,command", [
+        ('{"budget": true}', ["check", "int-equivalence"]),
+        ('{"bound": true}', ["oracle-msgrel"]),
+        ('{"keys": [true]}', ["oracle-msgrel"]),
+        ('{"nonces": [0, false]}', ["oracle-msgrel"]),
+    ])
+    def test_bool_in_config_is_an_error(self, config, command, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(config)
+        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+        rc = cli.main(command + ["--json", "--deterministic"])
         doc = json.loads(capsys.readouterr().out)
         assert rc == 2
         assert doc["status"] == "error"

@@ -6,19 +6,15 @@ from hypothesis import given, strategies as st
 from quotients.equiv import (
     EquivRelation,
     RespectMap,
-    RespectMap2,
     Verdict,
     check_equivalence,
     check_respects,
-    check_respects2,
     class_eq,
     class_of,
     filtered_pairs,
-    lift1,
-    lift2,
+    lift,
     respects2_via_commutativity,
     revalidate_counterexample,
-    revalidate_counterexample2,
 )
 from quotients.errors import DomainError, RelationMismatchError, UncertifiedLiftError
 from quotients.integers import (
@@ -26,9 +22,11 @@ from quotients.integers import (
     MUL_MAP,
     NEG_MAP,
     IntPair,
+    add_pair,
     intrel,
     intrel_holds,
     neg_pair,
+    qint,
 )
 from quotients.messages import (
     FREEDISCRIM_TRUNCATED_MAP,
@@ -147,13 +145,28 @@ class TestClassOfAndEq:
         a, b = class_of(intrel, IntPair(3, 1)), class_of(intrel, IntPair(5, 3))
         assert a == b and hash(a) == hash(b)
 
+    def test_same_name_other_decider_is_another_relation(self):
+        # Relation identity is name and decider: comparing across a
+        # look-alike relation fails in both directions.
+        fake = EquivRelation(
+            name="intrel",
+            decider=lambda p, q: True,
+            carrier=intrel.carrier,
+            related_pairs=intrel.related_pairs,
+            canonicalize=intrel.canonicalize,
+        )
+        with pytest.raises(RelationMismatchError):
+            class_of(fake, IntPair(5, 0)) == qint(1, 0).cls
+        with pytest.raises(RelationMismatchError):
+            qint(1, 0).cls == class_of(fake, IntPair(5, 0))
+
 
 class TestCheckRespects:
     def test_negation_certified(self):
         assert check_respects(NEG_MAP, 200).verdict is Verdict.CERTIFIED
 
     def test_first_component_refuted(self):
-        m = RespectMap(lambda p: p[0], intrel, plain_eq)
+        m = RespectMap(lambda p: p[0], (intrel,), plain_eq)
         report = check_respects(m, 50)
         assert report.verdict is Verdict.REFUTED
         assert report.counterexample == (IntPair(0, 0), IntPair(1, 1))
@@ -166,12 +179,12 @@ class TestCheckRespects:
         assert revalidate_counterexample(FREEDISCRIM_TRUNCATED_MAP, report)
 
     def test_no_samples(self):
-        report = check_respects(RespectMap(lambda x: x, barren, plain_eq), 10)
+        report = check_respects(RespectMap(lambda x: x, (barren,), plain_eq), 10)
         assert report.verdict is Verdict.NO_SAMPLES
 
     def test_counterexample_position_pinned(self):
         # A refutation deep in generator order pins the scan order and count.
-        m = RespectMap(lambda p: (p[0] - p[1]) + (p[0] > 3), intrel, plain_eq)
+        m = RespectMap(lambda p: (p[0] - p[1]) + (p[0] > 3), (intrel,), plain_eq)
         report = check_respects(m, 400)
         assert report.verdict is Verdict.REFUTED
         assert report.checked == 14
@@ -181,30 +194,60 @@ class TestCheckRespects:
 
 class TestCheckRespects2:
     def test_addition_certified(self):
-        assert check_respects2(ADD_MAP, 400).verdict is Verdict.CERTIFIED
+        assert check_respects(ADD_MAP, 400).verdict is Verdict.CERTIFIED
 
     def test_multiplication_certified(self):
-        assert check_respects2(MUL_MAP, 400).verdict is Verdict.CERTIFIED
+        assert check_respects(MUL_MAP, 400).verdict is Verdict.CERTIFIED
 
     def test_first_components_refuted(self):
-        m2 = RespectMap2(lambda p, q: p[0] + q[0], intrel, intrel, plain_eq)
-        report = check_respects2(m2, 100)
+        m2 = RespectMap(lambda p, q: p[0] + q[0], (intrel, intrel), plain_eq)
+        report = check_respects(m2, 100)
         assert report.verdict is Verdict.REFUTED
-        assert revalidate_counterexample2(m2, report)
+        assert revalidate_counterexample(m2, report)
 
     def test_row_major_counterexample_pinned(self):
         # Refuted in row 0, column 13 of the 21 x 21 product at budget 400.
-        m2 = RespectMap2(
+        m2 = RespectMap(
             lambda p, q: (p[0] - p[1]) + (q[0] - q[1]) + (p[0] + q[0] > 4),
-            intrel, intrel, plain_eq,
+            (intrel, intrel), plain_eq,
         )
-        report = check_respects2(m2, 400)
+        report = check_respects(m2, 400)
         assert report.verdict is Verdict.REFUTED
         assert report.checked == 14
         assert report.counterexample == (
             (IntPair(0, 0), IntPair(1, 1)), (IntPair(3, 0), IntPair(4, 1))
         )
-        assert revalidate_counterexample2(m2, report)
+        assert revalidate_counterexample(m2, report)
+
+
+class TestCheckRespectsNAry:
+    add3 = RespectMap(
+        lambda p, q, r: add_pair(add_pair(p, q), r), (intrel, intrel, intrel), intrel_holds
+    )
+
+    def test_three_arguments_certified(self):
+        # 4 related pairs per argument: int(64 ** (1/3)) + 1.
+        report = check_respects(self.add3, 64)
+        assert report.verdict is Verdict.CERTIFIED
+        assert report.checked == 64
+
+    def test_three_argument_counterexample_revalidates(self):
+        m3 = RespectMap(lambda p, q, r: r[0], (intrel, intrel, intrel), plain_eq)
+        report = check_respects(m3, 64)
+        assert report.verdict is Verdict.REFUTED
+        assert report.checked == 1
+        assert len(report.counterexample) == 3
+        assert revalidate_counterexample(m3, report)
+
+    def test_three_argument_lift(self):
+        g = lift(check_respects(self.add3, 64), self.add3)
+        z = [class_of(intrel, IntPair(x, y)) for x, y in ((3, 0), (0, 5), (4, 1))]
+        assert intrel_holds(g(*z), IntPair(1, 0))
+
+    def test_lift_arity_checked(self):
+        g = lift(check_respects(ADD_MAP, 50), ADD_MAP)
+        with pytest.raises(TypeError):
+            g(class_of(intrel, IntPair(1, 0)))
 
 
 class TestRespects2ViaCommutativity:
@@ -217,8 +260,8 @@ class TestRespects2ViaCommutativity:
         assert respects2_via_commutativity(MUL_MAP, 400).verdict is Verdict.CERTIFIED
 
     def test_subtraction_falls_back(self):
-        sub = RespectMap2(
-            lambda p, q: IntPair(p[0] + q[1], p[1] + q[0]), intrel, intrel, intrel_holds
+        sub = RespectMap(
+            lambda p, q: IntPair(p[0] + q[1], p[1] + q[0]), (intrel, intrel), intrel_holds
         )
         report = respects2_via_commutativity(sub, 400)
         # Subtraction respects the relation but is not commutative: the
@@ -228,76 +271,76 @@ class TestRespects2ViaCommutativity:
         assert report.checked == 403
 
     def test_mismatched_relations_rejected(self):
-        m2 = RespectMap2(lambda p, q: 0, intrel, ratrel, plain_eq)
+        m2 = RespectMap(lambda p, q: 0, (intrel, ratrel), plain_eq)
         with pytest.raises(RelationMismatchError):
             respects2_via_commutativity(m2, 10)
 
     @pytest.mark.parametrize("m2", [ADD_MAP, MUL_MAP], ids=["add", "mul"])
     def test_agrees_with_full_check(self, m2):
         shortcut = respects2_via_commutativity(m2, 300)
-        full = check_respects2(m2, 300)
+        full = check_respects(m2, 300)
         assert shortcut.certified
         assert full.certified
 
 
 class TestLifting:
     def test_lift1_negation_characteristic_equation(self):
-        g = lift1(check_respects(NEG_MAP, 100), NEG_MAP)
+        g = lift(check_respects(NEG_MAP, 100), NEG_MAP)
         out = g(class_of(intrel, IntPair(3, 1)))
         assert intrel_holds(out, IntPair(1, 3))
 
     def test_lift1_constant(self):
-        m = RespectMap(lambda p: 7, intrel, plain_eq)
-        g = lift1(check_respects(m, 100), m)
+        m = RespectMap(lambda p: 7, (intrel,), plain_eq)
+        g = lift(check_respects(m, 100), m)
         assert g(class_of(intrel, IntPair(9, 4))) == 7
 
     def test_lift1_freenonces(self):
-        g = lift1(check_respects(FREENONCES_MAP, 200), FREENONCES_MAP)
+        g = lift(check_respects(FREENONCES_MAP, 200), FREENONCES_MAP)
         assert g(class_of(msgrel, Crypt(1, Nonce(5)))) == {5}
 
     def test_lift2_addition(self):
-        g = lift2(check_respects2(ADD_MAP, 200), ADD_MAP)
+        g = lift(check_respects(ADD_MAP, 200), ADD_MAP)
         out = g(class_of(intrel, IntPair(1, 0)), class_of(intrel, IntPair(1, 0)))
         assert intrel_holds(out, IntPair(2, 0))
 
     @given(st.integers(0, 40), st.integers(0, 40))
     def test_lift2_additive_identity(self, x, y):
-        g = lift2(check_respects2(ADD_MAP, 50), ADD_MAP)
+        g = lift(check_respects(ADD_MAP, 50), ADD_MAP)
         z = class_of(intrel, IntPair(x, y))
         assert intrel_holds(g(class_of(intrel, IntPair(0, 0)), z), z.representative)
 
     def test_lift2_multiplication_native_oracle(self):
-        g = lift2(check_respects2(MUL_MAP, 200), MUL_MAP)
+        g = lift(check_respects(MUL_MAP, 200), MUL_MAP)
         out = g(class_of(intrel, IntPair(2, 0)), class_of(intrel, IntPair(0, 3)))
         assert out == IntPair(0, 6)
         assert 2 * -3 == out[0] - out[1]
 
     def test_strict_lift_rejects_refuted(self):
-        m = RespectMap(lambda p: p[0], intrel, plain_eq)
+        m = RespectMap(lambda p: p[0], (intrel,), plain_eq)
         report = check_respects(m, 50)
         with pytest.raises(UncertifiedLiftError) as exc:
-            lift1(report, m)
+            lift(report, m)
         assert exc.value.report is report
 
     def test_strict_lift_rejects_missing(self):
         with pytest.raises(UncertifiedLiftError):
-            lift1(None, NEG_MAP)
+            lift(None, NEG_MAP)
         with pytest.raises(UncertifiedLiftError):
-            lift2(None, ADD_MAP)
+            lift(None, ADD_MAP)
 
     def test_unchecked_lift_is_flagged(self):
-        g = lift1(None, NEG_MAP, strict=False)
+        g = lift(None, NEG_MAP, strict=False)
         assert g.checked is False
         assert intrel_holds(g(class_of(intrel, IntPair(4, 1))), IntPair(1, 4))
 
     def test_lift_rejects_wrong_relation(self):
-        g = lift1(check_respects(NEG_MAP, 100), NEG_MAP)
+        g = lift(check_respects(NEG_MAP, 100), NEG_MAP)
         with pytest.raises(RelationMismatchError):
             g(class_of(ratrel, RatPair(1, 2)))
 
     @given(st.integers(0, 50), st.integers(0, 50))
     def test_certified_lift_matches_function(self, x, y):
-        g = lift1(check_respects(NEG_MAP, 50), NEG_MAP)
+        g = lift(check_respects(NEG_MAP, 50), NEG_MAP)
         p = IntPair(x, y)
         assert intrel_holds(g(class_of(intrel, p)), neg_pair(p))
 
@@ -311,8 +354,8 @@ class TestLifting:
             carrier=intrel.carrier,
             related_pairs=intrel.related_pairs,
         )
-        m = RespectMap(neg_pair, raw, intrel_holds)
-        g = lift1(check_respects(m, 50), m)
+        m = RespectMap(neg_pair, (raw,), intrel_holds)
+        g = lift(check_respects(m, 50), m)
         a = class_of(raw, IntPair(x, y))
         b = class_of(raw, IntPair(x + k, y + k))
         assert intrel_holds(g(a), g(b))

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import term_strategy
-from quotients.equiv import Verdict, check_respects, check_respects2, revalidate_counterexample
+from msg_oracles import MsgRule, closure_oracle_naive, normalize_outermost, rule_instances
+from quotients.equiv import Verdict, check_respects, revalidate_counterexample
 from quotients.errors import UniverseTooLargeError
 from quotients.messages import (
     FREEDISCRIM_MAP,
@@ -16,11 +17,9 @@ from quotients.messages import (
     Decrypt,
     MPair,
     Msg,
-    MsgRule,
     Nonce,
     closure_classes,
     closure_oracle,
-    closure_oracle_naive,
     crypt,
     crypt_map,
     decrypt,
@@ -42,9 +41,7 @@ from quotients.messages import (
     nonce,
     nonces,
     normalize,
-    normalize_outermost,
     right,
-    rule_instances,
     size,
     universe_size,
 )
@@ -220,7 +217,7 @@ class TestCongruence:
         assert revalidate_counterexample(FREEDISCRIM_TRUNCATED_MAP, report)
 
     def test_constructor_bodies_certified(self):
-        assert check_respects2(mpair_map(), 400).verdict is Verdict.CERTIFIED
+        assert check_respects(mpair_map(), 400).verdict is Verdict.CERTIFIED
         for k in (0, 1):
             assert check_respects(crypt_map(k), 300).verdict is Verdict.CERTIFIED
             assert check_respects(decrypt_map(k), 300).verdict is Verdict.CERTIFIED
