@@ -56,7 +56,7 @@ class EquivRelation(Generic[T]):
         return f"EquivRelation({self.name!r})"
 
     def same_as(self, other: "EquivRelation") -> bool:
-        return self.name == other.name and self.decider == other.decider
+        return self is other or (self.name == other.name and self.decider == other.decider)
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,8 @@ class CongruenceReport:
 
     `checked` is the number of cases actually examined (the generator may
     exhaust before the requested budget).  A refuted report's counterexample
-    re-validates independently: the source decider holds on it and the
-    target equality fails on its images.
+    re-validates independently: each source decider holds on its pair and
+    the target equality fails on the images.
     """
 
     verdict: Verdict
