@@ -19,6 +19,7 @@ from .equiv import (
     class_eq,
     class_of,
     lift,
+    operation,
     respects2_via_commutativity,
     revalidate_counterexample,
 )
@@ -44,6 +45,7 @@ __all__ = [
     "class_eq",
     "class_of",
     "lift",
+    "operation",
     "respects2_via_commutativity",
     "revalidate_counterexample",
     "DomainError",

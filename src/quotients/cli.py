@@ -241,7 +241,7 @@ def _cmd_msg_fn(args, started: float) -> int:
     term = parse_term(args.term)
     cert = check_respects(rmap, args.budget) if args.strict else None
     lifted = lift(cert, rmap, strict=args.strict)
-    result = lifted(messages.msg(term).cls)
+    result = lifted(messages.msg(term))
     payload = {
         "function": args.function,
         "result": _jsonable(result),
@@ -412,7 +412,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _resolve_config(args)
         return args.handler(args, started)
-    except (ParseError, QuotientError) as exc:
+    # Stray ValueError (a number past the int-to-text digit limit) and
+    # RecursionError (a very deep term) are unhandled input, not refutation.
+    except (QuotientError, ValueError, RecursionError) as exc:
         payload = {"error": str(exc)}
         if isinstance(exc, ParseError):
             payload["offset"] = exc.offset

@@ -63,9 +63,10 @@ class EquivRelation(Generic[T]):
 class EquivClass(Generic[T]):
     """One equivalence class, held as a single stored representative.
 
-    Two class values over the same relation compare equal exactly when the
-    relation's decider relates their representatives.  When the relation has
-    a canonicalizer the stored representative is canonical, so equality (and
+    Two class values of the same type over the same relation compare equal
+    exactly when the relation's decider relates their representatives;
+    values of different types are never equal.  When the relation has a
+    canonicalizer the stored representative is canonical, so equality (and
     hashing) reduce to plain representative comparison.
     """
 
@@ -73,7 +74,7 @@ class EquivClass(Generic[T]):
     relation: EquivRelation[T] = field(repr=False)
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, EquivClass):
+        if type(other) is not type(self):
             return NotImplemented
         return class_eq(self, other)
 
@@ -260,12 +261,13 @@ def check_equivalence(rel: EquivRelation[T], budget: int) -> EquivalenceReport[T
     return EquivalenceReport(Verdict.CERTIFIED, checked)
 
 
-def class_of(rel: EquivRelation[T], x: T) -> EquivClass[T]:
-    """The class of `x`, stored canonically when the relation supports it."""
+def class_of(rel: EquivRelation[T], x: T, kind: type = EquivClass) -> EquivClass[T]:
+    """The class of `x` as a `kind` value (EquivClass or a quotient's value
+    type), stored canonically when the relation supports it."""
     if not rel.carrier(x):
         raise DomainError(f"{x!r} is not in the carrier of {rel.name}")
     rep = rel.canonicalize(x) if rel.canonicalize is not None else x
-    return EquivClass(rep, rel)
+    return kind(rep, rel)
 
 
 def class_eq(a: EquivClass[T], b: EquivClass[T]) -> bool:
@@ -371,13 +373,32 @@ class LiftedFunction(Generic[D]):
     checked: bool
 
     def __call__(self, *classes: EquivClass) -> D:
-        sources = self.map.sources
-        if len(classes) != len(sources):
-            raise TypeError(f"lifted function takes {len(sources)} arguments, got {len(classes)}")
+        return operation(self.map)(*classes)
+
+
+def operation(m: RespectMap[D], kind: type | None = None) -> Callable:
+    """`m.function` on class values: the one path from a map on
+    representatives to a function on classes.
+
+    The result checks its arity and each argument's relation against
+    `m.sources`, then applies `m.function` to the stored representatives.
+    With `kind`, it returns the image as a `kind` class of the first source
+    relation.  No certificate is consulted on a call; `lift` attaches one.
+    """
+    f, sources, n = m.function, m.sources, len(m.sources)
+
+    def apply(*classes: EquivClass):
+        if len(classes) != n:
+            raise TypeError(f"lifted function takes {n} arguments, got {len(classes)}")
+        reps = []
         for a, rel in zip(classes, sources):
-            if not a.relation.same_as(rel):
+            if a.relation is not rel and not a.relation.same_as(rel):
                 raise RelationMismatchError(f"lifted over {rel.name}, applied to {a.relation.name}")
-        return self.map.function(*[a.representative for a in classes])
+            reps.append(a.representative)
+        out = f(*reps)
+        return out if kind is None else class_of(sources[0], out, kind)
+
+    return apply
 
 
 def lift(

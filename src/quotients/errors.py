@@ -28,11 +28,14 @@ class UncertifiedLiftError(QuotientError):
 
 
 class UniverseTooLargeError(QuotientError):
-    """A bounded term enumeration would exceed the configured size cap."""
+    """A bounded term enumeration would exceed the configured size cap.
+
+    `universe_size` is exact up to cap**2 terms and a lower bound past it.
+    """
 
     def __init__(self, universe_size: int, cap: int):
         super().__init__(
-            f"term universe has {universe_size} elements, exceeding the cap of {cap}"
+            f"term universe has at least {universe_size} elements, exceeding the cap of {cap}"
         )
         self.universe_size = universe_size
         self.cap = cap

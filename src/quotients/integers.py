@@ -1,9 +1,10 @@
 """Integers as equivalence classes of pairs of naturals.
 
 A pair (x, y) stands for the integer x - y; two pairs are related when
-x + v = u + y, an equation stated entirely in the naturals.  All arithmetic
-is defined on representatives and certified representative-independent by
-the bounded congruence checks; a native-int bridge is provided purely as a
+x + v = u + y, an equation stated entirely in the naturals.  A `QInt` is
+such a class.  Each operation is a RespectMap on representatives, certified
+representative-independent by the bounded congruence checks and applied to
+classes by `equiv.operation`; a native-int bridge is provided purely as a
 test oracle.
 """
 
@@ -11,11 +12,9 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-from .equiv import EquivClass, EquivRelation, RespectMap, class_of
-from .errors import RelationMismatchError
+from .equiv import EquivClass, EquivRelation, RespectMap, class_of, operation
 
 
 class IntPair(NamedTuple):
@@ -68,15 +67,12 @@ intrel: EquivRelation[IntPair] = EquivRelation(
 )
 
 
-@dataclass(frozen=True)
-class QInt:
+class QInt(EquivClass[IntPair]):
     """An integer as a canonically-stored equivalence class of IntPairs."""
-
-    cls: EquivClass[IntPair]
 
     @property
     def pair(self) -> IntPair:
-        return self.cls.representative
+        return self.representative
 
     def __add__(self, other: "QInt") -> "QInt":
         return add(self, other)
@@ -96,7 +92,7 @@ class QInt:
 
 def qint(x: int, y: int) -> QInt:
     """The integer named by the pair (x, y), i.e. x - y."""
-    return QInt(class_of(intrel, IntPair(x, y)))
+    return class_of(intrel, IntPair(x, y), QInt)
 
 
 def zero() -> QInt:
@@ -107,9 +103,9 @@ def one() -> QInt:
     return qint(1, 0)
 
 
-# Representative-level bodies of the lifted operations.  These are what the
-# congruence checker certifies; the QInt operations below apply them to the
-# stored (canonical) representatives.
+# Representative-level bodies of the operations.  These are what the
+# congruence checker certifies; the QInt operations below are these maps
+# applied to the stored (canonical) representatives by `equiv.operation`.
 
 def neg_pair(p) -> IntPair:
     return IntPair(p[1], p[0])
@@ -137,35 +133,13 @@ NEG_MAP = RespectMap(neg_pair, (intrel,), intrel_holds, name="neg")
 NAT_MAP = RespectMap(nat_pair, (intrel,), operator.eq, name="nat")
 ADD_MAP = RespectMap(add_pair, (intrel, intrel), intrel_holds, name="add")
 MUL_MAP = RespectMap(mul_pair, (intrel, intrel), intrel_holds, name="mul")
+LE_MAP = RespectMap(le_pair, (intrel, intrel), operator.eq, name="le")
 
-
-def _rep(z: QInt, w: QInt) -> tuple[IntPair, IntPair]:
-    if not z.cls.relation.same_as(w.cls.relation):
-        raise RelationMismatchError("mixed-relation integer operation")
-    return z.pair, w.pair
-
-
-def neg(z: QInt) -> QInt:
-    return QInt(class_of(intrel, neg_pair(z.pair)))
-
-
-def add(z: QInt, w: QInt) -> QInt:
-    p, q = _rep(z, w)
-    return QInt(class_of(intrel, add_pair(p, q)))
-
-
-def mul(z: QInt, w: QInt) -> QInt:
-    p, q = _rep(z, w)
-    return QInt(class_of(intrel, mul_pair(p, q)))
-
-
-def le(z: QInt, w: QInt) -> bool:
-    p, q = _rep(z, w)
-    return le_pair(p, q)
-
-
-def to_nat(z: QInt) -> int:
-    return nat_pair(z.pair)
+neg = operation(NEG_MAP, QInt)
+add = operation(ADD_MAP, QInt)
+mul = operation(MUL_MAP, QInt)
+le = operation(LE_MAP)
+to_nat = operation(NAT_MAP)
 
 
 def from_native(i: int) -> QInt:

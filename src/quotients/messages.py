@@ -14,8 +14,9 @@ Two independent routes decide that equivalence:
 * `closure_oracle` computes the least fixpoint of the eight rules over a
   bounded term universe, never consulting the rewriter.
 
-Tests drive the two against each other; the quotient-level `Msg` values and
-their lifted operations rely on the rewriting route.
+Tests drive the two against each other.  A `Msg` is a class of the
+relation decided by rewriting, and its operations are the free functions'
+respect maps applied to classes by `equiv.operation`.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .equiv import EquivClass, EquivRelation, RespectMap, class_of
+from .equiv import EquivClass, EquivRelation, RespectMap, class_of, operation
 from .errors import UniverseTooLargeError
 
 
@@ -207,21 +208,31 @@ def _domains(keys, nonces) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(sorted(set(keys))), tuple(sorted(set(nonces)))
 
 
+def _running_sizes(bound: int, keys, nonces):
+    """Number of terms of size <= s for s = 1, ..., bound, by recurrence."""
+    counts = [0]
+    for s in range(1, bound + 1):
+        mpairs = sum(counts[i] * counts[s - 1 - i] for i in range(1, s - 1))
+        counts.append(mpairs + 2 * len(keys) * counts[s - 1] if s > 1 else len(nonces))
+        yield sum(counts)
+
+
 def universe_size(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> int:
     """Number of terms of size <= bound, by recurrence (no enumeration)."""
     keys, nonces = _domains(keys, nonces)
-    counts = [0, len(nonces)]
-    for s in range(2, bound + 1):
-        mpairs = sum(counts[i] * counts[s - 1 - i] for i in range(1, s - 1))
-        counts.append(mpairs + 2 * len(keys) * counts[s - 1])
-    return sum(counts[1 : bound + 1])
+    return max(_running_sizes(bound, keys, nonces), default=0)
 
 
 @lru_cache(maxsize=32)
 def _enumerate(bound: int, keys, nonces, max_terms: int) -> tuple[FreeMsg, ...]:
     if bound < 1:
         raise ValueError("bound must be >= 1")
-    total = universe_size(bound, keys, nonces)
+    # The full recurrence takes seconds for a bound in the thousands; stopping
+    # past max_terms**2 costs a few layers beyond the cap and still gives the
+    # error the exact size of any universe below that.
+    for total in _running_sizes(bound, keys, nonces):
+        if total > max_terms**2:
+            break
     if total > max_terms:
         raise UniverseTooLargeError(total, max_terms)
     by_size: list[list[FreeMsg]] = [[], [Nonce(n) for n in nonces]]
@@ -424,8 +435,7 @@ FREENONCES_MAP, FREELEFT_MAP, FREERIGHT_MAP, FREEDISCRIM_MAP, FREEDISCRIM_TRUNCA
 )
 
 
-def mpair_map() -> RespectMap:
-    return RespectMap(MPair, (msgrel, msgrel), msg_eq, name="MPAIR")
+MPAIR_MAP = RespectMap(MPair, (msgrel, msgrel), msg_eq, name="MPAIR")
 
 
 def crypt_map(k: int) -> RespectMap:
@@ -439,15 +449,12 @@ def decrypt_map(k: int) -> RespectMap:
 # ---------------------------------------------------------------------------
 # The quotient type and its lifted operations
 
-@dataclass(frozen=True)
-class Msg:
+class Msg(EquivClass[FreeMsg]):
     """A message modulo the cancellation equations, stored in normal form."""
-
-    cls: EquivClass[FreeMsg]
 
     @property
     def rep(self) -> FreeMsg:
-        return self.cls.representative
+        return self.representative
 
     def __repr__(self) -> str:
         return f"Msg({self.rep!r})"
@@ -455,16 +462,13 @@ class Msg:
 
 def msg(t: FreeMsg) -> Msg:
     """The class of a free term."""
-    return Msg(class_of(msgrel, t))
+    return class_of(msgrel, t, Msg)
 
+
+# Injected directly: the key or number argument is not a class.
 
 def nonce(n: int) -> Msg:
-    # Injected directly: the argument is a number, not a class.
     return msg(Nonce(n))
-
-
-def mpair(a: Msg, b: Msg) -> Msg:
-    return msg(MPair(a.rep, b.rep))
 
 
 def crypt(k: int, a: Msg) -> Msg:
@@ -475,17 +479,8 @@ def decrypt(k: int, a: Msg) -> Msg:
     return msg(Decrypt(k, a.rep))
 
 
-def nonces(a: Msg) -> frozenset[int]:
-    return freenonces(a.rep)
-
-
-def left(a: Msg) -> Msg:
-    return msg(freeleft(a.rep))
-
-
-def right(a: Msg) -> Msg:
-    return msg(freeright(a.rep))
-
-
-def discrim(a: Msg) -> int:
-    return freediscrim(a.rep)
+mpair = operation(MPAIR_MAP, Msg)
+nonces = operation(FREENONCES_MAP)
+left = operation(FREELEFT_MAP, Msg)
+right = operation(FREERIGHT_MAP, Msg)
+discrim = operation(FREEDISCRIM_MAP)

@@ -1,10 +1,12 @@
 """The benchmark under bench/ reaches into the program by name: the traced
-run patches the attributes listed in `bench/spans.py`, and the arith
-workload runs `bench/warm.certify`.  These names must keep resolving."""
+run patches the attributes listed in `bench/spans.py`, the arith workload
+runs `bench/warm.certify`, and the warm ops read attributes of the values
+they get back.  These names must keep resolving."""
 
 import importlib
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,3 +38,27 @@ def test_certification_suite_certifies(bench_modules):
     reports = warm.certify(equiv, integers, rationals, 50)
     assert reports
     assert all(r.verdict == "certified" and r.checked > 0 for r in reports)
+
+
+def test_warm_ops_match_references(bench_modules):
+    _, warm = bench_modules
+    from quotients import integers as I, messages as M, rationals as R, sexpr as S
+
+    inputs = warm.inputs
+    api = SimpleNamespace(parse_term=S.parse_term, msg=M.msg, left=M.left, right=M.right,
+                          nonces=M.nonces, discrim=M.discrim, msg_eq=M.msg_eq,
+                          normalize=M.normalize, print_term=S.print_term)
+    cases = inputs.term_cases(1, 0.05)
+    twins = [warm._free(c.twin, M) for c in cases]
+    for case, twin in zip(cases, twins):
+        out = warm.term_op(api, case.text, twin, twins[case.other])
+        assert warm._term_ok(case, out, S.print_term)
+    arith = inputs.arith_cases(1, 0.05)
+    for case in arith:
+        if case.tier == "light":
+            out = warm.int_op(I, case.program, I.from_native(case.pivot), I.from_native(case.value))
+        else:
+            f = case.value
+            out = warm.rat_op(R, case.program, R.qrat(f.numerator, f.denominator))
+        assert warm._arith_ok(case, out)
+    assert cases and {c.tier for c in arith} == {"light", "mid"}

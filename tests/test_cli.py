@@ -139,6 +139,25 @@ def test_non_positive_budget_or_bound_is_a_usage_error(argv, capsys):
     assert "must be a positive integer" in capsys.readouterr().err
 
 
+BIG = "1" + "0" * 3000
+
+
+@pytest.mark.parametrize("argv", [
+    ["int-eval", f"(* {BIG} {BIG})"],
+    ["rat-eval", f"(* {BIG} {BIG})"],
+    ["msg-nf", "(crypt 0 " * 1200 + "(nonce 0)" + ")" * 1200],
+    ["oracle-msgrel", "--bound", "100000"],
+    ["check", "msg-equivalence", "--bound", "3000"],
+], ids=["int-eval-digits", "rat-eval-digits", "msg-nf-deep", "oracle-huge-bound",
+        "check-huge-bound"])
+def test_unhandled_input_is_an_error_report(argv, capsys):
+    rc = cli.main(argv + ["--json"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert sorted(doc) == ["budget_used", "elapsed_ms", "payload", "status"]
+    assert doc["status"] == "error"
+
+
 def test_unknown_operator_is_an_error(capsys):
     rc = cli.main(["int-eval", "(xor 1 2)", "--json", "--deterministic"])
     doc = json.loads(capsys.readouterr().out)

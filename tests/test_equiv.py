@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from quotients.equiv import (
+    EquivClass,
     EquivRelation,
     RespectMap,
     Verdict,
@@ -19,14 +20,18 @@ from quotients.equiv import (
 from quotients.errors import DomainError, RelationMismatchError, UncertifiedLiftError
 from quotients.integers import (
     ADD_MAP,
+    LE_MAP,
     MUL_MAP,
     NEG_MAP,
     IntPair,
+    QInt,
     add_pair,
     intrel,
     intrel_holds,
+    neg,
     neg_pair,
     qint,
+    to_nat,
 )
 from quotients.messages import (
     FREEDISCRIM_TRUNCATED_MAP,
@@ -34,9 +39,10 @@ from quotients.messages import (
     Crypt,
     Decrypt,
     Nonce,
+    left,
     msgrel,
 )
-from quotients.rationals import RatPair, ratrel
+from quotients.rationals import RatPair, qrat, rat_neg, ratrel
 
 
 def plain_eq(a, b):
@@ -156,9 +162,9 @@ class TestClassOfAndEq:
             canonicalize=intrel.canonicalize,
         )
         with pytest.raises(RelationMismatchError):
-            class_of(fake, IntPair(5, 0)) == qint(1, 0).cls
+            class_of(fake, IntPair(5, 0), QInt) == qint(1, 0)
         with pytest.raises(RelationMismatchError):
-            qint(1, 0).cls == class_of(fake, IntPair(5, 0))
+            qint(1, 0) == class_of(fake, IntPair(5, 0), QInt)
 
 
 class TestCheckRespects:
@@ -195,6 +201,9 @@ class TestCheckRespects:
 class TestCheckRespects2:
     def test_addition_certified(self):
         assert check_respects(ADD_MAP, 400).verdict is Verdict.CERTIFIED
+
+    def test_le_certified(self):
+        assert check_respects(LE_MAP, 200).verdict is Verdict.CERTIFIED
 
     def test_multiplication_certified(self):
         assert check_respects(MUL_MAP, 400).verdict is Verdict.CERTIFIED
@@ -359,3 +368,25 @@ class TestLifting:
         a = class_of(raw, IntPair(x, y))
         b = class_of(raw, IntPair(x + k, y + k))
         assert intrel_holds(g(a), g(b))
+
+
+class TestOperation:
+    def test_values_are_classes(self):
+        z = neg(qint(3, 1))
+        assert isinstance(z, QInt) and isinstance(z, EquivClass)
+        assert z.relation is intrel and z.representative == z.pair == IntPair(0, 2)
+        assert lift(check_respects(NEG_MAP, 50), NEG_MAP)(z) == IntPair(2, 0)
+
+    @pytest.mark.parametrize("op,arg", [
+        (neg, qrat(1, 2)),
+        (to_nat, qrat(3, 1)),
+        (rat_neg, qint(1, 2)),
+        (left, qint(1, 0)),
+    ], ids=["neg-rational", "to_nat-rational", "rat_neg-integer", "left-integer"])
+    def test_cross_quotient_argument_rejected(self, op, arg):
+        with pytest.raises(RelationMismatchError):
+            op(arg)
+
+    def test_integer_never_equals_rational(self):
+        assert (qint(1, 0) == qrat(1, 1)) is False
+        assert (qrat(1, 1) == qint(1, 0)) is False

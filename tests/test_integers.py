@@ -51,7 +51,7 @@ def test_canonical_idempotent_and_related(x, y):
 def test_constants():
     assert zero().pair == (0, 0)
     assert one().pair == (1, 0)
-    assert class_eq(zero().cls, class_of(intrel, IntPair(7, 7)))
+    assert class_eq(zero(), class_of(intrel, IntPair(7, 7)))
 
 
 def test_neg_examples():

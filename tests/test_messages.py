@@ -13,6 +13,7 @@ from quotients.messages import (
     FREELEFT_MAP,
     FREENONCES_MAP,
     FREERIGHT_MAP,
+    MPAIR_MAP,
     Crypt,
     Decrypt,
     MPair,
@@ -34,7 +35,6 @@ from quotients.messages import (
     is_normal,
     left,
     mpair,
-    mpair_map,
     msg,
     msg_eq,
     msgrel,
@@ -217,7 +217,7 @@ class TestCongruence:
         assert revalidate_counterexample(FREEDISCRIM_TRUNCATED_MAP, report)
 
     def test_constructor_bodies_certified(self):
-        assert check_respects(mpair_map(), 400).verdict is Verdict.CERTIFIED
+        assert check_respects(MPAIR_MAP, 400).verdict is Verdict.CERTIFIED
         for k in (0, 1):
             assert check_respects(crypt_map(k), 300).verdict is Verdict.CERTIFIED
             assert check_respects(decrypt_map(k), 300).verdict is Verdict.CERTIFIED
