@@ -38,6 +38,7 @@ OK, REFUTED, ERROR = "ok", "refuted", "error"
 _EXIT = {OK: 0, REFUTED: 1, ERROR: 2}
 
 DEFAULT_BUDGET = 200
+MAX_BUDGET = 1_000_000  # checks hold a few hundred bytes per budget unit
 CONFIG_ENV = "QUOTIENTS_CONFIG"
 
 
@@ -82,6 +83,8 @@ def _resolve_config(args) -> None:
         args.keys = _config_nat_list(cfg.get("keys", list(messages.DEFAULT_KEYS)), "keys")
     if getattr(args, "nonces", ...) is None:
         args.nonces = _config_nat_list(cfg.get("nonces", list(messages.DEFAULT_NONCES)), "nonces")
+    if getattr(args, "budget", 0) > MAX_BUDGET:
+        raise QuotientError(f"budget must be at most {MAX_BUDGET}, got {args.budget}")
 
 
 def _jsonable(x):
@@ -309,17 +312,14 @@ def _cmd_check(args, started: float) -> int:
 
 
 def _cmd_oracle_msgrel(args, started: float) -> int:
-    labels = messages.closure_classes(args.bound, args.keys, args.nonces)
-    sizes: dict[int, int] = {}
-    for label in labels.values():
-        sizes[label] = sizes.get(label, 0) + 1
+    sizes = [len(c) for c in messages.closure_classes(args.bound, args.keys, args.nonces)]
     payload = {
         "bound": args.bound,
         "keys": list(args.keys),
         "nonces": list(args.nonces),
-        "universe": len(labels),
+        "universe": sum(sizes),
         "classes": len(sizes),
-        "pairs": sum(n * n for n in sizes.values()),
+        "pairs": sum(n * n for n in sizes),
     }
     return _emit(args, OK, payload, 0, started)
 

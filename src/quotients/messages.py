@@ -11,8 +11,9 @@ Two independent routes decide that equivalence:
 * `normalize` orients the cancellation equations left-to-right as a rewrite
   system.  Every step shrinks the term, and all critical pairs converge, so
   normal forms are unique and `msg_eq` compares them structurally.
-* `closure_oracle` computes the least fixpoint of the eight rules over a
-  bounded term universe, never consulting the rewriter.
+* `closure_classes` computes the least fixpoint of the eight rules over a
+  bounded term universe, never consulting the rewriter, and returns it as
+  the partition of that universe into classes.
 
 Tests drive the two against each other.  A `Msg` is a class of the
 relation decided by rewriting, and its operations are the free functions'
@@ -200,7 +201,7 @@ def freediscrim_truncated(t: FreeMsg) -> int:
 
 DEFAULT_KEYS = (0, 1)
 DEFAULT_NONCES = (0, 1)
-DEFAULT_MAX_TERMS = 500_000
+MAX_TERMS = 500_000
 SAMPLING_BOUND = 5  # universe bound backing the default msgrel pair generator
 
 
@@ -223,18 +224,17 @@ def universe_size(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> int:
     return max(_running_sizes(bound, keys, nonces), default=0)
 
 
-@lru_cache(maxsize=32)
-def _enumerate(bound: int, keys, nonces, max_terms: int) -> tuple[FreeMsg, ...]:
+def _enumerate(bound: int, keys, nonces) -> tuple[FreeMsg, ...]:
     if bound < 1:
         raise ValueError("bound must be >= 1")
     # The full recurrence takes seconds for a bound in the thousands; stopping
-    # past max_terms**2 costs a few layers beyond the cap and still gives the
+    # past MAX_TERMS**2 costs a few layers beyond the cap and still gives the
     # error the exact size of any universe below that.
     for total in _running_sizes(bound, keys, nonces):
-        if total > max_terms**2:
+        if total > MAX_TERMS**2:
             break
-    if total > max_terms:
-        raise UniverseTooLargeError(total, max_terms)
+    if total > MAX_TERMS:
+        raise UniverseTooLargeError(total, MAX_TERMS)
     by_size: list[list[FreeMsg]] = [[], [Nonce(n) for n in nonces]]
     for s in range(2, bound + 1):
         layer: list[FreeMsg] = []
@@ -256,19 +256,17 @@ def enumerate_terms(
     bound: int,
     keys=DEFAULT_KEYS,
     nonces=DEFAULT_NONCES,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> list[FreeMsg]:
     """All terms of size <= bound over the given key/nonce domains, graded
     by size.  Raises UniverseTooLargeError before enumerating anything that
     would blow the cap."""
     keys, nonces = _domains(keys, nonces)
-    return list(_enumerate(bound, keys, nonces, max_terms))
+    return list(_enumerate(bound, keys, nonces))
 
 
-@lru_cache(maxsize=16)
-def _closure(bound: int, keys, nonces, max_terms: int):
+def _closure(bound: int, keys, nonces) -> tuple[tuple[FreeMsg, ...], ...]:
     """Union-find least fixpoint of the eight rules over the bounded
-    universe.
+    universe, as its partition into classes.
 
     Reflexivity, symmetry, and transitivity live in the union-find
     structure; the cancellation axioms are the seed unions; the constructor
@@ -276,7 +274,7 @@ def _closure(bound: int, keys, nonces, max_terms: int):
     signatures collide, until nothing changes.  Agreement with the naive
     rule-by-rule iteration is itself a tested property.
     """
-    terms = _enumerate(bound, keys, nonces, max_terms)
+    terms = _enumerate(bound, keys, nonces)
     index = {t: i for i, t in enumerate(terms)}
     n = len(terms)
 
@@ -333,53 +331,37 @@ def _closure(bound: int, keys, nonces, max_terms: int):
             elif union(i, j):
                 changed = True
 
-    labels = {t: find(i) for i, t in enumerate(terms)}
-    return terms, labels
+    classes: dict[int, list[FreeMsg]] = {}
+    for i, t in enumerate(terms):
+        classes.setdefault(find(i), []).append(t)
+    return tuple(map(tuple, classes.values()))
 
 
 def closure_classes(
     bound: int,
     keys=DEFAULT_KEYS,
     nonces=DEFAULT_NONCES,
-    max_terms: int = DEFAULT_MAX_TERMS,
-) -> dict[FreeMsg, int]:
-    """Map each universe term to a class label under the rule closure.
-
-    Two terms are related by the closure exactly when their labels match;
-    this is the membership view of `closure_oracle` without materializing
-    the pair set."""
+) -> tuple[tuple[FreeMsg, ...], ...]:
+    """The universe's partition under the rule closure: two terms are
+    related exactly when they share a class.  Members keep universe order,
+    and classes come in the order of their first members."""
     keys, nonces = _domains(keys, nonces)
-    _, labels = _closure(bound, keys, nonces, max_terms)
-    return dict(labels)
+    return _closure(bound, keys, nonces)
 
 
 def closure_oracle(
     bound: int,
     keys=DEFAULT_KEYS,
     nonces=DEFAULT_NONCES,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> set[tuple[FreeMsg, FreeMsg]]:
     """The least fixpoint of the eight rules, as an explicit pair set."""
-    keys, nonces = _domains(keys, nonces)
-    terms, labels = _closure(bound, keys, nonces, max_terms)
-    groups: dict[int, list[FreeMsg]] = {}
-    for t in terms:
-        groups.setdefault(labels[t], []).append(t)
-    pairs = set()
-    for members in groups.values():
-        for u in members:
-            for v in members:
-                pairs.add((u, v))
-    return pairs
+    return {(u, v) for members in closure_classes(bound, keys, nonces)
+            for u in members for v in members}
 
 
 @lru_cache(maxsize=8)
-def _sorted_pairs(bound: int, keys, nonces, max_terms: int):
-    terms, labels = _closure(bound, keys, nonces, max_terms)
-    groups: dict[int, list[FreeMsg]] = {}
-    for t in terms:
-        groups.setdefault(labels[t], []).append(t)
-    pairs = [(u, v) for members in groups.values() for u in members for v in members]
+def _sorted_pairs(bound: int, keys, nonces):
+    pairs = [(u, v) for members in _closure(bound, keys, nonces) for u in members for v in members]
     pairs.sort(key=lambda p: (size(p[0]) + size(p[1]), term_key(p[0]), term_key(p[1])))
     return tuple(pairs)
 
@@ -400,7 +382,7 @@ def msg_relation(
     name = "msgrel" if default else f"msgrel[bound={bound},keys={keys},nonces={nonces}]"
 
     def pairs(budget: int):
-        return _sorted_pairs(bound, keys, nonces, DEFAULT_MAX_TERMS)[:budget]
+        return _sorted_pairs(bound, keys, nonces)[:budget]
 
     return EquivRelation(
         name=name,
@@ -465,18 +447,18 @@ def msg(t: FreeMsg) -> Msg:
     return class_of(msgrel, t, Msg)
 
 
-# Injected directly: the key or number argument is not a class.
+# Injected directly: the number argument is not a class.
 
 def nonce(n: int) -> Msg:
     return msg(Nonce(n))
 
 
 def crypt(k: int, a: Msg) -> Msg:
-    return msg(Crypt(k, a.rep))
+    return operation(crypt_map(k), Msg)(a)
 
 
 def decrypt(k: int, a: Msg) -> Msg:
-    return msg(Decrypt(k, a.rep))
+    return operation(decrypt_map(k), Msg)(a)
 
 
 mpair = operation(MPAIR_MAP, Msg)

@@ -10,7 +10,6 @@ import enum
 
 from quotients.messages import (
     DEFAULT_KEYS,
-    DEFAULT_MAX_TERMS,
     DEFAULT_NONCES,
     Crypt,
     Decrypt,
@@ -126,13 +125,12 @@ def closure_oracle_naive(
     bound: int,
     keys=DEFAULT_KEYS,
     nonces=DEFAULT_NONCES,
-    max_terms: int = DEFAULT_MAX_TERMS,
 ) -> set[tuple[FreeMsg, FreeMsg]]:
     """Reference fixpoint: apply all eight rules round by round until
     nothing new appears.  Quadratic per round; only for small bounds, where
     it cross-checks the union-find engine."""
     keys, nonces = _domains(keys, nonces)
-    terms = enumerate_terms(bound, keys, nonces, max_terms)
+    terms = enumerate_terms(bound, keys, nonces)
     rel: set[tuple[FreeMsg, FreeMsg]] = set()
     while True:
         new: set[tuple[FreeMsg, FreeMsg]] = set()

@@ -5,6 +5,7 @@ they get back.  These names must keep resolving."""
 
 import importlib
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -62,3 +63,12 @@ def test_warm_ops_match_references(bench_modules):
             out = warm.rat_op(R, case.program, R.qrat(f.numerator, f.denominator))
         assert warm._arith_ok(case, out)
     assert cases and {c.tier for c in arith} == {"light", "mid"}
+
+
+def test_message_pairs_are_a_sized_sequence():
+    # The cold-cli child counts the informative pairs of a check this way.
+    from quotients import messages
+
+    pairs = messages.msg_relation(5).related_pairs(200)
+    assert isinstance(pairs, Sequence) and len(pairs) == 200
+    assert all(messages.msg_eq(u, v) for u, v in pairs)

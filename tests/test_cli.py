@@ -1,9 +1,12 @@
 """Command-line behavior: golden JSON bytes, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quotients import cli
 
@@ -156,6 +159,51 @@ def test_unhandled_input_is_an_error_report(argv, capsys):
     assert rc == 2
     assert sorted(doc) == ["budget_used", "elapsed_ms", "payload", "status"]
     assert doc["status"] == "error"
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_budget_above_limit_is_an_error_report(source, tmp_path, monkeypatch, capsys):
+    argv = ["check", "int-congruence", "--json"]
+    if source == "flag":
+        argv += ["--budget", str(cli.MAX_BUDGET + 1)]
+    else:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"budget": cli.MAX_BUDGET + 1}))
+        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+    rc = cli.main(argv)
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert sorted(doc) == ["budget_used", "elapsed_ms", "payload", "status"]
+    assert doc["status"] == "error"
+    assert f"at most {cli.MAX_BUDGET}" in doc["payload"]["error"]
+
+
+# Positional text is passed after "--" so that argparse never reads it as an
+# option; argparse's own usage errors exit 2 with usage text on stderr.
+_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["(", ")", "()", "nonce", "mpair", "crypt", "decrypt", "+", "-",
+                         "*", "neg", "nat", "le", "inv", "x", "#", "1.5", "--json"]),
+        st.integers(-10**40, 10**40).map(str),
+        st.just("9" * 5000),
+        st.text(max_size=3),
+    ),
+    max_size=16,
+).map(" ".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([
+    ["msg-nf"], ["msg-eq"], ["msg-fn", "left", "--unchecked"],
+    ["msg-fn", "discrim", "--unchecked"], ["int-eval"], ["rat-eval"],
+]), _TEXT, _TEXT)
+def test_exit_code_contract(command, lhs, rhs):
+    texts = [lhs, rhs] if command == ["msg-eq"] else [lhs]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(command + ["--json", "--"] + texts)
+    assert rc in (0, 1, 2)
+    assert sorted(json.loads(out.getvalue())) == ["budget_used", "elapsed_ms", "payload", "status"]
 
 
 def test_unknown_operator_is_an_error(capsys):

@@ -1,5 +1,7 @@
 """Generic machinery: equivalence checks, congruence checks, lifting."""
 
+from functools import partial
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -39,6 +41,8 @@ from quotients.messages import (
     Crypt,
     Decrypt,
     Nonce,
+    crypt,
+    decrypt,
     left,
     msgrel,
 )
@@ -382,7 +386,10 @@ class TestOperation:
         (to_nat, qrat(3, 1)),
         (rat_neg, qint(1, 2)),
         (left, qint(1, 0)),
-    ], ids=["neg-rational", "to_nat-rational", "rat_neg-integer", "left-integer"])
+        (partial(crypt, 0), qint(1, 0)),
+        (partial(decrypt, 1), qrat(1, 2)),
+    ], ids=["neg-rational", "to_nat-rational", "rat_neg-integer", "left-integer",
+            "crypt-integer", "decrypt-rational"])
     def test_cross_quotient_argument_rejected(self, op, arg):
         with pytest.raises(RelationMismatchError):
             op(arg)

@@ -109,7 +109,7 @@ class TestUniverse:
 
     def test_cap_is_enforced(self):
         with pytest.raises(UniverseTooLargeError) as exc:
-            enumerate_terms(9, max_terms=10_000)
+            enumerate_terms(9)
         assert exc.value.universe_size == universe_size(9)
 
 
@@ -129,9 +129,9 @@ class TestClosureOracle:
             assert (v, u) in oracle
 
     def test_frozen_counts_small_domain(self):
-        labels = closure_classes(3, (0,), (0,))
-        assert len(labels) == 8
-        assert len(set(labels.values())) == 6
+        classes = closure_classes(3, (0,), (0,))
+        assert sum(map(len, classes)) == 8
+        assert len(classes) == 6
         oracle = closure_oracle(3, (0,), (0,))
         assert len(oracle) == 14
 
@@ -158,16 +158,28 @@ class TestClosureOracle:
         # The central claim at unit scale; the acceptance suite repeats it
         # on the full size-7 universe.
         terms = enumerate_terms(4)
-        labels = closure_classes(4)
+        classes = closure_classes(4)
+        labels = {t: i for i, members in enumerate(classes) for t in members}
         for u in terms[:60]:
             for v in terms[:60]:
                 assert (labels[u] == labels[v]) == msg_eq(u, v)
-        by_label = {}
         by_nf = {}
         for t in terms:
-            by_label.setdefault(labels[t], set()).add(t)
             by_nf.setdefault(normalize(t), set()).add(t)
-        assert set(map(frozenset, by_label.values())) == set(map(frozenset, by_nf.values()))
+        assert set(map(frozenset, classes)) == set(map(frozenset, by_nf.values()))
+
+    def test_classes_partition_the_universe(self):
+        universe = enumerate_terms(5)
+        position = {t: i for i, t in enumerate(universe)}.__getitem__
+        classes = closure_classes(5)
+        members = [t for c in classes for t in c]
+        assert len(classes) == 726
+        assert sum(map(len, classes)) == 1134
+        # Disjoint and covering: the members are the universe, each once.
+        assert sorted(members, key=position) == universe
+        # Members in universe order, classes in the order of their first members.
+        assert all(list(c) == sorted(c, key=position) for c in classes)
+        assert [c[0] for c in classes] == sorted((c[0] for c in classes), key=position)
 
 
 class TestFreeFunctions:
