@@ -179,17 +179,24 @@ def test_budget_above_limit_is_an_error_report(source, tmp_path, monkeypatch, ca
 
 
 # Positional text is passed after "--" so that argparse never reads it as an
-# option; argparse's own usage errors exit 2 with usage text on stderr.
-_TEXT = st.lists(
-    st.one_of(
-        st.sampled_from(["(", ")", "()", "nonce", "mpair", "crypt", "decrypt", "+", "-",
-                         "*", "neg", "nat", "le", "inv", "x", "#", "1.5", "--json"]),
-        st.integers(-10**40, 10**40).map(str),
-        st.just("9" * 5000),
-        st.text(max_size=3),
-    ),
-    max_size=16,
-).map(" ".join)
+# option; argparse's own usage errors exit 2 with usage text on stderr.  Half
+# the texts are prefix expressions whose heads are operators or constructors
+# with their arity, so evaluation is reached; integers of 2200 digits and
+# more let products pass the int-to-text limit.
+_ARITY = {"nonce": 1, "mpair": 2, "crypt": 2, "decrypt": 2, "+": 2, "-": 2, "*": 2,
+          "neg": 1, "nat": 1, "le": 2, "inv": 1}
+_NUMBER = st.one_of(st.integers(-3, 3), st.integers(-10**40, 10**40),
+                    st.integers(10**2200, 10**2300)).map(str)
+_EXPR = st.recursive(
+    _NUMBER,
+    lambda sub: st.sampled_from(sorted(_ARITY)).flatmap(
+        lambda head: st.lists(sub, min_size=_ARITY[head], max_size=_ARITY[head]).map(
+            lambda args: "(" + " ".join((head, *args)) + ")")),
+    max_leaves=8,
+)
+_JUNK = st.one_of(st.sampled_from(["(", ")", "x", "#", "1.5", "--json", "9" * 5000, *_ARITY]),
+                  st.text(max_size=3))
+_TEXT = st.one_of(_EXPR, st.lists(st.one_of(_EXPR, _JUNK), max_size=4).map(" ".join))
 
 
 @settings(max_examples=150, deadline=None)
