@@ -186,7 +186,7 @@ def check_equivalence(rel: EquivRelation[T], budget: int) -> EquivalenceReport[T
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    pairs = list(rel.related_pairs(budget))[:budget]
+    pairs = list(itertools.islice(rel.related_pairs(budget), budget))
     checked = 0
 
     for x, y in pairs:

@@ -15,15 +15,20 @@ Two independent routes decide that equivalence:
   bounded term universe, never consulting the rewriter, and returns it as
   the partition of that universe into classes.
 
-Tests drive the two against each other.  A `Msg` is a class of the
-relation decided by rewriting, and its operations are the free functions'
-respect maps applied to classes by `equiv.operation`.
+Tests drive the two against each other: `msg_relation` decides by
+rewriting and draws the congruence checker's related pairs from the
+partition, smallest first.  The pairs come in size layers, each sorted on
+its own as a request reaches it, so a check costs the closure plus the
+layers up to its budget.  A `Msg` is a class of the relation decided by
+rewriting, and its operations are the free functions' respect maps applied
+to classes by `equiv.operation`.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -359,11 +364,44 @@ def closure_oracle(
             for u in members for v in members}
 
 
+class _PairLayers:
+    """A universe's related pairs, smallest first: by total size, then by
+    `term_key` of each side.  Each class's members are grouped by size once,
+    every pair of size groups is filed under the layer of its total size,
+    and `take` sorts and emits whole layers until the budget is met."""
+
+    def __init__(self, classes) -> None:
+        blocks: dict[int, list] = {}
+        for members in classes:
+            groups: dict[int, list[FreeMsg]] = {}
+            for t in members:
+                groups.setdefault(size(t), []).append(t)
+            for (a, us), (b, vs) in itertools.product(groups.items(), repeat=2):
+                blocks.setdefault(a + b, []).append((us, vs))
+        self._layers = iter([blocks[s] for s in sorted(blocks)])
+        self._pairs: list[tuple[FreeMsg, FreeMsg]] = []
+        self._lock = threading.Lock()
+
+    def take(self, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:
+        with self._lock:
+            while len(self._pairs) < budget:
+                layer_blocks = next(self._layers, None)
+                if layer_blocks is None:
+                    break
+                layer = [(u, v) for us, vs in layer_blocks for u in us for v in vs]
+                layer.sort(key=lambda p: (term_key(p[0]), term_key(p[1])))
+                self._pairs += layer
+            return self._pairs[:budget]
+
+
 @lru_cache(maxsize=8)
-def _sorted_pairs(bound: int, keys, nonces):
-    pairs = [(u, v) for members in _closure(bound, keys, nonces) for u in members for v in members]
-    pairs.sort(key=lambda p: (size(p[0]) + size(p[1]), term_key(p[0]), term_key(p[1])))
-    return tuple(pairs)
+def _pair_layers(bound: int, keys, nonces) -> _PairLayers:
+    return _PairLayers(_closure(bound, keys, nonces))
+
+
+def _sorted_pairs(bound: int, keys, nonces, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:
+    """The first `budget` related pairs of the universe, smallest first."""
+    return _pair_layers(bound, keys, nonces).take(budget)
 
 
 def msg_relation(
@@ -374,15 +412,18 @@ def msg_relation(
     """The message equivalence as an executable relation.
 
     The decider is the rewriting route; the related-pair generator draws
-    from the closure oracle over the configured universe, smallest pairs
-    first, so the two routes keep each other honest wherever this relation
-    feeds the congruence checker."""
+    from the closure oracle over the configured universe, so the two routes
+    keep each other honest wherever this relation feeds the congruence
+    checker.  Pairs come smallest first, by total size and then by
+    `term_key` of each side, from a per-universe stream that sorts one size
+    layer at a time: a request for `budget` pairs costs the closure (once
+    per universe) plus the layers up to the budget."""
     keys, nonces = _domains(keys, nonces)
     default = bound == SAMPLING_BOUND and keys == DEFAULT_KEYS and nonces == DEFAULT_NONCES
     name = "msgrel" if default else f"msgrel[bound={bound},keys={keys},nonces={nonces}]"
 
     def pairs(budget: int):
-        return _sorted_pairs(bound, keys, nonces)[:budget]
+        return _sorted_pairs(bound, keys, nonces, budget)
 
     return EquivRelation(
         name=name,
@@ -453,12 +494,18 @@ def nonce(n: int) -> Msg:
     return msg(Nonce(n))
 
 
+# Keys are unbounded naturals, so the per-key ops live in a bounded cache.
+@lru_cache(maxsize=256)
+def _keyed_op(key_map, k: int):
+    return operation(key_map(k), Msg)
+
+
 def crypt(k: int, a: Msg) -> Msg:
-    return operation(crypt_map(k), Msg)(a)
+    return _keyed_op(crypt_map, k)(a)
 
 
 def decrypt(k: int, a: Msg) -> Msg:
-    return operation(decrypt_map(k), Msg)(a)
+    return _keyed_op(decrypt_map, k)(a)
 
 
 mpair = operation(MPAIR_MAP, Msg)

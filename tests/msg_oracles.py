@@ -1,7 +1,8 @@
 """Reference implementations the message tests compare against.
 
-An outermost rewriting strategy and a naive round-by-round rule closure,
-each independent of the engine it checks in `quotients.messages`.
+An outermost rewriting strategy, a naive round-by-round rule closure and an
+eager sort of every related pair, each independent of the engine it checks
+in `quotients.messages`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,10 @@ from quotients.messages import (
     Nonce,
     _domains,
     _reduce_root,
+    closure_classes,
     enumerate_terms,
+    size,
+    term_key,
 )
 
 
@@ -139,3 +143,17 @@ def closure_oracle_naive(
         if not new:
             return rel
         rel |= new
+
+
+def sorted_pairs_naive(
+    bound: int,
+    keys=DEFAULT_KEYS,
+    nonces=DEFAULT_NONCES,
+) -> list[tuple[FreeMsg, FreeMsg]]:
+    """Every within-class pair of the universe, sorted at once by total size
+    and then by `term_key` of each side: the order the layered pair stream
+    of `msg_relation` must reproduce."""
+    pairs = [(u, v) for members in closure_classes(bound, keys, nonces)
+             for u in members for v in members]
+    pairs.sort(key=lambda p: (size(p[0]) + size(p[1]), term_key(p[0]), term_key(p[1])))
+    return pairs

@@ -6,7 +6,7 @@ import json
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from quotients import cli
 
@@ -197,6 +197,9 @@ _EXPR = st.recursive(
 _JUNK = st.one_of(st.sampled_from(["(", ")", "x", "#", "1.5", "--json", "9" * 5000, *_ARITY]),
                   st.text(max_size=3))
 _TEXT = st.one_of(_EXPR, st.lists(st.one_of(_EXPR, _JUNK), max_size=4).map(" ".join))
+# Random draws rarely multiply two such integers, so every run does: the
+# 4400-digit product is past the int-to-text limit.
+_PRODUCT = f"(* {'9' * 2200} {'9' * 2200})"
 
 
 @settings(max_examples=150, deadline=None)
@@ -204,6 +207,8 @@ _TEXT = st.one_of(_EXPR, st.lists(st.one_of(_EXPR, _JUNK), max_size=4).map(" ".j
     ["msg-nf"], ["msg-eq"], ["msg-fn", "left", "--unchecked"],
     ["msg-fn", "discrim", "--unchecked"], ["int-eval"], ["rat-eval"],
 ]), _TEXT, _TEXT)
+@example(["int-eval"], _PRODUCT, "")
+@example(["rat-eval"], _PRODUCT, "")
 def test_exit_code_contract(command, lhs, rhs):
     texts = [lhs, rhs] if command == ["msg-eq"] else [lhs]
     out = io.StringIO()

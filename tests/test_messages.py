@@ -6,8 +6,21 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import term_strategy
-from msg_oracles import MsgRule, closure_oracle_naive, normalize_outermost, rule_instances
-from quotients.equiv import Verdict, check_respects, revalidate_counterexample
+from msg_oracles import (
+    MsgRule,
+    closure_oracle_naive,
+    normalize_outermost,
+    rule_instances,
+    sorted_pairs_naive,
+)
+from quotients import messages
+from quotients.equiv import (
+    RespectMap,
+    Verdict,
+    check_equivalence,
+    check_respects,
+    revalidate_counterexample,
+)
 from quotients.errors import UniverseTooLargeError
 from quotients.messages import (
     FREEDISCRIM_MAP,
@@ -29,6 +42,7 @@ from quotients.messages import (
     decrypt_map,
     discrim,
     enumerate_terms,
+    free_maps,
     freediscrim,
     freediscrim_truncated,
     freeleft,
@@ -39,6 +53,7 @@ from quotients.messages import (
     mpair,
     msg,
     msg_eq,
+    msg_relation,
     msgrel,
     nonce,
     nonces,
@@ -250,6 +265,36 @@ class TestCongruence:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "1ea471a52c85fd362f89bd1b42c17308d2b8785d81ebfa4edd63eccba0379a45"
         )
+
+
+class TestPairStream:
+    @pytest.mark.parametrize("keys, nonces", [((0, 1), (0, 1)), ((0,), (0, 1, 2))],
+                             ids=["default-domains", "one-key-three-nonces"])
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_stream_matches_eager_sort(self, bound, keys, nonces):
+        naive = sorted_pairs_naive(bound, keys, nonces)
+        totals = [size(u) + size(v) for u, v in naive]
+        # A layer's first pair, at index i; the budget i ends on the last
+        # pair of the layer before it.
+        firsts = [i for i in range(1, len(naive)) if totals[i] != totals[i - 1]]
+        budgets = sorted({1, *firsts, *(i + 1 for i in firsts), len(naive), len(naive) + 7})
+        messages._pair_layers.cache_clear()  # extend a fresh stream layer by layer
+        rel = msg_relation(bound, keys, nonces)
+        for budget in budgets:
+            assert rel.related_pairs(budget) == naive[:budget]
+
+    def test_closure_runs_once_per_universe(self, monkeypatch):
+        calls = []
+        closure = messages._closure
+        monkeypatch.setattr(messages, "_closure", lambda *args: calls.append(args) or closure(*args))
+        messages._pair_layers.cache_clear()
+        for _ in range(2):
+            rel = msg_relation(4)
+            for rmap in free_maps(rel).values():
+                check_respects(rmap, 2000)
+            check_respects(RespectMap(M, (rel, rel), msg_eq), 2000)
+            check_equivalence(rel, 2000)
+        assert calls == [(4, (0, 1), (0, 1))]
 
 
 class TestQuotientLayer:
