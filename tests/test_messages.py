@@ -196,6 +196,17 @@ class TestClosureOracle:
         assert all(list(c) == sorted(c, key=position) for c in classes)
         assert [c[0] for c in classes] == sorted((c[0] for c in classes), key=position)
 
+    def test_bound6_partition_is_pinned(self):
+        # Every class, member and order of the default bound-6 partition;
+        # the pair stream and `oracle-msgrel` are built on it.
+        classes = closure_classes(6)
+        text = "\n".join(" ".join(map(print_term, c)) for c in classes)
+        assert len(classes) == 3534
+        assert sum(map(len, classes)) == 6062
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "65d1b7a6f463fc505d2efd4ff05b1509ca582674994d048b6f41f67e9aa79f48"
+        )
+
 
 class TestFreeFunctions:
     def test_freenonces(self):
