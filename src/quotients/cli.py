@@ -409,6 +409,11 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse can take "--budget=--" as an empty list of values without
+    # calling the option's type function.
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"argument --{name}: expected one argument")
     try:
         _resolve_config(args)
         return args.handler(args, started)

@@ -143,25 +143,6 @@ class EquivalenceReport(Generic[T]):
         return self.verdict is Verdict.CERTIFIED
 
 
-def filtered_pairs(
-    elements: Sequence[T], decider: Callable[[T, T], bool]
-) -> Callable[[int], list[tuple[T, T]]]:
-    """Fallback related-pair generator: filter the Cartesian product of a
-    finite element sample.  Quadratic and blind to the relation's structure;
-    a dedicated generator beats it whenever one exists."""
-
-    def related_pairs(budget: int) -> list[tuple[T, T]]:
-        out: list[tuple[T, T]] = []
-        for x, y in itertools.product(elements, repeat=2):
-            if len(out) >= budget:
-                break
-            if decider(x, y):
-                out.append((x, y))
-        return out
-
-    return related_pairs
-
-
 def _sample_elements(rel: EquivRelation[T], pairs: Iterable[tuple[T, T]]) -> list[T]:
     """Distinct carrier elements drawn from generated pairs, in first-seen
     order, followed by their canonical forms (which are fixpoints)."""

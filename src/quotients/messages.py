@@ -13,24 +13,29 @@ Two independent routes decide that equivalence:
   normal forms are unique and `msg_eq` compares them structurally.
 * `closure_classes` computes the least fixpoint of the eight rules over a
   bounded term universe, never consulting the rewriter, and returns it as
-  the partition of that universe into classes.
+  the partition of that universe into classes.  The enumeration records
+  each term's shape (constructor, key or value, child indices) as it builds
+  the term, and the closure works on those shapes alone: it never hashes a
+  term, and its cancellation seeds are shape tests.
 
 Tests drive the two against each other: `msg_relation` decides by
 rewriting and draws the congruence checker's related pairs from the
 partition, smallest first.  The pairs come in size layers, each sorted on
-its own as a request reaches it, so a check costs the closure plus the
-layers up to its budget.  A `Msg` is a class of the relation decided by
+its own, as indices, as a request reaches it, so a check costs the closure
+plus the layers up to its budget.  A `Msg` is a class of the relation decided by
 rewriting, and its operations are the free functions' respect maps applied
 to classes by `equiv.operation`.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .equiv import EquivClass, EquivRelation, RespectMap, class_of, operation
 from .errors import UniverseTooLargeError
@@ -42,9 +47,15 @@ class FreeMsg:
     __slots__ = ()
 
 
+# Each term hashes with `term_key`'s tag for its constructor.  The generated
+# dataclass hash leaves the class out, so Crypt(k, x) and Decrypt(k, x) would
+# collide, and collisions would double with every wrapper level.
 @dataclass(frozen=True)
 class Nonce(FreeMsg):
     value: int
+
+    def __hash__(self) -> int:
+        return hash((3, self.value))
 
 
 @dataclass(frozen=True)
@@ -52,17 +63,26 @@ class MPair(FreeMsg):
     left: FreeMsg
     right: FreeMsg
 
+    def __hash__(self) -> int:
+        return hash((2, self.left, self.right))
+
 
 @dataclass(frozen=True)
 class Crypt(FreeMsg):
     key: int
     body: FreeMsg
 
+    def __hash__(self) -> int:
+        return hash((0, self.key, self.body))
+
 
 @dataclass(frozen=True)
 class Decrypt(FreeMsg):
     key: int
     body: FreeMsg
+
+    def __hash__(self) -> int:
+        return hash((1, self.key, self.body))
 
 
 def size(t: FreeMsg) -> int:
@@ -100,15 +120,6 @@ def term_key(t: FreeMsg):
 # ---------------------------------------------------------------------------
 # Rewriting to normal form
 
-def _reduce_root(t: FreeMsg) -> FreeMsg | None:
-    """Contract a cancellation redex at the root, if there is one."""
-    if isinstance(t, Crypt) and isinstance(t.body, Decrypt) and t.key == t.body.key:
-        return t.body.body
-    if isinstance(t, Decrypt) and isinstance(t.body, Crypt) and t.key == t.body.key:
-        return t.body.body
-    return None
-
-
 def normalize(t: FreeMsg) -> FreeMsg:
     """Innermost (leftmost) reduction to the unique redex-free form.
 
@@ -128,16 +139,6 @@ def normalize(t: FreeMsg) -> FreeMsg:
     if isinstance(body, Crypt) and body.key == t.key:
         return body.body
     return Decrypt(t.key, body)
-
-
-def is_normal(t: FreeMsg) -> bool:
-    if _reduce_root(t) is not None:
-        return False
-    if isinstance(t, MPair):
-        return is_normal(t.left) and is_normal(t.right)
-    if isinstance(t, (Crypt, Decrypt)):
-        return is_normal(t.body)
-    return True
 
 
 def msg_eq(u: FreeMsg, v: FreeMsg) -> bool:
@@ -229,7 +230,20 @@ def universe_size(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> int:
     return max(_running_sizes(bound, keys, nonces), default=0)
 
 
-def _enumerate(bound: int, keys, nonces) -> tuple[FreeMsg, ...]:
+class _Universe(NamedTuple):
+    """A bounded universe, graded by size.  `shapes[i]` is term i's
+    constructor as `(tag, key, body)`, `(2, left, right)` or `(3, value)`,
+    with `term_key`'s tags and children given by index; every child comes
+    before its parent.  Terms of size s are `terms[starts[s - 1]:starts[s]]`."""
+
+    terms: tuple[FreeMsg, ...]
+    shapes: list[tuple[int, ...]]
+    starts: list[int]
+
+
+def _enumerate(bound: int, keys, nonces) -> _Universe:
+    """The terms of size <= bound, size by size, each with its shape; the
+    shapes are recorded as the terms are built, so no term is hashed."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     # The full recurrence takes seconds for a bound in the thousands; stopping
@@ -240,21 +254,22 @@ def _enumerate(bound: int, keys, nonces) -> tuple[FreeMsg, ...]:
             break
     if total > MAX_TERMS:
         raise UniverseTooLargeError(total, MAX_TERMS)
-    by_size: list[list[FreeMsg]] = [[], [Nonce(n) for n in nonces]]
+    terms: list[FreeMsg] = [Nonce(n) for n in nonces]
+    shapes: list[tuple[int, ...]] = [(3, n) for n in nonces]
+    starts = [0, len(terms)]
     for s in range(2, bound + 1):
-        layer: list[FreeMsg] = []
         for i in range(1, s - 1):
-            for l in by_size[i]:
-                for r in by_size[s - 1 - i]:
-                    layer.append(MPair(l, r))
-        for k in keys:
-            for b in by_size[s - 1]:
-                layer.append(Crypt(k, b))
-        for k in keys:
-            for b in by_size[s - 1]:
-                layer.append(Decrypt(k, b))
-        by_size.append(layer)
-    return tuple(itertools.chain.from_iterable(by_size[1 : bound + 1]))
+            for l in range(starts[i - 1], starts[i]):
+                for r in range(starts[s - 2 - i], starts[s - 1 - i]):
+                    terms.append(MPair(terms[l], terms[r]))
+                    shapes.append((2, l, r))
+        for tag, make in ((0, Crypt), (1, Decrypt)):
+            for k in keys:
+                for b in range(starts[s - 2], starts[s - 1]):
+                    terms.append(make(k, terms[b]))
+                    shapes.append((tag, k, b))
+        starts.append(len(terms))
+    return _Universe(tuple(terms), shapes, starts)
 
 
 def enumerate_terms(
@@ -266,22 +281,25 @@ def enumerate_terms(
     by size.  Raises UniverseTooLargeError before enumerating anything that
     would blow the cap."""
     keys, nonces = _domains(keys, nonces)
-    return list(_enumerate(bound, keys, nonces))
+    return list(_enumerate(bound, keys, nonces).terms)
 
 
-def _closure(bound: int, keys, nonces) -> tuple[tuple[FreeMsg, ...], ...]:
+def _closure(bound: int, keys, nonces) -> tuple[_Universe, list[list[int]]]:
     """Union-find least fixpoint of the eight rules over the bounded
-    universe, as its partition into classes.
+    universe, as its partition into classes of indices.
 
+    The closure works on shapes alone and never hashes a term.
     Reflexivity, symmetry, and transitivity live in the union-find
-    structure; the cancellation axioms are the seed unions; the constructor
-    rules are applied by merging terms whose (constructor, class-of-parts)
-    signatures collide, until nothing changes.  Agreement with the naive
-    rule-by-rule iteration is itself a tested property.
+    structure; the cancellation axioms are the seed unions, found by a shape
+    test (a crypt or decrypt whose body has the opposite tag and the same
+    key joins its grandchild); the constructor rules are applied by merging
+    terms whose (constructor, class-of-parts) signatures collide, until
+    nothing changes.  Agreement with the naive rule-by-rule iteration is
+    itself a tested property.
     """
-    terms = _enumerate(bound, keys, nonces)
-    index = {t: i for i, t in enumerate(terms)}
-    n = len(terms)
+    universe = _enumerate(bound, keys, nonces)
+    shapes = universe.shapes
+    n = len(shapes)
 
     parent = list(range(n))
 
@@ -302,44 +320,35 @@ def _closure(bound: int, keys, nonces) -> tuple[tuple[FreeMsg, ...], ...]:
         parent[rj] = ri
         return True
 
-    shapes = []
-    for t in terms:
-        if isinstance(t, Nonce):
-            shapes.append((3, t.value, -1))
-        elif isinstance(t, MPair):
-            shapes.append((2, index[t.left], index[t.right]))
-        elif isinstance(t, Crypt):
-            shapes.append((0, t.key, index[t.body]))
-        else:
-            shapes.append((1, t.key, index[t.body]))
-
-    for i, t in enumerate(terms):
-        reduced = _reduce_root(t)
-        if reduced is not None:
-            union(i, index[reduced])
+    for i, shape in enumerate(shapes):
+        tag = shape[0]
+        if tag < 2:
+            body = shapes[shape[2]]
+            if body[0] == 1 - tag and body[1] == shape[1]:
+                union(i, body[2])
 
     changed = True
     while changed:
         changed = False
         seen: dict = {}
-        for i in range(n):
-            tag, a, b = shapes[i]
+        for i, shape in enumerate(shapes):
+            tag = shape[0]
             if tag == 3:
-                sig = (tag, a)
+                sig = shape
             elif tag == 2:
-                sig = (tag, find(a), find(b))
+                sig = (tag, find(shape[1]), find(shape[2]))
             else:
-                sig = (tag, a, find(b))
+                sig = (tag, shape[1], find(shape[2]))
             j = seen.get(sig)
             if j is None:
                 seen[sig] = i
             elif union(i, j):
                 changed = True
 
-    classes: dict[int, list[FreeMsg]] = {}
-    for i, t in enumerate(terms):
-        classes.setdefault(find(i), []).append(t)
-    return tuple(map(tuple, classes.values()))
+    classes: dict[int, list[int]] = {}
+    for i in range(n):
+        classes.setdefault(find(i), []).append(i)
+    return universe, list(classes.values())
 
 
 def closure_classes(
@@ -351,52 +360,59 @@ def closure_classes(
     related exactly when they share a class.  Members keep universe order,
     and classes come in the order of their first members."""
     keys, nonces = _domains(keys, nonces)
-    return _closure(bound, keys, nonces)
-
-
-def closure_oracle(
-    bound: int,
-    keys=DEFAULT_KEYS,
-    nonces=DEFAULT_NONCES,
-) -> set[tuple[FreeMsg, FreeMsg]]:
-    """The least fixpoint of the eight rules, as an explicit pair set."""
-    return {(u, v) for members in closure_classes(bound, keys, nonces)
-            for u in members for v in members}
+    universe, classes = _closure(bound, keys, nonces)
+    terms = universe.terms
+    return tuple(tuple(terms[i] for i in members) for members in classes)
 
 
 class _PairLayers:
     """A universe's related pairs, smallest first: by total size, then by
-    `term_key` of each side.  Each class's members are grouped by size once,
-    every pair of size groups is filed under the layer of its total size,
-    and `take` sorts and emits whole layers until the budget is met."""
+    `term_key` of each side.  Each class's members are grouped by the size
+    their index falls in, every pair of size groups is filed under the
+    layer of its total size, and `take` sorts and emits whole layers until
+    the budget is met.  Pairs are sorted as indices, on per-index sort
+    keys that are built bottom-up from the shapes and equal `term_key`;
+    they become term pairs only as they are emitted."""
 
-    def __init__(self, classes) -> None:
+    def __init__(self, universe: _Universe, classes) -> None:
+        terms, shapes, starts = universe
         blocks: dict[int, list] = {}
         for members in classes:
-            groups: dict[int, list[FreeMsg]] = {}
-            for t in members:
-                groups.setdefault(size(t), []).append(t)
+            groups: dict[int, list[int]] = {}
+            for i in members:
+                groups.setdefault(bisect.bisect_right(starts, i), []).append(i)
             for (a, us), (b, vs) in itertools.product(groups.items(), repeat=2):
                 blocks.setdefault(a + b, []).append((us, vs))
+        sort_keys: list[tuple] = []
+        for shape in shapes:
+            tag, a = shape[0], shape[1]
+            if tag == 3:
+                sort_keys.append(shape)
+            elif tag == 2:
+                sort_keys.append((tag, sort_keys[a], sort_keys[shape[2]]))
+            else:
+                sort_keys.append((tag, a, sort_keys[shape[2]]))
+        self._terms, self._sort_keys = terms, sort_keys
         self._layers = iter([blocks[s] for s in sorted(blocks)])
         self._pairs: list[tuple[FreeMsg, FreeMsg]] = []
         self._lock = threading.Lock()
 
     def take(self, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:
+        terms, sort_keys = self._terms, self._sort_keys
         with self._lock:
             while len(self._pairs) < budget:
                 layer_blocks = next(self._layers, None)
                 if layer_blocks is None:
                     break
                 layer = [(u, v) for us, vs in layer_blocks for u in us for v in vs]
-                layer.sort(key=lambda p: (term_key(p[0]), term_key(p[1])))
-                self._pairs += layer
+                layer.sort(key=lambda p: (sort_keys[p[0]], sort_keys[p[1]]))
+                self._pairs += [(terms[u], terms[v]) for u, v in layer]
             return self._pairs[:budget]
 
 
 @lru_cache(maxsize=8)
 def _pair_layers(bound: int, keys, nonces) -> _PairLayers:
-    return _PairLayers(_closure(bound, keys, nonces))
+    return _PairLayers(*_closure(bound, keys, nonces))
 
 
 def _sorted_pairs(bound: int, keys, nonces, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:

@@ -1,6 +1,7 @@
 """Reference implementations the message tests compare against.
 
-An outermost rewriting strategy, a naive round-by-round rule closure and an
+An outermost rewriting strategy and a redex-free test, a naive
+round-by-round rule closure, the closure as an explicit pair set, and an
 eager sort of every related pair, each independent of the engine it checks
 in `quotients.messages`.
 """
@@ -18,12 +19,30 @@ from quotients.messages import (
     MPair,
     Nonce,
     _domains,
-    _reduce_root,
     closure_classes,
     enumerate_terms,
     size,
     term_key,
 )
+
+
+def _reduce_root(t: FreeMsg) -> FreeMsg | None:
+    """Contract a cancellation redex at the root, if there is one."""
+    if isinstance(t, Crypt) and isinstance(t.body, Decrypt) and t.key == t.body.key:
+        return t.body.body
+    if isinstance(t, Decrypt) and isinstance(t.body, Crypt) and t.key == t.body.key:
+        return t.body.body
+    return None
+
+
+def is_normal(t: FreeMsg) -> bool:
+    if _reduce_root(t) is not None:
+        return False
+    if isinstance(t, MPair):
+        return is_normal(t.left) and is_normal(t.right)
+    if isinstance(t, (Crypt, Decrypt)):
+        return is_normal(t.body)
+    return True
 
 
 def _step_outermost(t: FreeMsg) -> FreeMsg | None:
@@ -143,6 +162,16 @@ def closure_oracle_naive(
         if not new:
             return rel
         rel |= new
+
+
+def closure_oracle(
+    bound: int,
+    keys=DEFAULT_KEYS,
+    nonces=DEFAULT_NONCES,
+) -> set[tuple[FreeMsg, FreeMsg]]:
+    """The least fixpoint of the eight rules, as an explicit pair set."""
+    return {(u, v) for members in closure_classes(bound, keys, nonces)
+            for u in members for v in members}
 
 
 def sorted_pairs_naive(

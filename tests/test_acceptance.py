@@ -9,14 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from msg_oracles import normalize_outermost
+from msg_oracles import closure_oracle, normalize_outermost
 from quotients.equiv import check_respects
 from quotients.integers import add, from_native, le, mul, neg, qint, to_nat, to_native
 from quotients.messages import (
     FREEDISCRIM_MAP,
     FREEDISCRIM_TRUNCATED_MAP,
     closure_classes,
-    closure_oracle,
     crypt,
     decrypt,
     discrim,

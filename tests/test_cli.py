@@ -3,7 +3,10 @@
 import contextlib
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -214,6 +217,84 @@ def test_exit_code_contract(command, lhs, rhs):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = cli.main(command + ["--json", "--"] + texts)
+    assert rc in (0, 1, 2)
+    assert sorted(json.loads(out.getvalue())) == ["budget_used", "elapsed_ms", "payload", "status"]
+
+
+# Option values are positive, zero, negative, huge or not numbers, passed as
+# "--flag=value" so argparse never reads a value as an option.  Runs that
+# pass must stay cheap: positive bounds are 1-6, or 13 and up, where every
+# non-empty domain is past the universe cap, which exits 2 before
+# enumerating; positive budgets are at most 2000 or past MAX_BUDGET; domains
+# hold one or two values.
+_NOT_A_NUMBER = st.sampled_from(["", " ", "x", "1.5", "1e3", "0x10", "--", "9" * 5000])
+_HUGE = st.integers(10**30, 10**40)
+_BUDGET = st.one_of(st.integers(1, 2000), st.integers(cli.MAX_BUDGET + 1, 10**40),
+                    st.integers(-10**40, 0))
+_BOUND = st.one_of(st.integers(1, 6), st.integers(13, 10**40), st.integers(-10**40, 0))
+_DOMAIN = st.lists(st.one_of(st.integers(0, 3), st.integers(-3, -1), _HUGE),
+                   min_size=1, max_size=2)
+_FLAGS = {
+    "--budget": st.one_of(_BUDGET.map(str), _NOT_A_NUMBER),
+    "--bound": st.one_of(_BOUND.map(str), _NOT_A_NUMBER),
+    "--keys": st.one_of(_DOMAIN.map(lambda v: ",".join(map(str, v))), _NOT_A_NUMBER),
+    "--nonces": st.one_of(_DOMAIN.map(lambda v: ",".join(map(str, v))), _NOT_A_NUMBER),
+}
+_COMMANDS = [
+    (["check", "msg-congruence", "--truncated-discrim"], ["--budget", "--bound", "--keys", "--nonces"]),
+    (["check", "msg-equivalence"], ["--budget", "--bound", "--keys", "--nonces"]),
+    (["oracle-msgrel"], ["--bound", "--keys", "--nonces"]),
+    (["msg-fn", "discrim", "(crypt 0 (nonce 1))"], ["--budget"]),
+]
+_INVOCATION = st.sampled_from(_COMMANDS).flatmap(lambda cmd: st.tuples(
+    st.just(cmd[0]), st.fixed_dictionaries({}, optional={f: _FLAGS[f] for f in cmd[1]})))
+# Config files: fields of the right type and value, of a wrong JSON type
+# (bools, floats, strings, nested lists and objects), a non-object document,
+# text that is mostly not JSON, raw bytes, or a path that does not exist.
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 3), _HUGE, st.floats(), st.text(max_size=3)),
+    lambda sub: st.one_of(st.lists(sub, max_size=3), st.dictionaries(st.text(max_size=3), sub, max_size=3)),
+    max_leaves=5,
+)
+_CONFIG_FIELDS = {
+    "budget": st.one_of(_BUDGET, _JSON),
+    "bound": st.one_of(_BOUND, _JSON),
+    "keys": st.one_of(_DOMAIN, _JSON),
+    "nonces": st.one_of(_DOMAIN, _JSON),
+}
+_MISSING = "missing"
+_CONFIG = st.one_of(
+    st.none(),
+    st.just(_MISSING),
+    st.fixed_dictionaries({}, optional=_CONFIG_FIELDS).map(json.dumps),
+    _JSON.map(json.dumps),
+    st.text(max_size=5),
+    st.binary(max_size=5),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_INVOCATION, _CONFIG)
+@example((["check", "msg-congruence", "--truncated-discrim"], {"--budget": "--"}), None)
+@example((["oracle-msgrel"], {"--keys": "--"}), None)
+def test_exit_code_contract_for_options_and_config(invocation, config):
+    command, flags = invocation
+    argv = command + [f"{flag}={value}" for flag, value in flags.items()] + ["--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        if isinstance(config, bytes):
+            Path(path).write_bytes(config)
+        elif config not in (None, _MISSING):
+            Path(path).write_text(config)
+        env = {cli.CONFIG_ENV: "" if config is None else path}
+        with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:  # argparse's usage error, text on stderr
+                assert exc.code == 2 and out.getvalue() == ""
+                return
     assert rc in (0, 1, 2)
     assert sorted(json.loads(out.getvalue())) == ["budget_used", "elapsed_ms", "payload", "status"]
 

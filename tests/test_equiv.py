@@ -1,6 +1,8 @@
 """Generic machinery: equivalence checks, congruence checks, lifting."""
 
+import itertools
 from functools import partial
+from typing import Callable, Sequence, TypeVar
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,7 +16,6 @@ from quotients.equiv import (
     check_respects,
     class_eq,
     class_of,
-    filtered_pairs,
     lift,
     respects2_via_commutativity,
     revalidate_counterexample,
@@ -47,6 +48,28 @@ from quotients.messages import (
     msgrel,
 )
 from quotients.rationals import RatPair, qrat, rat_neg, ratrel
+
+
+T = TypeVar("T")
+
+
+def filtered_pairs(
+    elements: Sequence[T], decider: Callable[[T, T], bool]
+) -> Callable[[int], list[tuple[T, T]]]:
+    """Fallback related-pair generator: filter the Cartesian product of a
+    finite element sample.  Quadratic and blind to the relation's structure;
+    a dedicated generator beats it whenever one exists."""
+
+    def related_pairs(budget: int) -> list[tuple[T, T]]:
+        out: list[tuple[T, T]] = []
+        for x, y in itertools.product(elements, repeat=2):
+            if len(out) >= budget:
+                break
+            if decider(x, y):
+                out.append((x, y))
+        return out
+
+    return related_pairs
 
 
 def plain_eq(a, b):

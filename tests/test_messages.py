@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from conftest import term_strategy
 from msg_oracles import (
     MsgRule,
+    closure_oracle,
     closure_oracle_naive,
+    is_normal,
     normalize_outermost,
     rule_instances,
     sorted_pairs_naive,
@@ -35,7 +37,6 @@ from quotients.messages import (
     Msg,
     Nonce,
     closure_classes,
-    closure_oracle,
     crypt,
     crypt_map,
     decrypt,
@@ -48,7 +49,6 @@ from quotients.messages import (
     freeleft,
     freenonces,
     freeright,
-    is_normal,
     left,
     mpair,
     msg,
@@ -62,7 +62,7 @@ from quotients.messages import (
     size,
     universe_size,
 )
-from quotients.sexpr import print_term
+from quotients.sexpr import parse_term, print_term
 
 N, M, C, D = Nonce, MPair, Crypt, Decrypt
 
@@ -126,6 +126,40 @@ class TestUniverse:
         with pytest.raises(UniverseTooLargeError) as exc:
             enumerate_terms(9)
         assert exc.value.universe_size == universe_size(9)
+
+    @pytest.mark.parametrize("keys, nonces", [((0, 1), (0, 1)), ((0,), (0, 1, 2))],
+                             ids=["default-domains", "one-key-three-nonces"])
+    @pytest.mark.parametrize("bound", range(1, 7))
+    def test_shapes_and_size_starts(self, bound, keys, nonces):
+        terms, shapes, starts = messages._enumerate(bound, keys, nonces)
+        assert len(shapes) == len(terms)
+        rebuild = {
+            0: lambda k, b: C(k, terms[b]),
+            1: lambda k, b: D(k, terms[b]),
+            2: lambda l, r: M(terms[l], terms[r]),
+            3: N,
+        }
+        for i, (t, (tag, *fields)) in enumerate(zip(terms, shapes)):
+            assert rebuild[tag](*fields) == t
+            children = fields if tag == 2 else fields[1:]
+            assert all(c < i for c in children)
+        assert starts == [0, *messages._running_sizes(bound, keys, nonces)]
+        for s in range(1, bound + 1):
+            assert {size(t) for t in terms[starts[s - 1]:starts[s]]} <= {s}
+
+
+class TestTermHash:
+    def test_constructors_hash_apart(self):
+        terms = enumerate_terms(6)
+        assert len(set(map(hash, terms))) == len(terms)
+        for x in (N(0), M(N(0), N(1)), C(1, N(0))):
+            assert len({hash(N(1)), hash(M(N(1), x)), hash(C(1, x)), hash(D(1, x))}) == 4
+
+    @given(term_strategy())
+    def test_equal_terms_hash_equal(self, t):
+        copy = parse_term(print_term(t))
+        assert copy == t and copy is not t
+        assert hash(copy) == hash(t)
 
 
 class TestClosureOracle:
