@@ -47,9 +47,10 @@ class FreeMsg:
     __slots__ = ()
 
 
-# Each term hashes with `term_key`'s tag for its constructor.  The generated
-# dataclass hash leaves the class out, so Crypt(k, x) and Decrypt(k, x) would
-# collide, and collisions would double with every wrapper level.
+# Each term hashes with its constructor's tag (0 crypt, 1 decrypt, 2 mpair,
+# 3 nonce, as in `_Universe`).  The generated dataclass hash leaves the class
+# out, so Crypt(k, x) and Decrypt(k, x) would collide, and collisions would
+# double with every wrapper level.
 @dataclass(frozen=True)
 class Nonce(FreeMsg):
     value: int
@@ -104,17 +105,6 @@ def well_formed(t) -> bool:
     if isinstance(t, (Crypt, Decrypt)):
         return isinstance(t.key, int) and t.key >= 0 and well_formed(t.body)
     return False
-
-
-def term_key(t: FreeMsg):
-    """A total-order key on terms; ties in the pair generators break on it."""
-    if isinstance(t, Crypt):
-        return (0, t.key, term_key(t.body))
-    if isinstance(t, Decrypt):
-        return (1, t.key, term_key(t.body))
-    if isinstance(t, MPair):
-        return (2, term_key(t.left), term_key(t.right))
-    return (3, t.value)
 
 
 # ---------------------------------------------------------------------------
@@ -232,11 +222,12 @@ def universe_size(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> int:
 
 class _Universe(NamedTuple):
     """A bounded universe, graded by size.  `shapes[i]` is term i's
-    constructor as `(tag, key, body)`, `(2, left, right)` or `(3, value)`,
-    with `term_key`'s tags and children given by index; every child comes
-    before its parent.  Terms of size s are `terms[starts[s - 1]:starts[s]]`."""
+    constructor as `(tag, key, body)` with tag 0 for crypt and 1 for
+    decrypt, `(2, left, right)` for mpair or `(3, value)` for nonce, its
+    children given by index; every child comes before its parent.  Terms
+    of size s are `terms[starts[s - 1]:starts[s]]`."""
 
-    terms: tuple[FreeMsg, ...]
+    terms: list[FreeMsg]
     shapes: list[tuple[int, ...]]
     starts: list[int]
 
@@ -269,7 +260,7 @@ def _enumerate(bound: int, keys, nonces) -> _Universe:
                     terms.append(make(k, terms[b]))
                     shapes.append((tag, k, b))
         starts.append(len(terms))
-    return _Universe(tuple(terms), shapes, starts)
+    return _Universe(terms, shapes, starts)
 
 
 def enumerate_terms(
@@ -281,7 +272,7 @@ def enumerate_terms(
     by size.  Raises UniverseTooLargeError before enumerating anything that
     would blow the cap."""
     keys, nonces = _domains(keys, nonces)
-    return list(_enumerate(bound, keys, nonces).terms)
+    return _enumerate(bound, keys, nonces).terms
 
 
 def _closure(bound: int, keys, nonces) -> tuple[_Universe, list[list[int]]]:
@@ -367,12 +358,12 @@ def closure_classes(
 
 class _PairLayers:
     """A universe's related pairs, smallest first: by total size, then by
-    `term_key` of each side.  Each class's members are grouped by the size
-    their index falls in, every pair of size groups is filed under the
-    layer of its total size, and `take` sorts and emits whole layers until
-    the budget is met.  Pairs are sorted as indices, on per-index sort
-    keys that are built bottom-up from the shapes and equal `term_key`;
-    they become term pairs only as they are emitted."""
+    the sort key of each side.  A term's sort key is its shape with each
+    child index replaced by the child's sort key, so terms order by tag
+    (crypt, decrypt, mpair, nonce), then key or value, then parts.  Each class's members
+    are grouped by the size their index falls in, every pair of size groups
+    is filed under the layer of its total size, and `take` sorts and emits
+    whole layers, as index pairs, until the budget is met."""
 
     def __init__(self, universe: _Universe, classes) -> None:
         terms, shapes, starts = universe
@@ -430,10 +421,11 @@ def msg_relation(
     The decider is the rewriting route; the related-pair generator draws
     from the closure oracle over the configured universe, so the two routes
     keep each other honest wherever this relation feeds the congruence
-    checker.  Pairs come smallest first, by total size and then by
-    `term_key` of each side, from a per-universe stream that sorts one size
-    layer at a time: a request for `budget` pairs costs the closure (once
-    per universe) plus the layers up to the budget."""
+    checker.  Pairs come smallest first, by total size and then by each
+    side's constructor (crypt, decrypt, mpair, nonce), key or value, and
+    parts, from a per-universe stream that sorts one size layer at a time:
+    a request for `budget` pairs costs the closure (once per universe) plus
+    the layers up to the budget."""
     keys, nonces = _domains(keys, nonces)
     default = bound == SAMPLING_BOUND and keys == DEFAULT_KEYS and nonces == DEFAULT_NONCES
     name = "msgrel" if default else f"msgrel[bound={bound},keys={keys},nonces={nonces}]"

@@ -2,8 +2,8 @@
 
 An outermost rewriting strategy and a redex-free test, a naive
 round-by-round rule closure, the closure as an explicit pair set, and an
-eager sort of every related pair, each independent of the engine it checks
-in `quotients.messages`.
+eager sort of every related pair on a recursive term key, each independent
+of the engine it checks in `quotients.messages`.
 """
 
 from __future__ import annotations
@@ -22,8 +22,19 @@ from quotients.messages import (
     closure_classes,
     enumerate_terms,
     size,
-    term_key,
 )
+
+
+def term_key(t: FreeMsg):
+    """A total-order key on terms, computed recursively: the order the pair
+    stream's per-index sort keys must reproduce."""
+    if isinstance(t, Crypt):
+        return (0, t.key, term_key(t.body))
+    if isinstance(t, Decrypt):
+        return (1, t.key, term_key(t.body))
+    if isinstance(t, MPair):
+        return (2, term_key(t.left), term_key(t.right))
+    return (3, t.value)
 
 
 def _reduce_root(t: FreeMsg) -> FreeMsg | None:
