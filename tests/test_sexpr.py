@@ -1,8 +1,11 @@
 """Term syntax: parsing, printing, and error offsets."""
 
-import pytest
-from hypothesis import given
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import sexpr_oracle
 from conftest import term_strategy
 from quotients.errors import ParseError
 from quotients.messages import Crypt, Decrypt, MPair, Nonce
@@ -71,3 +74,32 @@ def test_generic_sexpr_nodes():
     assert node.items[1].value == 1
     inner = node.items[2]
     assert inner.items[0].value == "neg" and inner.items[1].value == -2
+
+
+# Reader texts are pieces joined with no forced separator, so a name runs
+# into a parenthesis ("a(b") and signs, digits and "_" run into numerals.
+# The digits include a non-ASCII decimal digit (int() reads it) and a
+# superscript (a digit that int() rejects); the long numeral is past the
+# int-to-text digit limit, so it stays a name.
+_PIECES = ["(", ")", " ", "\t", "\n", "\x1c", "\x85", "\u3000", "nonce", "crypt", "+",
+           "neg", "x", "-", "_", "0", "1", "\u0663", "\u00b2", "7" * 4301]
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offset)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
+def test_reader_matches_oracle(text):
+    assert _read(parse_sexpr, text) == _read(sexpr_oracle.parse_sexpr, text)
+
+
+def test_regex_whitespace_is_isspace():
+    # The lexer splits on regex \s; the grammar's whitespace is str.isspace().
+    chars = "".join(map(chr, range(0x110000)))
+    assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
+
