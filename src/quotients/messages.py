@@ -97,13 +97,13 @@ def size(t: FreeMsg) -> int:
 
 def well_formed(t) -> bool:
     """Membership in the carrier: a finite term whose nonces and keys are
-    naturals."""
+    naturals (ints, not bools, which would print as names)."""
     if isinstance(t, Nonce):
-        return isinstance(t.value, int) and t.value >= 0
+        return type(t.value) is int and t.value >= 0
     if isinstance(t, MPair):
         return well_formed(t.left) and well_formed(t.right)
     if isinstance(t, (Crypt, Decrypt)):
-        return isinstance(t.key, int) and t.key >= 0 and well_formed(t.body)
+        return type(t.key) is int and t.key >= 0 and well_formed(t.body)
     return False
 
 

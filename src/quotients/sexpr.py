@@ -3,12 +3,15 @@
 One small reader serves both the message-term grammar and the arithmetic
 expression grammars: it produces a generic node tree with source offsets,
 and `parse_term` layers the constructor/arity checks for message terms on
-top.  Offsets are 0-based character offsets into the input (for the ASCII
+top.  Reading is one regex and one loop over its tokens with an explicit
+stack of open lists, so nesting depth is not bounded by recursion.
+Offsets are 0-based character offsets into the input (for the ASCII
 grammar these coincide with byte offsets).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import ParseError
@@ -30,61 +33,48 @@ class SList:
 
 SNode = SAtom | SList
 
-_DELIMS = "()"
-
-
-def _tokenize(text: str):
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _DELIMS:
-            yield c, i
-            i += 1
-            continue
-        start = i
-        while i < n and not text[i].isspace() and text[i] not in _DELIMS:
-            i += 1
-        yield text[start:i], start
+# A token is a parenthesis or a run of characters that are neither
+# parentheses nor whitespace; regex \s is exactly str.isspace().
+_TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
 def _atom(token: str, offset: int) -> SAtom:
-    try:
-        return SAtom(int(token), offset)
-    except ValueError:
-        return SAtom(token, offset)
+    # Only a token that starts, after its signs, with a decimal digit can be
+    # an int; a numeral past the int-to-text digit limit stays a name.
+    if token.lstrip("+-")[:1].isdecimal():
+        try:
+            return SAtom(int(token), offset)
+        except ValueError:
+            pass
+    return SAtom(token, offset)
 
 
 def parse_sexpr(text: str) -> SNode:
     """Parse exactly one s-expression; anything trailing is an error."""
-    tokens = list(_tokenize(text))
-    pos = 0
-
-    def parse_one() -> SNode:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise ParseError("unexpected end of input", len(text))
-        token, offset = tokens[pos]
-        pos += 1
+    stack = []  # the open lists, innermost last, as (open offset, items)
+    node = None
+    for match in _TOKEN.finditer(text):
+        token, offset = match[0], match.start()
+        if node is not None:
+            raise ParseError("trailing input after expression", offset)
         if token == "(":
-            items = []
-            while True:
-                if pos >= len(tokens):
-                    raise ParseError("missing closing parenthesis", len(text))
-                if tokens[pos][0] == ")":
-                    close = tokens[pos][1]
-                    pos += 1
-                    return SList(tuple(items), offset, close)
-                items.append(parse_one())
+            stack.append((offset, []))
+            continue
         if token == ")":
-            raise ParseError("unexpected closing parenthesis", offset)
-        return _atom(token, offset)
-
-    node = parse_one()
-    if pos < len(tokens):
-        raise ParseError("trailing input after expression", tokens[pos][1])
+            if not stack:
+                raise ParseError("unexpected closing parenthesis", offset)
+            open_offset, items = stack.pop()
+            done = SList(tuple(items), open_offset, offset)
+        else:
+            done = _atom(token, offset)
+        if stack:
+            stack[-1][1].append(done)
+        else:
+            node = done
+    if stack:
+        raise ParseError("missing closing parenthesis", len(text))
+    if node is None:
+        raise ParseError("unexpected end of input", len(text))
     return node
 
 

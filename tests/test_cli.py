@@ -203,6 +203,12 @@ _TEXT = st.one_of(_EXPR, st.lists(st.one_of(_EXPR, _JUNK), max_size=4).map(" ".j
 # Random draws rarely multiply two such integers, so every run does: the
 # 4400-digit product is past the int-to-text limit.
 _PRODUCT = f"(* {'9' * 2200} {'9' * 2200})"
+# The reader takes any depth; a term or expression 100,000 deep then passes
+# the recursion limit of the term builder or evaluator (exit 2), and 5000
+# unclosed parentheses are a parse error.
+_DEEP_TERM = "(crypt 0 " * 100_000 + "(nonce 0)" + ")" * 100_000
+_DEEP_EXPR = "(neg " * 100_000 + "1" + ")" * 100_000
+_UNCLOSED = "(" * 5000
 
 
 @settings(max_examples=150, deadline=None)
@@ -212,6 +218,9 @@ _PRODUCT = f"(* {'9' * 2200} {'9' * 2200})"
 ]), _TEXT, _TEXT)
 @example(["int-eval"], _PRODUCT, "")
 @example(["rat-eval"], _PRODUCT, "")
+@example(["msg-nf"], _DEEP_TERM, "")
+@example(["int-eval"], _DEEP_EXPR, "")
+@example(["msg-eq"], _UNCLOSED, _DEEP_TERM)
 def test_exit_code_contract(command, lhs, rhs):
     texts = [lhs, rhs] if command == ["msg-eq"] else [lhs]
     out = io.StringIO()

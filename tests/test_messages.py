@@ -445,3 +445,14 @@ class TestQuotientLayer:
             crypt(-2, nonce(0))
         with pytest.raises(DomainError):
             msg("not a term")
+
+    def test_carrier_rejects_bools(self):
+        # A bool nonce or key would print as (nonce True), which no term parses as.
+        from quotients.errors import DomainError
+        for t in (Nonce(True), Crypt(False, Nonce(0)), Decrypt(True, Nonce(0)),
+                  MPair(Nonce(0), Nonce(False))):
+            assert not messages.well_formed(t)
+        with pytest.raises(DomainError):
+            msg(Nonce(True))
+        with pytest.raises(DomainError):
+            msg(Crypt(False, Nonce(0)))

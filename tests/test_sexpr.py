@@ -103,3 +103,25 @@ def test_regex_whitespace_is_isspace():
     chars = "".join(map(chr, range(0x110000)))
     assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
 
+
+
+def test_deep_nesting_is_read():
+    depth = 100_000
+    text = "(" * depth + "x" + ")" * depth
+    node = parse_sexpr(text)
+    # Walk the tree by hand: ==, hash and repr recurse over it.
+    for level in range(depth):
+        assert type(node) is SList
+        assert (len(node.items), node.open_offset, node.close_offset) == (
+            1, level, len(text) - 1 - level)
+        node = node.items[0]
+    assert type(node) is SAtom
+    assert (node.value, node.offset) == ("x", depth)
+
+
+def test_deep_malformed_input_is_a_parse_error():
+    text = "(" * 5000
+    with pytest.raises(ParseError) as exc:
+        parse_sexpr(text)
+    assert str(exc.value) == f"missing closing parenthesis (at offset {len(text)})"
+    assert exc.value.offset == len(text)
