@@ -104,7 +104,6 @@ def test_regex_whitespace_is_isspace():
     assert re.findall(r"\s", chars) == [c for c in chars if c.isspace()]
 
 
-
 def test_deep_nesting_is_read():
     depth = 100_000
     text = "(" * depth + "x" + ")" * depth
