@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -314,6 +316,40 @@ def test_unknown_operator_is_an_error(capsys):
     assert rc == 2
     assert doc["status"] == "error"
     assert "xor" in doc["payload"]["error"]
+
+
+# The evaluator checks a list's head, operator and arity on entering it, and
+# each argument's type as soon as that argument has a value.
+@pytest.mark.parametrize("expr,error,offset", [
+    ("(+ (le 1 2) (xor 1 2))", "+ needs integer arguments", 3),
+    ("(+ (xor 1 2) (le 1 2))", "unknown integer operator 'xor'", 4),
+    ("(+ 1 (neg 1 2) (foo))", "+ takes 2 arguments, got 3", 20),
+], ids=["type-before-later-operator", "operator-before-later-type", "arity-before-arguments"])
+def test_evaluation_error_order(expr, error, offset, capsys):
+    rc = cli.main(["int-eval", "--json", "--deterministic", "--", expr])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert doc["payload"] == {"error": f"{error} (at offset {offset})", "offset": offset}
+
+
+_STDLIB_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from quotients import cli, messages, rationals
+rc = cli.main(["check", "msg-congruence", "--bound", "3", "--budget", "20", "--json"])
+sys.stderr.write(json.dumps({"rc": rc, "modules": sorted({m.partition(".")[0] for m in sys.modules})}))
+"""
+
+
+def test_runtime_is_stdlib_only():
+    # -I -S: no site packages, no user paths, no environment variables.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _STDLIB_PROBE, src],
+                          capture_output=True, text=True, timeout=60)
+    result = json.loads(proc.stderr)
+    assert result["rc"] == 0 and json.loads(proc.stdout)["status"] == "ok"
+    outside = set(result["modules"]) - set(sys.stdlib_module_names) - {"quotients", "__main__"}
+    assert not outside
 
 
 def test_domain_error_exit_code(capsys):

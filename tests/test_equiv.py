@@ -1,11 +1,14 @@
 """Generic machinery: equivalence checks, congruence checks, lifting."""
 
 import itertools
+import operator
 from functools import partial
 from typing import Callable, Sequence, TypeVar
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+import equiv_oracle
 
 from quotients.equiv import (
     EquivClass,
@@ -420,3 +423,120 @@ class TestOperation:
     def test_integer_never_equals_rational(self):
         assert (qint(1, 0) == qrat(1, 1)) is False
         assert (qrat(1, 1) == qint(1, 0)) is False
+
+
+# ---------------------------------------------------------------------------
+# The checker against its reference copy on random finite relations
+
+_R = range(6)
+
+
+class _OutsideCarrier(Exception):
+    pass
+
+
+def _outcome(check, *args):
+    """A report as a comparable tuple, or the exception it raised."""
+    try:
+        r = check(*args)
+    except _OutsideCarrier as exc:
+        return "raised", str(exc)
+    if hasattr(r, "law"):
+        return r.verdict, r.checked, r.law, r.witness
+    return r.verdict, r.checked, r.counterexample, r.note
+
+
+def _pair_lists(pool):
+    # A drawn length spreads list sizes over 0-40 more evenly than
+    # st.lists(max_size=40), which favours short lists.
+    return st.integers(0, 40).flatmap(
+        lambda n: st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+
+
+@st.composite
+def _finite_relations(draw):
+    """A relation on a subset of range(6): a boolean table (reflexive,
+    symmetric or neither) or a partition,
+    with a decider that raises outside the carrier, 0-40 generated pairs
+    that may be unrelated or outside the carrier, and an optional
+    canonicalizer."""
+    mask = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    carrier = frozenset(x for x in _R if mask[x])
+    kind = draw(st.sampled_from(["table", "reflexive", "symmetric", "partition"]))
+    if kind != "partition":
+        table = draw(st.lists(st.booleans(), min_size=36, max_size=36))
+        reflexive, symmetric = kind != "table", kind == "symmetric"
+        related = lambda x, y: ((reflexive and x == y)
+                                or table[6 * min(x, y) + max(x, y) if symmetric else 6 * x + y])
+    else:
+        labels = draw(st.lists(st.integers(0, 5), min_size=6, max_size=6))
+        related = lambda x, y: labels[x] == labels[y]
+
+    def decider(x, y):
+        if x not in carrier or y not in carrier:
+            raise _OutsideCarrier(f"decider({x}, {y})")
+        return related(x, y)
+
+    inside = sorted(carrier)
+    pools = [list(itertools.product(_R, repeat=2))]
+    if inside:
+        pools.append(list(itertools.product(inside, repeat=2)))
+        pools.append([(x, y) for x, y in pools[-1] if related(x, y)] or pools[-1])
+    pool = draw(st.sampled_from(pools + pools[-1:] * 3))
+    pairs = draw(_pair_lists(pool))
+    canons = [st.none(), st.lists(st.sampled_from(_R), min_size=6, max_size=6)]
+    if inside:
+        canons.append(st.lists(st.sampled_from(inside), min_size=6, max_size=6))
+        # The least related carrier element (canonical for a partition), or
+        # any related one.
+        classes = [[y for y in inside if related(x, y)] or [x] for x in _R]
+        canons.append(st.just([c[0] for c in classes]))
+        canons.append(st.tuples(*map(st.sampled_from, classes)))
+    canon = draw(st.one_of(canons))
+    return EquivRelation(
+        name="finite",
+        decider=decider,
+        carrier=carrier.__contains__,
+        related_pairs=lambda budget: pairs,
+        canonicalize=None if canon is None else canon.__getitem__,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_finite_relations(), st.integers(1, 60))
+def test_check_equivalence_matches_oracle(rel, budget):
+    assert _outcome(check_equivalence, rel, budget) == \
+        _outcome(equiv_oracle.check_equivalence, rel, budget)
+
+
+@st.composite
+def _function_tables(draw):
+    """A map on range(6)² over one random partition with 0-40 generated
+    pairs: a random table, a commutative one, or one that respects the
+    partition."""
+    labels = draw(st.lists(st.integers(0, 5), min_size=6, max_size=6))
+    rel = EquivRelation(
+        name="partition",
+        decider=lambda x, y: labels[x] == labels[y],
+        carrier=lambda x: x in _R,
+        related_pairs=lambda budget: pairs,
+    )
+    related = [(x, y) for x in _R for y in _R if labels[x] == labels[y]]
+    pool = draw(st.sampled_from([related, list(itertools.product(_R, repeat=2))]))
+    pairs = draw(_pair_lists(pool))
+    table = draw(st.lists(st.integers(0, 5), min_size=36, max_size=36))
+    kind = draw(st.sampled_from(["any", "commutative", "respecting"]))
+    if kind == "any":
+        f = lambda a, b: table[6 * a + b]
+    elif kind == "commutative":
+        f = lambda a, b: table[6 * min(a, b) + max(a, b)]
+    else:
+        f = lambda a, b: table[6 * min(labels[a], labels[b]) + max(labels[a], labels[b])]
+    return RespectMap(f, (rel, rel), operator.eq, kind)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_function_tables(), st.integers(1, 100))
+def test_respects2_via_commutativity_matches_oracle(m, budget):
+    assert _outcome(respects2_via_commutativity, m, budget) == \
+        _outcome(equiv_oracle.respects2_via_commutativity, m, budget)
