@@ -156,89 +156,66 @@ def _sample_elements(rel: EquivRelation[T], pairs: Iterable[tuple[T, T]]) -> lis
     return list(seen)
 
 
+def _law_cases(rel: EquivRelation[T], pairs: list[tuple[T, T]], budget: int):
+    """The cases `check_equivalence` tests, in order: None for a case that
+    holds, else the violated law and its witness.  The caller stops at the
+    first violation, so the decider never sees a pair outside the carrier."""
+    related, carrier = rel.decider, rel.carrier
+    for x, y in pairs:
+        if not (carrier(x) and carrier(y)):
+            yield "pair-generator-carrier", (x, y)
+        yield None if related(x, y) else ("pair-generator-decider", (x, y))
+
+    elems = _sample_elements(rel, pairs)
+    for x in elems:
+        yield None if related(x, x) else ("reflexivity", (x, x))
+    for x, y in pairs:
+        yield None if related(y, x) else ("symmetry", (x, y))
+
+    # Chain generated pairs through shared midpoints for transitivity.
+    by_first: dict = {}
+    for x, y in pairs:
+        by_first.setdefault(x, []).append(y)
+    chains = ((x, y, z) for x, y in pairs for z in by_first.get(y, ()))
+    for x, y, z in itertools.islice(chains, budget):
+        yield None if related(x, z) else ("transitivity", (x, y, z))
+
+    # Cross-sample a bounded cube of elements for laws the generator's own
+    # pairs cannot expose (e.g. unrelated elements turning out related).
+    # Only triples whose premises hold count as transitivity cases.
+    cube = elems[: round(budget ** (1 / 3)) + 2]
+    for a, b in itertools.islice(itertools.product(cube, repeat=2), budget):
+        yield None if not related(a, b) or related(b, a) else ("symmetry", (a, b))
+    for a, b, c in itertools.islice(itertools.product(cube, repeat=3), budget):
+        if related(a, b) and related(b, c):
+            yield None if related(a, c) else ("transitivity", (a, b, c))
+
+    canon = rel.canonicalize
+    if canon is not None:
+        for x in elems:
+            yield None if related(x, canon(x)) else ("canonical-related", (x, canon(x)))
+        for x, y in pairs:
+            yield None if canon(x) == canon(y) else ("canonical-agreement", (x, y))
+
+
 def check_equivalence(rel: EquivRelation[T], budget: int) -> EquivalenceReport[T]:
     """Test reflexivity, symmetry, and transitivity on sampled elements.
 
     Samples come from `rel.related_pairs(budget)`; the generator's own
     contract (emitted pairs are related and lie in the carrier) is checked
     first.  When a canonicalizer is present its laws are checked as well.
-    Returns the first violation found, a no-samples verdict for a degenerate
-    generator, or certified-up-to-budget.
+    Returns the first violation found, a no-samples verdict for a generator
+    that gives no pairs, or certified-up-to-budget.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     pairs = list(itertools.islice(rel.related_pairs(budget), budget))
+    if not pairs:
+        return EquivalenceReport(Verdict.NO_SAMPLES, 0)
     checked = 0
-
-    for x, y in pairs:
-        checked += 1
-        if not (rel.carrier(x) and rel.carrier(y)):
-            return EquivalenceReport(Verdict.REFUTED, checked, "pair-generator-carrier", (x, y))
-        if not rel.decider(x, y):
-            return EquivalenceReport(Verdict.REFUTED, checked, "pair-generator-decider", (x, y))
-
-    elems = _sample_elements(rel, pairs)
-    if not elems:
-        return EquivalenceReport(Verdict.NO_SAMPLES, checked)
-
-    for x in elems:
-        checked += 1
-        if not rel.decider(x, x):
-            return EquivalenceReport(Verdict.REFUTED, checked, "reflexivity", (x, x))
-
-    for x, y in pairs:
-        checked += 1
-        if not rel.decider(y, x):
-            return EquivalenceReport(Verdict.REFUTED, checked, "symmetry", (x, y))
-
-    # Chain generated pairs through shared midpoints for transitivity.
-    by_first: dict = {}
-    for x, y in pairs:
-        by_first.setdefault(x, []).append(y)
-    chains = 0
-    for x, y in pairs:
-        if chains >= budget:
-            break
-        for z in by_first.get(y, ()):
-            chains += 1
-            checked += 1
-            if not rel.decider(x, z):
-                return EquivalenceReport(Verdict.REFUTED, checked, "transitivity", (x, y, z))
-            if chains >= budget:
-                break
-
-    # Cross-sample a bounded cube of elements for laws the generator's own
-    # pairs cannot expose (e.g. unrelated elements turning out related).
-    cube = elems[: max(2, round(budget ** (1 / 3)) + 2)]
-    probes = 0
-    for a, b in itertools.product(cube, repeat=2):
-        if probes >= budget:
-            break
-        probes += 1
-        checked += 1
-        if rel.decider(a, b) and not rel.decider(b, a):
-            return EquivalenceReport(Verdict.REFUTED, checked, "symmetry", (a, b))
-    probes = 0
-    for a, b, c in itertools.product(cube, repeat=3):
-        if probes >= budget:
-            break
-        probes += 1
-        if rel.decider(a, b) and rel.decider(b, c):
-            checked += 1
-            if not rel.decider(a, c):
-                return EquivalenceReport(Verdict.REFUTED, checked, "transitivity", (a, b, c))
-
-    if rel.canonicalize is not None:
-        canon = rel.canonicalize
-        for x in elems:
-            checked += 1
-            if not rel.decider(x, canon(x)):
-                return EquivalenceReport(Verdict.REFUTED, checked, "canonical-related", (x, canon(x)))
-        for x, y in pairs:
-            checked += 1
-            if canon(x) != canon(y):
-                return EquivalenceReport(Verdict.REFUTED, checked, "canonical-agreement", (x, y))
-
+    for checked, violation in enumerate(_law_cases(rel, pairs, budget), 1):
+        if violation is not None:
+            return EquivalenceReport(Verdict.REFUTED, checked, *violation)
     return EquivalenceReport(Verdict.CERTIFIED, checked)
 
 
@@ -310,30 +287,24 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
             f"commutativity shortcut needs one relation, got {rel.name} and {other.name}"
         )
     f = m.function
-    side = max(1, int(budget ** 0.5) + 1)
+    side = int(budget ** 0.5) + 1
     pairs = list(itertools.islice(rel.related_pairs(side), side))
     elems = _sample_elements(rel, pairs)
     if not elems:
         return CongruenceReport(Verdict.NO_SAMPLES, 0)
 
     checked = 0
-    half = max(1, budget // 2)
-    for a, b in itertools.product(elems, repeat=2):
-        if checked >= half:
-            break
-        checked += 1
+    swaps = itertools.islice(itertools.product(elems, repeat=2), max(1, budget // 2))
+    for checked, (a, b) in enumerate(swaps, 1):
         if not m.target_eq(f(a, b), f(b, a)):
             full = check_respects(m, budget)
             note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
             return CongruenceReport(full.verdict, checked + full.checked, full.counterexample, note)
 
-    for x, y in pairs:
-        for c in elems:
-            if checked >= budget:
-                break
-            checked += 1
-            if not m.target_eq(f(x, c), f(y, c)):
-                return CongruenceReport(Verdict.REFUTED, checked, ((x, y), (c, c)))
+    firsts = itertools.islice(((x, y, c) for x, y in pairs for c in elems), budget - checked)
+    for checked, (x, y, c) in enumerate(firsts, checked + 1):
+        if not m.target_eq(f(x, c), f(y, c)):
+            return CongruenceReport(Verdict.REFUTED, checked, ((x, y), (c, c)))
     return CongruenceReport(
         Verdict.CERTIFIED, checked, note="via commutativity and single-argument respect"
     )
