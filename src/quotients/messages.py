@@ -150,46 +150,41 @@ def freenonces(t: FreeMsg) -> frozenset[int]:
 
 def freeleft(t: FreeMsg) -> FreeMsg:
     """Left part of the topmost pair, looking through crypt/decrypt."""
-    if isinstance(t, Nonce):
-        return t
-    if isinstance(t, MPair):
-        return t.left
-    return freeleft(t.body)
+    while not isinstance(t, (Nonce, MPair)):
+        t = t.body
+    return t.left if isinstance(t, MPair) else t
 
 
 def freeright(t: FreeMsg) -> FreeMsg:
     """Mirror image of `freeleft`."""
-    if isinstance(t, Nonce):
-        return t
-    if isinstance(t, MPair):
-        return t.right
-    return freeright(t.body)
+    while not isinstance(t, (Nonce, MPair)):
+        t = t.body
+    return t.right if isinstance(t, MPair) else t
 
 
 def freediscrim(t: FreeMsg) -> int:
     """Constructor discriminator: 0 for nonces, 1 for pairs, +2 per
     encryption, -2 per decryption.  Signed: cancelling wrappers must cancel
     exactly for this to respect the equivalence."""
-    if isinstance(t, Nonce):
-        return 0
-    if isinstance(t, MPair):
-        return 1
-    if isinstance(t, Crypt):
-        return freediscrim(t.body) + 2
-    return freediscrim(t.body) - 2
+    d = 0
+    while not isinstance(t, (Nonce, MPair)):
+        d += 2 if isinstance(t, Crypt) else -2
+        t = t.body
+    return d + 1 if isinstance(t, MPair) else d
 
 
 def freediscrim_truncated(t: FreeMsg) -> int:
     """Deliberately broken variant: decryption subtracts in truncated
     natural arithmetic.  Does not respect the equivalence; kept as the
     standard negative test for the congruence checker."""
-    if isinstance(t, Nonce):
-        return 0
-    if isinstance(t, MPair):
-        return 1
-    if isinstance(t, Crypt):
-        return freediscrim_truncated(t.body) + 2
-    return max(freediscrim_truncated(t.body) - 2, 0)
+    crypts = []  # per wrapper, outermost first: is it a crypt?
+    while not isinstance(t, (Nonce, MPair)):
+        crypts.append(isinstance(t, Crypt))
+        t = t.body
+    d = 1 if isinstance(t, MPair) else 0
+    for is_crypt in reversed(crypts):  # inside out: the truncation does not commute
+        d = d + 2 if is_crypt else max(d - 2, 0)
+    return d
 
 
 # ---------------------------------------------------------------------------

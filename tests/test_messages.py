@@ -264,6 +264,27 @@ class TestFreeFunctions:
         assert freediscrim(C(3, N(0))) == 2
         assert freediscrim(D(3, N(0))) == -2
 
+    def test_freediscrim_truncated_folds_inside_out(self):
+        assert freediscrim_truncated(C(0, D(0, N(0)))) == 2
+        assert freediscrim_truncated(D(0, C(0, N(0)))) == 0
+        assert freediscrim_truncated(C(1, D(0, D(0, M(N(0), N(1)))))) == 2
+
+    def test_deep_wrapper_chain(self):
+        # 100,000 wrappers, innermost first: five decryptions truncate at 0,
+        # then crypt, crypt, decrypt repeated.  Only the free functions run
+        # on the term: ==, hash and printing would recurse through it.
+        core = M(N(1), N(2))
+        kinds = [D] * 5 + [C, C, D] * 33_331 + [C] * 2
+        t = core
+        for kind in kinds:
+            t = kind(0, t)
+        truncated = 1
+        for kind in kinds:
+            truncated = truncated + 2 if kind is C else max(truncated - 2, 0)
+        assert freeleft(t) is core.left and freeright(t) is core.right
+        assert freediscrim(t) == 1 + 2 * kinds.count(C) - 2 * kinds.count(D)
+        assert freediscrim_truncated(t) == truncated == 2 * 33_331 + 4
+
     @given(term_strategy())
     def test_free_functions_invariant_under_normalize(self, t):
         nf = normalize(t)
