@@ -30,7 +30,7 @@ from .equiv import check_respects2  # kept: bench/ calls or patches this name
 from .errors import ParseError, QuotientError
 from .messages import FreeMsg, normalize
 from .messages import msg_eq  # kept: bench/ calls or patches this name
-from .sexpr import SAtom, SNode, parse_sexpr, parse_term, print_term
+from .sexpr import SAtom, SList, SNode, parse_sexpr, parse_term, print_term
 
 lift1 = lift  # kept: bench/ calls or patches this name
 
@@ -90,13 +90,9 @@ def _resolve_config(args) -> None:
 def _jsonable(x):
     if isinstance(x, FreeMsg):
         return print_term(x)
-    if isinstance(x, Verdict):
-        return str(x)
     if isinstance(x, frozenset):
         return sorted(x)
-    if isinstance(x, tuple):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, list):
+    if isinstance(x, (tuple, list)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
         return {k: _jsonable(v) for k, v in x.items()}
@@ -189,29 +185,44 @@ _RAT_ALGEBRA = ("rational", rationals.rat_from_native, rationals.QRat, {
 
 
 def _evaluate(node: SNode, algebra):
+    """The value of a prefix expression, kept on an explicit stack of open
+    lists.  Entering a list checks its head, operator and arity; each
+    argument's type is checked as soon as that argument has a value."""
     kind, literal, value_type, ops = algebra
-    if isinstance(node, SAtom):
-        if isinstance(node.value, int):
-            return literal(node.value)
-        raise ParseError(f"unknown {kind} atom {node.value!r}", node.offset)
-    if not node.items or not isinstance(node.items[0], SAtom):
-        raise ParseError("expected an operator after '('", node.open_offset)
-    head, args = node.items[0], node.items[1:]
-    op = head.value
-    if op not in ops:
-        raise ParseError(f"unknown {kind} operator {op!r}", head.offset)
-    arity, fn = ops[op]
-    if len(args) != arity:
-        plural = "s" if arity != 1 else ""
-        raise ParseError(f"{op} takes {arity} argument{plural}, got {len(args)}", node.close_offset)
-    values = []
-    for arg in args:
-        value = _evaluate(arg, algebra)
-        if not isinstance(value, value_type):
-            offset = arg.offset if isinstance(arg, SAtom) else arg.open_offset
-            raise ParseError(f"{op} needs {kind} arguments", offset)
-        values.append(value)
-    return fn(*values)
+    stack = []  # per open list: (operator, function, arguments, their values so far)
+    while True:
+        if isinstance(node, SList):
+            if not node.items or not isinstance(node.items[0], SAtom):
+                raise ParseError("expected an operator after '('", node.open_offset)
+            head, args = node.items[0], node.items[1:]
+            op = head.value
+            if op not in ops:
+                raise ParseError(f"unknown {kind} operator {op!r}", head.offset)
+            arity, fn = ops[op]
+            if len(args) != arity:
+                plural = "s" if arity != 1 else ""
+                raise ParseError(f"{op} takes {arity} argument{plural}, got {len(args)}", node.close_offset)
+            stack.append((op, fn, args, []))
+            node = args[0]  # every operator takes at least one argument
+            continue
+        if not isinstance(node.value, int):
+            raise ParseError(f"unknown {kind} atom {node.value!r}", node.offset)
+        value = literal(node.value)
+        # Hand the value up through every list it completes.
+        while stack:
+            op, fn, args, values = stack[-1]
+            if not isinstance(value, value_type):
+                arg = args[len(values)]
+                offset = arg.offset if isinstance(arg, SAtom) else arg.open_offset
+                raise ParseError(f"{op} needs {kind} arguments", offset)
+            values.append(value)
+            if len(values) < len(args):
+                break
+            stack.pop()
+            value = fn(*values)
+        else:
+            return value
+        node = args[len(values)]
 
 
 # ---------------------------------------------------------------------------

@@ -205,9 +205,9 @@ _TEXT = st.one_of(_EXPR, st.lists(st.one_of(_EXPR, _JUNK), max_size=4).map(" ".j
 # Random draws rarely multiply two such integers, so every run does: the
 # 4400-digit product is past the int-to-text limit.
 _PRODUCT = f"(* {'9' * 2200} {'9' * 2200})"
-# The reader takes any depth; a term or expression 100,000 deep then passes
-# the recursion limit of the term builder or evaluator (exit 2), and 5000
-# unclosed parentheses are a parse error.
+# The reader and the evaluator take any depth; a term 100,000 deep then
+# passes the recursion limit of the term builder (exit 2), and 5000 unclosed
+# parentheses are a parse error.
 _DEEP_TERM = "(crypt 0 " * 100_000 + "(nonce 0)" + ")" * 100_000
 _DEEP_EXPR = "(neg " * 100_000 + "1" + ")" * 100_000
 _UNCLOSED = "(" * 5000
@@ -330,6 +330,17 @@ def test_evaluation_error_order(expr, error, offset, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert rc == 2
     assert doc["payload"] == {"error": f"{error} (at offset {offset})", "offset": offset}
+
+
+@pytest.mark.parametrize("command,payload", [
+    ("int-eval", {"value": 1, "pair": [1, 0]}),
+    ("rat-eval", {"num": 1, "den": 1}),
+])
+def test_deep_expression_is_evaluated(command, payload, capsys):
+    rc = cli.main([command, "--json", "--deterministic", "--", _DEEP_EXPR])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["status"] == "ok" and doc["payload"] == payload
 
 
 _STDLIB_PROBE = """
