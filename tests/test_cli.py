@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -125,6 +127,39 @@ def test_text_output_smoke(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "(nonce 5)" in out
+
+
+# Each golden's argv without --json, mapped to [exit code, stdout].
+TEXT_OUTPUTS = json.loads((GOLDEN / "text_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("golden,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_text_bytes(golden, argv, code, capsys):
+    rc = cli.main([a for a in argv if a != "--json"])
+    assert [rc, capsys.readouterr().out] == TEXT_OUTPUTS[golden]
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples() -> list[tuple[list[str], str]]:
+    """(argv, expected stdout) for each `$ quotients ...` paragraph of the
+    README's sh blocks: the command line, then its output lines."""
+    examples = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S):
+        for paragraph in block.split("\n\n"):
+            if paragraph.startswith("$ quotients "):
+                command, _, output = paragraph.partition("\n")
+                examples.append((shlex.split(command)[2:], output.rstrip("\n") + "\n"))
+    return examples
+
+
+def test_readme_examples(capsys):
+    examples = _readme_examples()
+    assert [argv[0] for argv, _ in examples] == ["int-eval", "check"]
+    for argv, expected in examples:
+        cli.main(argv)
+        assert capsys.readouterr().out == expected
 
 
 def test_usage_error_exit_code():
