@@ -75,14 +75,14 @@ def _config_positive(value, what: str) -> int:
 
 def _resolve_config(args) -> None:
     cfg = _load_config()
-    if getattr(args, "budget", ...) is None:
-        args.budget = _config_positive(cfg.get("budget", DEFAULT_BUDGET), "budget")
-    if getattr(args, "bound", ...) is None:
-        args.bound = _config_positive(cfg.get("bound", messages.SAMPLING_BOUND), "bound")
-    if getattr(args, "keys", ...) is None:
-        args.keys = _config_nat_list(cfg.get("keys", list(messages.DEFAULT_KEYS)), "keys")
-    if getattr(args, "nonces", ...) is None:
-        args.nonces = _config_nat_list(cfg.get("nonces", list(messages.DEFAULT_NONCES)), "nonces")
+    for name, default, check in (
+        ("budget", DEFAULT_BUDGET, _config_positive),
+        ("bound", messages.SAMPLING_BOUND, _config_positive),
+        ("keys", list(messages.DEFAULT_KEYS), _config_nat_list),
+        ("nonces", list(messages.DEFAULT_NONCES), _config_nat_list),
+    ):
+        if getattr(args, name, ...) is None:
+            setattr(args, name, check(cfg.get(name, default), name))
     if getattr(args, "budget", 0) > MAX_BUDGET:
         raise QuotientError(f"budget must be at most {MAX_BUDGET}, got {args.budget}")
 
@@ -102,20 +102,21 @@ def _jsonable(x):
 def _report_dict(r: CongruenceReport | EquivalenceReport, name: str) -> dict:
     out = {"name": name, "verdict": str(r.verdict), "checked": r.checked}
     if isinstance(r, CongruenceReport):
-        out["counterexample"] = _jsonable(r.counterexample)
+        out["counterexample"] = r.counterexample
         out["note"] = r.note
     else:
         out["law"] = r.law
-        out["witness"] = _jsonable(r.witness)
+        out["witness"] = r.witness
     return out
 
 
-def _emit(args, status: str, payload, budget_used: int, started: float) -> int:
+def _emit(args, status: str, payload: dict, budget_used: int, started: float) -> int:
     elapsed_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)
+    payload = _jsonable(payload)
     if args.json:
         doc = {
             "status": status,
-            "payload": _jsonable(payload),
+            "payload": payload,
             "budget_used": budget_used,
             "elapsed_ms": elapsed_ms,
         }
@@ -125,23 +126,20 @@ def _emit(args, status: str, payload, budget_used: int, started: float) -> int:
     return _EXIT[status]
 
 
-def _print_text(status: str, payload) -> None:
-    if isinstance(payload, dict) and "results" in payload:
+def _print_text(status: str, payload: dict) -> None:
+    if "results" in payload:
         for item in payload["results"]:
             line = f"{item['name']}: {item['verdict']} (checked {item['checked']})"
             if item.get("counterexample") is not None:
-                line += f" counterexample {_jsonable(item['counterexample'])}"
+                line += f" counterexample {item['counterexample']}"
             if item.get("witness") is not None:
-                line += f" witness {_jsonable(item['witness'])} law {item.get('law')}"
+                line += f" witness {item['witness']} law {item.get('law')}"
             if item.get("note"):
                 line += f" [{item['note']}]"
             print(line)
         print(f"overall: {status}")
-    elif isinstance(payload, dict):
-        parts = [f"{k}={_jsonable(v)}" for k, v in sorted(payload.items())]
-        print(f"{status}: " + " ".join(str(p) for p in parts))
     else:
-        print(f"{status}: {_jsonable(payload)}")
+        print(f"{status}: " + " ".join(f"{k}={v}" for k, v in sorted(payload.items())))
 
 
 def _positive_int(text: str) -> int:
@@ -226,20 +224,20 @@ def _evaluate(node: SNode, algebra):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (status, payload, budget used)
 
-def _cmd_msg_nf(args, started: float) -> int:
+def _cmd_msg_nf(args):
     term = parse_term(args.term)
     nf = normalize(term)
-    return _emit(args, OK, {"normal_form": print_term(nf)}, 0, started)
+    return OK, {"normal_form": print_term(nf)}, 0
 
 
-def _cmd_msg_eq(args, started: float) -> int:
+def _cmd_msg_eq(args):
     lhs, rhs = parse_term(args.lhs), parse_term(args.rhs)
     lnf, rnf = normalize(lhs), normalize(rhs)
     equal = lnf == rnf
     payload = {"equal": equal, "lhs_nf": print_term(lnf), "rhs_nf": print_term(rnf)}
-    return _emit(args, OK if equal else REFUTED, payload, 0, started)
+    return OK if equal else REFUTED, payload, 0
 
 
 _MSG_FNS = {
@@ -250,7 +248,7 @@ _MSG_FNS = {
 }
 
 
-def _cmd_msg_fn(args, started: float) -> int:
+def _cmd_msg_fn(args):
     rmap = _MSG_FNS[args.function]
     term = parse_term(args.term)
     cert = check_respects(rmap, args.budget) if args.strict else None
@@ -258,59 +256,56 @@ def _cmd_msg_fn(args, started: float) -> int:
     result = lifted(messages.msg(term))
     payload = {
         "function": args.function,
-        "result": _jsonable(result),
+        "result": result,
         "certified": lifted.checked,
     }
-    return _emit(args, OK, payload, cert.checked if cert else 0, started)
+    return OK, payload, cert.checked if cert else 0
 
 
-def _cmd_int_eval(args, started: float) -> int:
+def _cmd_int_eval(args):
     value = _evaluate(parse_sexpr(args.expr), _INT_ALGEBRA)
     if isinstance(value, integers.QInt):
-        payload = {"value": integers.to_native(value), "pair": list(value.pair)}
-        return _emit(args, OK, payload, 0, started)
-    if isinstance(value, bool):
-        return _emit(args, OK if value else REFUTED, {"value": value}, 0, started)
-    return _emit(args, OK, {"value": value}, 0, started)
+        return OK, {"value": integers.to_native(value), "pair": list(value.pair)}, 0
+    return REFUTED if value is False else OK, {"value": value}, 0  # le's bool or nat's int
 
 
-def _cmd_rat_eval(args, started: float) -> int:
+def _cmd_rat_eval(args):
     value = _evaluate(parse_sexpr(args.expr), _RAT_ALGEBRA)
-    return _emit(args, OK, {"num": value.num, "den": value.den}, 0, started)
+    return OK, {"num": value.num, "den": value.den}, 0
 
 
-def _run_suite(args) -> list[dict]:
-    budget = args.budget
+def _suite(args) -> list[tuple]:
+    """(check, relation or map, report name) per check of the suite, built
+    per call so that checks patched into this module (bench/spans.py) run."""
     if args.suite == "int-equivalence":
-        return [_report_dict(check_equivalence(integers.intrel, budget), "intrel")]
+        return [(check_equivalence, integers.intrel, "intrel")]
     if args.suite == "int-congruence":
         return [
-            _report_dict(check_respects(integers.NEG_MAP, budget), "neg"),
-            _report_dict(check_respects(integers.NAT_MAP, budget), "nat"),
-            _report_dict(check_respects(integers.ADD_MAP, budget), "add"),
-            _report_dict(check_respects(integers.MUL_MAP, budget), "mul"),
-            _report_dict(respects2_via_commutativity(integers.ADD_MAP, budget), "add/commutative"),
-            _report_dict(respects2_via_commutativity(integers.MUL_MAP, budget), "mul/commutative"),
+            (check_respects, integers.NEG_MAP, "neg"),
+            (check_respects, integers.NAT_MAP, "nat"),
+            (check_respects, integers.ADD_MAP, "add"),
+            (check_respects, integers.MUL_MAP, "mul"),
+            (respects2_via_commutativity, integers.ADD_MAP, "add/commutative"),
+            (respects2_via_commutativity, integers.MUL_MAP, "mul/commutative"),
         ]
     if args.suite == "rat-congruence":
         return [
-            _report_dict(check_respects(rationals.RAT_NEG_MAP, budget), "rat_neg"),
-            _report_dict(check_respects(rationals.RAT_ADD_MAP, budget), "rat_add"),
-            _report_dict(check_respects(rationals.RAT_MUL_MAP, budget), "rat_mul"),
+            (check_respects, rationals.RAT_NEG_MAP, "rat_neg"),
+            (check_respects, rationals.RAT_ADD_MAP, "rat_add"),
+            (check_respects, rationals.RAT_MUL_MAP, "rat_mul"),
         ]
     rel = messages.msg_relation(args.bound, args.keys, args.nonces)
     if args.suite == "msg-equivalence":
-        return [_report_dict(check_equivalence(rel, budget), rel.name)]
-    if args.suite == "msg-congruence":
-        maps = messages.free_maps(rel)
-        if not args.truncated_discrim:
-            del maps["freediscrim_truncated"]
-        return [_report_dict(check_respects(rmap, budget), name) for name, rmap in maps.items()]
-    raise ParseError(f"unknown suite {args.suite!r}", 0)
+        return [(check_equivalence, rel, rel.name)]
+    maps = messages.free_maps(rel)
+    if not args.truncated_discrim:
+        del maps["freediscrim_truncated"]
+    return [(check_respects, rmap, name) for name, rmap in maps.items()]
 
 
-def _cmd_check(args, started: float) -> int:
-    results = _run_suite(args)
+def _cmd_check(args):
+    results = [_report_dict(check(subject, args.budget), name)
+               for check, subject, name in _suite(args)]
     verdicts = {item["verdict"] for item in results}
     if str(Verdict.REFUTED) in verdicts:
         status = REFUTED
@@ -319,10 +314,10 @@ def _cmd_check(args, started: float) -> int:
     else:
         status = OK
     payload = {"suite": args.suite, "results": results}
-    return _emit(args, status, payload, sum(item["checked"] for item in results), started)
+    return status, payload, sum(item["checked"] for item in results)
 
 
-def _cmd_oracle_msgrel(args, started: float) -> int:
+def _cmd_oracle_msgrel(args):
     sizes = [len(c) for c in messages.closure_classes(args.bound, args.keys, args.nonces)]
     payload = {
         "bound": args.bound,
@@ -332,7 +327,7 @@ def _cmd_oracle_msgrel(args, started: float) -> int:
         "classes": len(sizes),
         "pairs": sum(n * n for n in sizes),
     }
-    return _emit(args, OK, payload, 0, started)
+    return OK, payload, 0
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +422,10 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"argument --{name}: expected one argument")
     try:
         _resolve_config(args)
-        return args.handler(args, started)
-    # Stray ValueError (a number past the int-to-text digit limit) and
-    # RecursionError (a very deep term) are unhandled input, not refutation.
+        return _emit(args, *args.handler(args), started)
+    # Stray ValueError (a number past the int-to-text digit limit, met when
+    # the report is written, hence inside the try) and RecursionError (a very
+    # deep term) are unhandled input, not refutation.
     except (QuotientError, ValueError, RecursionError) as exc:
         payload = {"error": str(exc)}
         if isinstance(exc, ParseError):
