@@ -86,15 +86,6 @@ class Decrypt(FreeMsg):
         return hash((1, self.key, self.body))
 
 
-def size(t: FreeMsg) -> int:
-    """Number of constructor nodes."""
-    if isinstance(t, Nonce):
-        return 1
-    if isinstance(t, MPair):
-        return 1 + size(t.left) + size(t.right)
-    return 1 + size(t.body)  # Crypt / Decrypt
-
-
 def well_formed(t) -> bool:
     """Membership in the carrier: a finite term whose nonces and keys are
     naturals (ints, not bools, which would print as names)."""
@@ -141,11 +132,16 @@ def msg_eq(u: FreeMsg, v: FreeMsg) -> bool:
 
 def freenonces(t: FreeMsg) -> frozenset[int]:
     """All nonces in a term; encryption and decryption are transparent."""
-    if isinstance(t, Nonce):
-        return frozenset((t.value,))
-    if isinstance(t, MPair):
-        return freenonces(t.left) | freenonces(t.right)
-    return freenonces(t.body)
+    found, stack = set(), [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Nonce):
+            found.add(t.value)
+        elif isinstance(t, MPair):
+            stack += (t.left, t.right)
+        else:
+            stack.append(t.body)
+    return frozenset(found)
 
 
 def freeleft(t: FreeMsg) -> FreeMsg:

@@ -1,9 +1,9 @@
 """Reference implementations the message tests compare against.
 
-An outermost rewriting strategy and a redex-free test, a naive
-round-by-round rule closure, the closure as an explicit pair set, and an
-eager sort of every related pair on a recursive term key, each independent
-of the engine it checks in `quotients.messages`.
+A term-size count, an outermost rewriting strategy and a redex-free test,
+a naive round-by-round rule closure, the closure as an explicit pair set,
+and an eager sort of every related pair on a recursive term key, each
+independent of the engine it checks in `quotients.messages`.
 """
 
 from __future__ import annotations
@@ -21,8 +21,16 @@ from quotients.messages import (
     _domains,
     closure_classes,
     enumerate_terms,
-    size,
 )
+
+
+def size(t: FreeMsg) -> int:
+    """Number of constructor nodes."""
+    if isinstance(t, Nonce):
+        return 1
+    if isinstance(t, MPair):
+        return 1 + size(t.left) + size(t.right)
+    return 1 + size(t.body)  # Crypt / Decrypt
 
 
 def term_key(t: FreeMsg):

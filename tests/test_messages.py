@@ -13,6 +13,7 @@ from msg_oracles import (
     is_normal,
     normalize_outermost,
     rule_instances,
+    size,
     sorted_pairs_naive,
 )
 from quotients import messages
@@ -59,7 +60,6 @@ from quotients.messages import (
     nonces,
     normalize,
     right,
-    size,
     universe_size,
 )
 from quotients.sexpr import parse_term, print_term
@@ -284,6 +284,18 @@ class TestFreeFunctions:
         assert freeleft(t) is core.left and freeright(t) is core.right
         assert freediscrim(t) == 1 + 2 * kinds.count(C) - 2 * kinds.count(D)
         assert freediscrim_truncated(t) == truncated == 2 * 33_331 + 4
+
+    def test_deep_freenonces(self):
+        # A 100,000-deep crypt chain and a 100,000-deep left-nested pair
+        # spine, built in loops; ==, hash and printing would recurse.
+        chain = N(7)
+        for _ in range(100_000):
+            chain = C(0, chain)
+        spine = N(0)
+        for i in range(1, 100_001):
+            spine = M(spine, N(i))
+        assert freenonces(chain) == frozenset({7})
+        assert freenonces(spine) == frozenset(range(100_001))
 
     @given(term_strategy())
     def test_free_functions_invariant_under_normalize(self, t):
