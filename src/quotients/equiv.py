@@ -276,8 +276,9 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     When `f` is commutative (up to the target equality) and respects the
     relation in its first argument, it respects it in both.  If the
     commutativity probe fails, this falls back to the full two-argument
-    check and says so in the report's note.  Requires a two-argument map
-    whose source relations are the same relation.
+    check on the rest of the budget and says so in the report's note.
+    Requires a two-argument map whose source relations are the same
+    relation.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -297,7 +298,8 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     swaps = itertools.islice(itertools.product(elems, repeat=2), max(1, budget // 2))
     for checked, (a, b) in enumerate(swaps, 1):
         if not m.target_eq(f(a, b), f(b, a)):
-            full = check_respects(m, budget)
+            left = budget - checked
+            full = check_respects(m, left) if left else CongruenceReport(Verdict.NO_SAMPLES, 0)
             note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
             return CongruenceReport(full.verdict, checked + full.checked, full.counterexample, note)
 

@@ -153,7 +153,7 @@ def respects2_via_commutativity(m: RespectMap, budget: int) -> CongruenceReport:
             break
         checked += 1
         if not m.target_eq(f(a, b), f(b, a)):
-            full = check_respects(m, budget)
+            full = check_respects(m, budget - checked)
             note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
             return CongruenceReport(full.verdict, checked + full.checked, full.counterexample, note)
 
