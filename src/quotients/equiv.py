@@ -298,8 +298,8 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     swaps = itertools.islice(itertools.product(elems, repeat=2), max(1, budget // 2))
     for checked, (a, b) in enumerate(swaps, 1):
         if not m.target_eq(f(a, b), f(b, a)):
-            left = budget - checked
-            full = check_respects(m, left) if left else CongruenceReport(Verdict.NO_SAMPLES, 0)
+            rest = budget - checked
+            full = check_respects(m, rest) if rest else CongruenceReport(Verdict.NO_SAMPLES, 0)
             note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
             return CongruenceReport(full.verdict, checked + full.checked, full.counterexample, note)
 
