@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import sexpr_oracle
 from conftest import term_strategy
@@ -96,6 +96,91 @@ def _read(reader, text):
 @given(st.lists(st.sampled_from(_PIECES), max_size=30).map("".join))
 def test_reader_matches_oracle(text):
     assert _read(parse_sexpr, text) == _read(sexpr_oracle.parse_sexpr, text)
+
+
+def _flat(t):
+    """A term as its preorder list of (class, key or value), built without
+    recursion, so comparing two of them never recurses."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        if type(t) is Nonce:
+            out.append((Nonce, t.value))
+        elif type(t) is MPair:
+            out.append((MPair, None))
+            stack += (t.right, t.left)
+        else:
+            out.append((type(t), t.key))
+            stack.append(t.body)
+    return out
+
+
+def _read_term(reader, text):
+    try:
+        return _flat(reader(text))
+    except ParseError as exc:
+        return ("ParseError", str(exc), exc.offset)
+
+
+# Term-grammar texts: near-terms whose keys and nonces are numerals of any
+# kind, names or lists, and whose lists may have any head (unknown names,
+# numerals, lists) and any argument count; any whitespace separates.  Edits
+# add or drop a parenthesis or a second form, so shape errors come before,
+# after or without a syntax error.
+_NUMERALS = ["0", "1", "+3", "-0", "\u0663", "1_0", "-1", "\u00b2", "7" * 4301, "x", "()"]
+_TERM_HEADS = ["nonce", "mpair", "crypt", "decrypt", "seal", "Nonce", "1", "+3", "()", ""]
+_WHITESPACE = [" ", "\t", "\n", "\x1c", "\x85", "\u3000"]
+_NUMERAL = st.sampled_from(_NUMERALS)
+_NEAR_TERM = st.recursive(
+    st.one_of(_NUMERAL.map("(nonce {})".format), _NUMERAL),
+    lambda sub: st.one_of(
+        st.tuples(sub, sub).map(lambda p: f"(mpair {p[0]} {p[1]})"),
+        st.tuples(st.sampled_from(["crypt", "decrypt"]), _NUMERAL, sub).map(
+            lambda p: f"({p[0]} {p[1]} {p[2]})"),
+        st.tuples(st.sampled_from(_TERM_HEADS), st.lists(sub, max_size=3)).map(
+            lambda p: "(" + " ".join((p[0], *p[1])) + ")"),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def _term_texts(draw):
+    text = draw(st.one_of(_NEAR_TERM, term_strategy().map(print_term)))
+    edit = draw(st.sampled_from(["none", "none", "none", "close", "open", "drop", "second", "insert"]))
+    if edit == "close":
+        text += ")"
+    elif edit == "open":
+        text = "(" + text
+    elif edit == "drop":
+        text = text[:-1]
+    elif edit == "second":
+        text += " " + draw(_NEAR_TERM)
+    elif edit == "insert":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(["(", ")", " x "])) + text[at:]
+    return text.replace(" ", draw(st.sampled_from(_WHITESPACE)))
+
+
+_TERM_PIECES = ["(", ")", " ", "\u3000", "nonce", "mpair", "crypt", "decrypt", "seal", "()",
+                "+3", "-1", "\u0663", "1_0", "7" * 4301, "0", "1"]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(_term_texts(), st.lists(st.sampled_from(_TERM_PIECES), max_size=30).map("".join)))
+@example("(seal 1))")  # a shape error, then a syntax error: the syntax error wins
+@example("(mpair (nonce -1) (seal)) (")
+@example("(crypt (nonce 1) (seal 2))")  # a list as key: the error is at its '('
+@example("(nonce\u3000 (mpair))")
+@example("(decrypt 1 nonce)")
+@example("(mpair (nonce 1) (crypt -2 (seal)))")
+@example("(crypt 1_0 (nonce +3))")
+@example("(nonce \u0663)")
+@example(f"(nonce {'7' * 4301})")
+@example("()")
+@example("(1 (nonce 0))")
+def test_parse_term_matches_oracle(text):
+    assert _read_term(parse_term, text) == _read_term(sexpr_oracle.parse_term, text)
 
 
 def test_regex_whitespace_is_isspace():
