@@ -1,10 +1,20 @@
 """S-expression reading and printing for terms and prefix expressions.
 
-One small reader serves both the message-term grammar and the arithmetic
-expression grammars: it produces a generic node tree with source offsets,
-and `parse_term` layers the constructor/arity checks for message terms on
-top.  Reading is one regex and one loop over its tokens with an explicit
-stack of open lists, so nesting depth is not bounded by recursion.
+One reading loop, `_read`, serves both the message-term grammar and the
+arithmetic expression grammars.  It is one regex and one loop over its
+tokens with an explicit stack of open lists, so nesting depth is not
+bounded by recursion; it raises the four syntax errors and hands each atom
+and each closed list to a builder.  Two pairs of builders use it:
+
+* `parse_sexpr` builds a generic `SAtom`/`SList` tree with source offsets,
+  which the CLI's expression evaluator walks.
+* `parse_term` builds message terms directly, each as its `)` is read.  A
+  closed list becomes its term or the first `ParseError` of its subtree,
+  carried as a value: first in the order of the node's own head,
+  constructor, arity and key or value, then its children left to right.
+  The error is raised only once the whole text is read, so a syntax error
+  anywhere in the text wins over a shape error.
+
 Offsets are 0-based character offsets into the input (for the ASCII
 grammar these coincide with byte offsets).
 """
@@ -13,6 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .errors import ParseError
 from .messages import Crypt, Decrypt, FreeMsg, MPair, Nonce
@@ -38,87 +49,134 @@ SNode = SAtom | SList
 _TOKEN = re.compile(r"[()]|[^\s()]+")
 
 
-def _atom(token: str, offset: int) -> SAtom:
+def _value(token: str) -> int | str:
     # Only a token that starts, after its signs, with a decimal digit can be
     # an int; a numeral past the int-to-text digit limit stays a name.
     if token.lstrip("+-")[:1].isdecimal():
         try:
-            return SAtom(int(token), offset)
+            return int(token)
         except ValueError:
             pass
-    return SAtom(token, offset)
+    return token
+
+
+def _read(text: str, atom, close):
+    """Read exactly one s-expression; anything trailing is an error.  Each
+    atom becomes `atom(token, offset)` and each list, as its `)` is read,
+    `close(items, open_offset, close_offset)` of the values of its items."""
+    stack = []  # the lists around the innermost open one, as (open offset, items)
+    items = top = []  # the innermost open list's items; top holds the result
+    for match in _TOKEN.finditer(text):
+        token = match[0]
+        if token == ")":
+            if not stack:
+                problem = "trailing input after expression" if top else "unexpected closing parenthesis"
+                raise ParseError(problem, match.start())
+            open_offset, outer = stack.pop()
+            outer.append(close(items, open_offset, match.start()))
+            items = outer
+            continue
+        if items is top and top:
+            raise ParseError("trailing input after expression", match.start())
+        if token == "(":
+            stack.append((match.start(), items))
+            items = []
+        else:
+            items.append(atom(token, match.start()))
+    if stack:
+        raise ParseError("missing closing parenthesis", len(text))
+    if not top:
+        raise ParseError("unexpected end of input", len(text))
+    return top[0]
+
+
+def _sexpr_atom(token: str, offset: int) -> SAtom:
+    return SAtom(_value(token), offset)
+
+
+def _sexpr_list(items: list, open_offset: int, close_offset: int) -> SList:
+    return SList(tuple(items), open_offset, close_offset)
 
 
 def parse_sexpr(text: str) -> SNode:
     """Parse exactly one s-expression; anything trailing is an error."""
-    stack = []  # the open lists, innermost last, as (open offset, items)
-    node = None
-    for match in _TOKEN.finditer(text):
-        token, offset = match[0], match.start()
-        if node is not None:
-            raise ParseError("trailing input after expression", offset)
-        if token == "(":
-            stack.append((offset, []))
-            continue
-        if token == ")":
-            if not stack:
-                raise ParseError("unexpected closing parenthesis", offset)
-            open_offset, items = stack.pop()
-            done = SList(tuple(items), open_offset, offset)
-        else:
-            done = _atom(token, offset)
-        if stack:
-            stack[-1][1].append(done)
-        else:
-            node = done
-    if stack:
-        raise ParseError("missing closing parenthesis", len(text))
-    if node is None:
-        raise ParseError("unexpected end of input", len(text))
-    return node
+    return _read(text, _sexpr_atom, _sexpr_list)
 
+
+# ---------------------------------------------------------------------------
+# Message terms.  An atom is kept as its (token, offset) pair; its value is
+# read only where the grammar asks for a number or an error names it.
 
 _TERM_ARITY = {"nonce": 1, "mpair": 2, "crypt": 2, "decrypt": 2}
 
 
-def _require_nat(node: SNode, what: str) -> int:
-    if not isinstance(node, SAtom) or not isinstance(node.value, int):
-        offset = node.offset if isinstance(node, SAtom) else node.open_offset
-        raise ParseError(f"{what} must be a natural number", offset)
-    if node.value < 0:
-        raise ParseError(f"{what} must be a natural number, got {node.value}", node.offset)
-    return node.value
+def _term_atom(token: str, offset: int) -> tuple[str, int]:
+    return token, offset
 
 
-def _term_of(node: SNode) -> FreeMsg:
-    if isinstance(node, SAtom):
-        raise ParseError(f"expected a term, got atom {node.value!r}", node.offset)
-    if not node.items or not isinstance(node.items[0], SAtom) or not isinstance(node.items[0].value, str):
-        raise ParseError("expected a constructor name after '('", node.open_offset)
-    head = node.items[0]
-    name = head.value
+def _subterm_error(item) -> ParseError | None:
+    """None for a term in term position, else its error: the first error of
+    a list, or an atom's."""
+    if isinstance(item, FreeMsg):
+        return None
+    if type(item) is tuple:
+        return ParseError(f"expected a term, got atom {_value(item[0])!r}", item[1])
+    return item
+
+
+def _nat(text: str, head: tuple[str, int], item, what: str) -> int | ParseError:
+    """The natural number in the position after `head`, or its error."""
+    if type(item) is not tuple:
+        # A list: the error is at its '(', the first token after the head.
+        name, offset = head
+        return ParseError(f"{what} must be a natural number", _TOKEN.search(text, offset + len(name)).start())
+    value = _value(item[0])
+    if type(value) is not int:
+        return ParseError(f"{what} must be a natural number", item[1])
+    if value < 0:
+        return ParseError(f"{what} must be a natural number, got {value}", item[1])
+    return value
+
+
+def _term_list(text: str, items: list, open_offset: int, close_offset: int) -> FreeMsg | ParseError:
+    """A closed list of the term grammar: its term, or the first error of
+    its subtree."""
+    head = items[0] if items else None
+    name = head[0] if type(head) is tuple else None
     arity = _TERM_ARITY.get(name)
     if arity is None:
-        raise ParseError(f"unknown constructor {name!r}", head.offset)
-    args = node.items[1:]
-    if len(args) != arity:
-        raise ParseError(
-            f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(args)}",
-            node.close_offset,
+        if name is not None and type(_value(name)) is str:
+            return ParseError(f"unknown constructor {name!r}", head[1])
+        return ParseError("expected a constructor name after '('", open_offset)
+    if len(items) != arity + 1:
+        return ParseError(
+            f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(items) - 1}",
+            close_offset,
         )
-    if name == "nonce":
-        return Nonce(_require_nat(args[0], "nonce"))
     if name == "mpair":
-        return MPair(_term_of(args[0]), _term_of(args[1]))
-    if name == "crypt":
-        return Crypt(_require_nat(args[0], "key"), _term_of(args[1]))
-    return Decrypt(_require_nat(args[0], "key"), _term_of(args[1]))
+        left, right = items[1], items[2]
+        if isinstance(left, FreeMsg) and isinstance(right, FreeMsg):
+            return MPair(left, right)
+        return _subterm_error(left) or _subterm_error(right)
+    key = _nat(text, head, items[1], "nonce" if name == "nonce" else "key")
+    if type(key) is not int:
+        return key
+    if name == "nonce":
+        return Nonce(key)
+    body = items[2]
+    if not isinstance(body, FreeMsg):
+        return _subterm_error(body)
+    return (Crypt if name == "crypt" else Decrypt)(key, body)
 
 
 def parse_term(text: str) -> FreeMsg:
     """Parse a message term: (nonce N) | (mpair T T) | (crypt K T) |
     (decrypt K T), whitespace-insensitive."""
-    return _term_of(parse_sexpr(text))
+    node = _read(text, _term_atom, partial(_term_list, text))
+    error = _subterm_error(node)
+    if error is not None:
+        raise error
+    return node
 
 
 def print_term(t: FreeMsg) -> str:

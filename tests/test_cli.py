@@ -240,8 +240,8 @@ _TEXT = st.one_of(_EXPR, st.lists(st.one_of(_EXPR, _JUNK), max_size=4).map(" ".j
 # Random draws rarely multiply two such integers, so every run does: the
 # 4400-digit product is past the int-to-text limit.
 _PRODUCT = f"(* {'9' * 2200} {'9' * 2200})"
-# The reader and the evaluator take any depth; a term 100,000 deep then
-# passes the recursion limit of the term builder (exit 2), and 5000 unclosed
+# The readers and the evaluator take any depth; a term 100,000 deep then
+# passes the recursion limit of normalize (exit 2), and 5000 unclosed
 # parentheses are a parse error.
 _DEEP_TERM = "(crypt 0 " * 100_000 + "(nonce 0)" + ")" * 100_000
 _DEEP_EXPR = "(neg " * 100_000 + "1" + ")" * 100_000

@@ -203,6 +203,23 @@ def test_deep_nesting_is_read():
     assert (node.value, node.offset) == ("x", depth)
 
 
+def test_deep_terms_are_read():
+    # A 100,000-deep crypt chain and a 100,000-deep left-nested pair spine;
+    # the results are walked by hand, since print_term recurses.
+    depth = 100_000
+    chain = parse_term("(crypt 1 " * depth + "(nonce 7)" + ")" * depth)
+    for _ in range(depth):
+        assert type(chain) is Crypt and chain.key == 1
+        chain = chain.body
+    assert type(chain) is Nonce and chain.value == 7
+    spine = parse_term("(mpair " * depth + "(nonce 0)"
+                       + "".join(f" (nonce {i}))" for i in range(1, depth + 1)))
+    for i in range(depth, 0, -1):
+        assert type(spine) is MPair and type(spine.right) is Nonce and spine.right.value == i
+        spine = spine.left
+    assert type(spine) is Nonce and spine.value == 0
+
+
 def test_deep_malformed_input_is_a_parse_error():
     text = "(" * 5000
     with pytest.raises(ParseError) as exc:
