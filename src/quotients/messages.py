@@ -46,12 +46,36 @@ class FreeMsg:
 
     __slots__ = ()
 
+    def __eq__(self, other):
+        # Structural equality, walked with an explicit stack so that term
+        # depth is not bounded by recursion.
+        if type(other) is not type(self):
+            return NotImplemented
+        stack = [(self, other)]
+        while stack:
+            u, v = stack.pop()
+            if u is v:
+                continue
+            if type(u) is not type(v) or not isinstance(u, FreeMsg):
+                if u != v:
+                    return False
+            elif type(u) is MPair:
+                stack += ((u.right, v.right), (u.left, v.left))
+            elif type(u) is Nonce:
+                if u.value != v.value:
+                    return False
+            elif u.key != v.key:
+                return False
+            else:
+                stack.append((u.body, v.body))
+        return True
+
 
 # Each term hashes with its constructor's tag (0 crypt, 1 decrypt, 2 mpair,
 # 3 nonce, as in `_Universe`).  The generated dataclass hash leaves the class
 # out, so Crypt(k, x) and Decrypt(k, x) would collide, and collisions would
-# double with every wrapper level.
-@dataclass(frozen=True)
+# double with every wrapper level.  Equality is FreeMsg's.
+@dataclass(frozen=True, eq=False)
 class Nonce(FreeMsg):
     value: int
 
@@ -59,7 +83,7 @@ class Nonce(FreeMsg):
         return hash((3, self.value))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MPair(FreeMsg):
     left: FreeMsg
     right: FreeMsg
@@ -68,7 +92,7 @@ class MPair(FreeMsg):
         return hash((2, self.left, self.right))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Crypt(FreeMsg):
     key: int
     body: FreeMsg
@@ -77,7 +101,7 @@ class Crypt(FreeMsg):
         return hash((0, self.key, self.body))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Decrypt(FreeMsg):
     key: int
     body: FreeMsg
@@ -105,21 +129,24 @@ def normalize(t: FreeMsg) -> FreeMsg:
     """Innermost (leftmost) reduction to the unique redex-free form.
 
     Children are normalized first; a root redex then contracts to an
-    already-normal subterm, so one root check suffices.
+    already-normal subterm, so one root check suffices.  A term none of
+    whose children changed, with no root redex, is returned itself.
     """
     if isinstance(t, Nonce):
         return t
     if isinstance(t, MPair):
-        return MPair(normalize(t.left), normalize(t.right))
+        left, right = normalize(t.left), normalize(t.right)
+        if left is t.left and right is t.right:
+            return t
+        return MPair(left, right)
+    body = normalize(t.body)
     if isinstance(t, Crypt):
-        body = normalize(t.body)
         if isinstance(body, Decrypt) and body.key == t.key:
             return body.body
-        return Crypt(t.key, body)
-    body = normalize(t.body)
+        return t if body is t.body else Crypt(t.key, body)
     if isinstance(body, Crypt) and body.key == t.key:
         return body.body
-    return Decrypt(t.key, body)
+    return t if body is t.body else Decrypt(t.key, body)
 
 
 def msg_eq(u: FreeMsg, v: FreeMsg) -> bool:

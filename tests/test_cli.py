@@ -378,6 +378,15 @@ def test_deep_expression_is_evaluated(command, payload, capsys):
     assert doc["status"] == "ok" and doc["payload"] == payload
 
 
+def test_deep_terms_are_compared(capsys):
+    # 600 deep: the generated dataclass == passed the recursion limit near 340.
+    term = "(crypt 0 " * 600 + "(nonce 0)" + ")" * 600
+    rc = cli.main(["msg-eq", "--json", "--", term, term])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert doc["status"] == "ok" and doc["payload"]["equal"] is True
+
+
 _STDLIB_PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])

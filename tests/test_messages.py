@@ -85,6 +85,10 @@ class TestNormalize:
         assert is_normal(nf)
         assert size(nf) <= size(t)
 
+    @given(term_strategy().filter(is_normal))
+    def test_normal_term_is_kept(self, t):
+        assert normalize(t) is t
+
     @given(term_strategy())
     def test_strategy_independence(self, t):
         assert normalize(t) == normalize_outermost(t)
@@ -160,6 +164,31 @@ class TestTermHash:
         copy = parse_term(print_term(t))
         assert copy == t and copy is not t
         assert hash(copy) == hash(t)
+
+
+class TestTermEq:
+    @given(term_strategy(), term_strategy())
+    def test_eq_is_structural(self, u, v):
+        same = print_term(u) == print_term(v)
+        assert (u == v) is same and (u != v) is not same
+        copy = parse_term(print_term(u))
+        assert copy == u and not copy != u
+
+    def test_other_types_are_unequal(self):
+        assert N(1) != C(1, N(1)) and M(N(1), N(1)) != D(1, N(1))
+        assert N(1) != 1 and not N(1) == (3, 1)
+
+    def test_deep_chains(self):
+        # Two 100,000-deep crypt chains built apart, and a third whose
+        # innermost key differs; the generated dataclass == recursed.
+        def chain(inner_key):
+            t = C(inner_key, N(7))
+            for _ in range(100_000):
+                t = C(0, t)
+            return t
+        u, v, w = chain(0), chain(0), chain(1)
+        assert u == v and not u != v
+        assert u != w and not u == w
 
 
 class TestClosureOracle:
