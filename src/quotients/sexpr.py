@@ -64,14 +64,17 @@ def _read(text: str, atom, close):
     """Read exactly one s-expression; anything trailing is an error.  Each
     atom becomes `atom(token, offset)` and each list, as its `)` is read,
     `close(items, open_offset, close_offset)` of the values of its items."""
-    stack = []  # the lists around the innermost open one, as (open offset, items)
-    items = top = []  # the innermost open list's items; top holds the result
+    # Per open list, innermost last: its open offset and the items of the
+    # list around it.  `items` are the innermost open list's; `top` holds
+    # the result.
+    stack = []
+    items = top = []
     for match in _TOKEN.finditer(text):
         token = match[0]
         if token == ")":
             if not stack:
-                problem = "trailing input after expression" if top else "unexpected closing parenthesis"
-                raise ParseError(problem, match.start())
+                raise ParseError("trailing input after expression" if top
+                                 else "unexpected closing parenthesis", match.start())
             open_offset, outer = stack.pop()
             outer.append(close(items, open_offset, match.start()))
             items = outer
@@ -129,7 +132,8 @@ def _nat(text: str, head: tuple[str, int], item, what: str) -> int | ParseError:
     if type(item) is not tuple:
         # A list: the error is at its '(', the first token after the head.
         name, offset = head
-        return ParseError(f"{what} must be a natural number", _TOKEN.search(text, offset + len(name)).start())
+        offset = _TOKEN.search(text, offset + len(name)).start()
+        return ParseError(f"{what} must be a natural number", offset)
     value = _value(item[0])
     if type(value) is not int:
         return ParseError(f"{what} must be a natural number", item[1])

@@ -147,7 +147,8 @@ _NEAR_TERM = st.recursive(
 @st.composite
 def _term_texts(draw):
     text = draw(st.one_of(_NEAR_TERM, term_strategy().map(print_term)))
-    edit = draw(st.sampled_from(["none", "none", "none", "close", "open", "drop", "second", "insert"]))
+    edit = draw(st.sampled_from(
+        ["none", "none", "none", "close", "open", "drop", "second", "insert"]))
     if edit == "close":
         text += ")"
     elif edit == "open":
