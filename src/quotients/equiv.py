@@ -11,19 +11,66 @@ Nothing in this module proves anything: a ``certified`` verdict means "no
 counterexample among the first `budget` generated cases", and every
 ``refuted`` verdict carries a counterexample that can be re-checked from
 scratch.
+
+The relations, maps, reports and class values here, and the message terms
+and s-expression nodes elsewhere in the package, are :class:`Record` values:
+plain classes that declare their fields as ``__slots__`` and set them in an
+explicit ``__init__``.  The base makes them immutable (assigning or deleting
+a field raises ``AttributeError``), gives them a ``Name(field=value, ...)``
+repr over the fields, equality and hashing by type and field tuple, and a
+``__reduce__`` that rebuilds through the constructor, so ``copy`` and
+``pickle`` work.  A class that defines its own equality or hash keeps it.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from .errors import DomainError, RelationMismatchError, UncertifiedLiftError
 
 T = TypeVar("T")
 D = TypeVar("D")
+
+
+_set = object.__setattr__  # how a Record's __init__ sets its fields
+
+
+class Record:
+    """Base of the package's immutable records; see the module docstring.
+    `_fields` are the slots of the class and its bases, bases first."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class Verdict(str, enum.Enum):
@@ -35,8 +82,7 @@ class Verdict(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class EquivRelation(Generic[T]):
+class EquivRelation(Record, Generic[T]):
     """An executable equivalence relation on a carrier set.
 
     `decider` answers whether two carrier elements are related, `carrier`
@@ -46,11 +92,16 @@ class EquivRelation(Generic[T]):
     the distinguished representative of its class.
     """
 
-    name: str
-    decider: Callable[[T, T], bool]
-    carrier: Callable[[T], bool]
-    related_pairs: Callable[[int], Sequence[tuple[T, T]]]
-    canonicalize: Callable[[T], T] | None = None
+    __slots__ = ("name", "decider", "carrier", "related_pairs", "canonicalize")
+
+    def __init__(self, name: str, decider: Callable[[T, T], bool], carrier: Callable[[T], bool],
+                 related_pairs: Callable[[int], Sequence[tuple[T, T]]],
+                 canonicalize: Callable[[T], T] | None = None) -> None:
+        _set(self, "name", name)
+        _set(self, "decider", decider)
+        _set(self, "carrier", carrier)
+        _set(self, "related_pairs", related_pairs)
+        _set(self, "canonicalize", canonicalize)
 
     def __repr__(self) -> str:
         return f"EquivRelation({self.name!r})"
@@ -59,8 +110,7 @@ class EquivRelation(Generic[T]):
         return self is other or (self.name == other.name and self.decider == other.decider)
 
 
-@dataclass(frozen=True)
-class EquivClass(Generic[T]):
+class EquivClass(Record, Generic[T]):
     """One equivalence class, held as a single stored representative.
 
     Two class values of the same type over the same relation compare equal
@@ -70,8 +120,11 @@ class EquivClass(Generic[T]):
     hashing) reduce to plain representative comparison.
     """
 
-    representative: T
-    relation: EquivRelation[T] = field(repr=False)
+    __slots__ = ("representative", "relation")
+
+    def __init__(self, representative: T, relation: EquivRelation[T]) -> None:
+        _set(self, "representative", representative)
+        _set(self, "relation", relation)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -89,8 +142,7 @@ class EquivClass(Generic[T]):
         return f"[{self.representative!r}]/{self.relation.name}"
 
 
-@dataclass(frozen=True)
-class RespectMap(Generic[D]):
+class RespectMap(Record, Generic[D]):
     """A candidate function on representatives, with one source relation
     per argument and its target equality.
 
@@ -99,14 +151,17 @@ class RespectMap(Generic[D]):
     quotient.
     """
 
-    function: Callable[..., D]
-    sources: tuple[EquivRelation, ...]
-    target_eq: Callable[[D, D], bool]
-    name: str = ""
+    __slots__ = ("function", "sources", "target_eq", "name")
+
+    def __init__(self, function: Callable[..., D], sources: tuple[EquivRelation, ...],
+                 target_eq: Callable[[D, D], bool], name: str = "") -> None:
+        _set(self, "function", function)
+        _set(self, "sources", sources)
+        _set(self, "target_eq", target_eq)
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class CongruenceReport:
+class CongruenceReport(Record):
     """Outcome of a bounded congruence check.
 
     `checked` is the number of cases actually examined (the generator may
@@ -115,28 +170,35 @@ class CongruenceReport:
     the target equality fails on the images.
     """
 
-    verdict: Verdict
-    checked: int
-    counterexample: tuple | None = None
-    note: str | None = None
+    __slots__ = ("verdict", "checked", "counterexample", "note")
+
+    def __init__(self, verdict: Verdict, checked: int, counterexample: tuple | None = None,
+                 note: str | None = None) -> None:
+        _set(self, "verdict", verdict)
+        _set(self, "checked", checked)
+        _set(self, "counterexample", counterexample)
+        _set(self, "note", note)
 
     @property
     def certified(self) -> bool:
         return self.verdict is Verdict.CERTIFIED
 
 
-@dataclass(frozen=True)
-class EquivalenceReport(Generic[T]):
+class EquivalenceReport(Record, Generic[T]):
     """Outcome of checking that a relation is an equivalence relation.
 
     On refutation, `law` names the violated property and `witness` is the
     offending tuple of elements.
     """
 
-    verdict: Verdict
-    checked: int
-    law: str | None = None
-    witness: tuple | None = None
+    __slots__ = ("verdict", "checked", "law", "witness")
+
+    def __init__(self, verdict: Verdict, checked: int, law: str | None = None,
+                 witness: tuple | None = None) -> None:
+        _set(self, "verdict", verdict)
+        _set(self, "checked", checked)
+        _set(self, "law", law)
+        _set(self, "witness", witness)
 
     @property
     def certified(self) -> bool:
@@ -312,8 +374,7 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     )
 
 
-@dataclass(frozen=True)
-class LiftedFunction(Generic[D]):
+class LiftedFunction(Record, Generic[D]):
     """A function on class values, obtained by applying the underlying map
     to the stored representatives.
 
@@ -322,9 +383,13 @@ class LiftedFunction(Generic[D]):
     flagged here.
     """
 
-    map: RespectMap[D]
-    certificate: CongruenceReport | None
-    checked: bool
+    __slots__ = ("map", "certificate", "checked")
+
+    def __init__(self, map: RespectMap[D], certificate: CongruenceReport | None,
+                 checked: bool) -> None:
+        _set(self, "map", map)
+        _set(self, "certificate", certificate)
+        _set(self, "checked", checked)
 
     def __call__(self, *classes: EquivClass) -> D:
         return operation(self.map)(*classes)

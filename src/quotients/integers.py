@@ -70,6 +70,8 @@ intrel: EquivRelation[IntPair] = EquivRelation(
 class QInt(EquivClass[IntPair]):
     """An integer as a canonically-stored equivalence class of IntPairs."""
 
+    __slots__ = ()
+
     @property
     def pair(self) -> IntPair:
         return self.representative

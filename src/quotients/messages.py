@@ -33,15 +33,17 @@ import bisect
 import itertools
 import operator
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .equiv import EquivClass, EquivRelation, RespectMap, class_of, operation
+from .equiv import EquivClass, EquivRelation, Record, RespectMap, class_of, operation
 from .errors import UniverseTooLargeError
 
 
-class FreeMsg:
+_set = object.__setattr__  # how a Record's __init__ sets its fields
+
+
+class FreeMsg(Record):
     """Base of the free message terms."""
 
     __slots__ = ()
@@ -72,39 +74,50 @@ class FreeMsg:
 
 
 # Each term hashes with its constructor's tag (0 crypt, 1 decrypt, 2 mpair,
-# 3 nonce, as in `_Universe`).  The generated dataclass hash leaves the class
-# out, so Crypt(k, x) and Decrypt(k, x) would collide, and collisions would
-# double with every wrapper level.  Equality is FreeMsg's.
-@dataclass(frozen=True, eq=False)
+# 3 nonce, as in `_Universe`), so Crypt(k, x) and Decrypt(k, x) differ in
+# hash as well as in equality.  A hash over the fields alone would make them
+# collide, and collisions would double with every wrapper level.  The hash is
+# computed on each call: most terms are built and never hashed, so storing
+# it at construction costs more than it saves.  Equality is FreeMsg's; the
+# rest (immutability, repr, copy and pickle) is Record's.
 class Nonce(FreeMsg):
-    value: int
+    __slots__ = ("value",)
+
+    def __init__(self, value: int) -> None:
+        _set(self, "value", value)
 
     def __hash__(self) -> int:
         return hash((3, self.value))
 
 
-@dataclass(frozen=True, eq=False)
 class MPair(FreeMsg):
-    left: FreeMsg
-    right: FreeMsg
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: FreeMsg, right: FreeMsg) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
 
     def __hash__(self) -> int:
         return hash((2, self.left, self.right))
 
 
-@dataclass(frozen=True, eq=False)
 class Crypt(FreeMsg):
-    key: int
-    body: FreeMsg
+    __slots__ = ("key", "body")
+
+    def __init__(self, key: int, body: FreeMsg) -> None:
+        _set(self, "key", key)
+        _set(self, "body", body)
 
     def __hash__(self) -> int:
         return hash((0, self.key, self.body))
 
 
-@dataclass(frozen=True, eq=False)
 class Decrypt(FreeMsg):
-    key: int
-    body: FreeMsg
+    __slots__ = ("key", "body")
+
+    def __init__(self, key: int, body: FreeMsg) -> None:
+        _set(self, "key", key)
+        _set(self, "body", body)
 
     def __hash__(self) -> int:
         return hash((1, self.key, self.body))
@@ -500,6 +513,8 @@ def decrypt_map(k: int) -> RespectMap:
 
 class Msg(EquivClass[FreeMsg]):
     """A message modulo the cancellation equations, stored in normal form."""
+
+    __slots__ = ()
 
     @property
     def rep(self) -> FreeMsg:

@@ -81,6 +81,8 @@ ratrel: EquivRelation[RatPair] = EquivRelation(
 class QRat(EquivClass[RatPair]):
     """A rational as a canonically-stored equivalence class of RatPairs."""
 
+    __slots__ = ()
+
     @property
     def pair(self) -> RatPair:
         return self.representative

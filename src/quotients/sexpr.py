@@ -22,24 +22,31 @@ grammar these coincide with byte offsets).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import partial
 
+from .equiv import Record
 from .errors import ParseError
 from .messages import Crypt, Decrypt, FreeMsg, MPair, Nonce
 
 
-@dataclass(frozen=True)
-class SAtom:
-    value: int | str
-    offset: int
+_set = object.__setattr__  # how a Record's __init__ sets its fields
 
 
-@dataclass(frozen=True)
-class SList:
-    items: tuple
-    open_offset: int
-    close_offset: int
+class SAtom(Record):
+    __slots__ = ("value", "offset")
+
+    def __init__(self, value: int | str, offset: int) -> None:
+        _set(self, "value", value)
+        _set(self, "offset", offset)
+
+
+class SList(Record):
+    __slots__ = ("items", "open_offset", "close_offset")
+
+    def __init__(self, items: tuple, open_offset: int, close_offset: int) -> None:
+        _set(self, "items", items)
+        _set(self, "open_offset", open_offset)
+        _set(self, "close_offset", close_offset)
 
 
 SNode = SAtom | SList

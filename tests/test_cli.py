@@ -379,7 +379,7 @@ def test_deep_expression_is_evaluated(command, payload, capsys):
 
 
 def test_deep_terms_are_compared(capsys):
-    # 600 deep: the generated dataclass == passed the recursion limit near 340.
+    # 600 deep: a recursive == would pass the recursion limit near 340.
     term = "(crypt 0 " * 600 + "(nonce 0)" + ")" * 600
     rc = cli.main(["msg-eq", "--json", "--", term, term])
     doc = json.loads(capsys.readouterr().out)
@@ -405,6 +405,28 @@ def test_runtime_is_stdlib_only():
     assert result["rc"] == 0 and json.loads(proc.stdout)["status"] == "ok"
     outside = set(result["modules"]) - set(sys.stdlib_module_names) - {"quotients", "__main__"}
     assert not outside
+
+
+_COLD_START_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from quotients import cli
+rcs = [cli.main(["int-eval", "(* 2 -3)", "--json"]),
+       cli.main(["msg-nf", "(crypt 1 (decrypt 1 (nonce 0)))", "--json"])]
+sys.stderr.write(json.dumps({"rcs": rcs, "modules": sorted(sys.modules)}))
+"""
+
+
+def test_cold_start_skips_introspection_modules():
+    # A CLI call pays for every import; the records are plain slotted
+    # classes, so none of dataclasses' own imports is needed.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _COLD_START_PROBE, src],
+                          capture_output=True, text=True, timeout=60)
+    result = json.loads(proc.stderr)
+    assert result["rcs"] == [0, 0]
+    assert [json.loads(line)["status"] for line in proc.stdout.splitlines()] == ["ok", "ok"]
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(result["modules"])
 
 
 def test_domain_error_exit_code(capsys):

@@ -180,7 +180,7 @@ class TestTermEq:
 
     def test_deep_chains(self):
         # Two 100,000-deep crypt chains built apart, and a third whose
-        # innermost key differs; the generated dataclass == recursed.
+        # innermost key differs; == walks them without recursion.
         def chain(inner_key):
             t = C(inner_key, N(7))
             for _ in range(100_000):
