@@ -125,14 +125,24 @@ class Decrypt(FreeMsg):
 
 def well_formed(t) -> bool:
     """Membership in the carrier: a finite term whose nonces and keys are
-    naturals (ints, not bools, which would print as names)."""
-    if isinstance(t, Nonce):
-        return type(t.value) is int and t.value >= 0
-    if isinstance(t, MPair):
-        return well_formed(t.left) and well_formed(t.right)
-    if isinstance(t, (Crypt, Decrypt)):
-        return type(t.key) is int and t.key >= 0 and well_formed(t.body)
-    return False
+    naturals (ints, not bools, which would print as names).  Walked with
+    an explicit stack, left to right, so term depth is not bounded by
+    recursion."""
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Nonce):
+            if not (type(t.value) is int and t.value >= 0):
+                return False
+        elif isinstance(t, MPair):
+            stack += (t.right, t.left)
+        elif isinstance(t, (Crypt, Decrypt)):
+            if not (type(t.key) is int and t.key >= 0):
+                return False
+            stack.append(t.body)
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

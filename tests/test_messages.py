@@ -518,3 +518,23 @@ class TestQuotientLayer:
             msg(Nonce(True))
         with pytest.raises(DomainError):
             msg(Crypt(False, Nonce(0)))
+
+    def test_carrier_walks_deep_terms(self):
+        # A 100,000-deep crypt chain and left-nested pair spine are in the
+        # carrier; a bad nonce, key or non-term at the bottom still is not.
+        depth = 100_000
+
+        def chain(bottom):
+            for _ in range(depth):
+                bottom = Crypt(1, bottom)
+            return bottom
+
+        def spine(bottom):
+            for i in range(depth):
+                bottom = MPair(bottom, Nonce(i))
+            return bottom
+
+        for wrap in (chain, spine):
+            assert messages.well_formed(wrap(Nonce(7)))
+            for bottom in (Nonce(-1), Decrypt(True, Nonce(0)), "not a term"):
+                assert not messages.well_formed(wrap(bottom))
