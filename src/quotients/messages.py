@@ -123,24 +123,24 @@ class Decrypt(FreeMsg):
         return hash((1, self.key, self.body))
 
 
+_WRAPPERS = (Crypt, Decrypt)
+
+
 def well_formed(t) -> bool:
     """Membership in the carrier: a finite term whose nonces and keys are
-    naturals (ints, not bools, which would print as names).  Walked with
-    an explicit stack, left to right, so term depth is not bounded by
-    recursion."""
+    naturals (ints, not bools, which would print as names).  Pairs are
+    walked with an explicit stack and wrapper chains with a loop, so term
+    depth is not bounded by recursion."""
     stack = [t]
     while stack:
         t = stack.pop()
-        if isinstance(t, Nonce):
-            if not (type(t.value) is int and t.value >= 0):
+        while isinstance(t, _WRAPPERS):
+            if type(t.key) is not int or t.key < 0:
                 return False
-        elif isinstance(t, MPair):
+            t = t.body
+        if isinstance(t, MPair):
             stack += (t.right, t.left)
-        elif isinstance(t, (Crypt, Decrypt)):
-            if not (type(t.key) is int and t.key >= 0):
-                return False
-            stack.append(t.body)
-        else:
+        elif not isinstance(t, Nonce) or type(t.value) is not int or t.value < 0:
             return False
     return True
 

@@ -1,7 +1,7 @@
 """Reference implementations the message tests compare against.
 
-A term-size count, an outermost rewriting strategy and a redex-free test,
-a naive round-by-round rule closure, the closure as an explicit pair set,
+A term-size count, the recursive carrier test, an outermost rewriting
+strategy and a redex-free test, a naive round-by-round rule closure, the closure as an explicit pair set,
 and an eager sort of every related pair on a recursive term key, each
 independent of the engine it checks in `quotients.messages`.
 """
@@ -31,6 +31,18 @@ def size(t: FreeMsg) -> int:
     if isinstance(t, MPair):
         return 1 + size(t.left) + size(t.right)
     return 1 + size(t.body)  # Crypt / Decrypt
+
+
+def well_formed_recursive(t) -> bool:
+    """The carrier test as a recursive walk: nonces and keys are ints (not
+    bools) and at least 0, and anything that is not a term is rejected."""
+    if isinstance(t, Nonce):
+        return type(t.value) is int and t.value >= 0
+    if isinstance(t, MPair):
+        return well_formed_recursive(t.left) and well_formed_recursive(t.right)
+    if isinstance(t, (Crypt, Decrypt)):
+        return type(t.key) is int and t.key >= 0 and well_formed_recursive(t.body)
+    return False
 
 
 def term_key(t: FreeMsg):

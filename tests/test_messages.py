@@ -3,7 +3,7 @@
 import hashlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from conftest import term_strategy
 from msg_oracles import (
@@ -15,6 +15,7 @@ from msg_oracles import (
     rule_instances,
     size,
     sorted_pairs_naive,
+    well_formed_recursive,
 )
 from quotients import messages
 from quotients.equiv import (
@@ -65,6 +66,8 @@ from quotients.messages import (
 from quotients.sexpr import parse_term, print_term
 
 N, M, C, D = Nonce, MPair, Crypt, Decrypt
+# Keys and nonces, good and bad, for terms that need not be well formed.
+_LOOSE_VALUES = st.one_of(st.integers(-2, 3), st.booleans(), st.sampled_from([None, "1", 1.0]))
 
 
 class TestNormalize:
@@ -538,3 +541,15 @@ class TestQuotientLayer:
             assert messages.well_formed(wrap(Nonce(7)))
             for bottom in (Nonce(-1), Decrypt(True, Nonce(0)), "not a term"):
                 assert not messages.well_formed(wrap(bottom))
+
+    @given(st.recursive(
+        st.one_of(_LOOSE_VALUES.map(N), st.sampled_from([None, "x", 3, (1, 2)])),
+        lambda sub: st.one_of(
+            st.tuples(sub, sub).map(lambda p: M(*p)),
+            st.tuples(_LOOSE_VALUES, sub).map(lambda p: C(*p)),
+            st.tuples(_LOOSE_VALUES, sub).map(lambda p: D(*p)),
+        ),
+        max_leaves=12,
+    ))
+    def test_carrier_matches_recursive_reference(self, t):
+        assert messages.well_formed(t) is well_formed_recursive(t)
