@@ -20,6 +20,9 @@ a field raises ``AttributeError``), gives them a ``Name(field=value, ...)``
 repr over the fields, equality and hashing by type and field tuple, and a
 ``__reduce__`` that rebuilds through the constructor, so ``copy`` and
 ``pickle`` work.  A class that defines its own equality or hash keeps it.
+A slot whose name starts with ``_`` is a cache, not a field: it stays out of
+``_fields``, so the repr, equality, hash, copy and pickle never see it, and
+assigning or deleting it raises like any field.
 """
 
 from __future__ import annotations
@@ -39,14 +42,16 @@ _set = object.__setattr__  # how a Record's __init__ sets its fields
 
 class Record:
     """Base of the package's immutable records; see the module docstring.
-    `_fields` are the slots of the class and its bases, bases first."""
+    `_fields` are the slots of the class and its bases, bases first, less
+    the underscore caches."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._fields = cls._fields + tuple(cls.__dict__.get("__slots__", ()))
+        slots = cls.__dict__.get("__slots__", ())
+        cls._fields = cls._fields + tuple(name for name in slots if not name.startswith("_"))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

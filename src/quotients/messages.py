@@ -11,6 +11,8 @@ Two independent routes decide that equivalence:
 * `normalize` orients the cancellation equations left-to-right as a rewrite
   system.  Every step shrinks the term, and all critical pairs converge, so
   normal forms are unique and `msg_eq` compares them structurally.
+  Each term remembers its normal form in a private slot, `_nf`, so a term
+  is rewritten once however often it is compared (see below).
 * `closure_classes` computes the least fixpoint of the eight rules over a
   bounded term universe, never consulting the rewriter, and returns it as
   the partition of that universe into classes.  The enumeration records
@@ -25,6 +27,16 @@ its own, as indices, as a request reaches it, so a check costs the closure
 plus the layers up to its budget.  A `Msg` is a class of the relation decided by
 rewriting, and its operations are the free functions' respect maps applied
 to classes by `equiv.operation`.
+
+The `_nf` slot is unset until the first `normalize` of the term, which then
+fills it on every compound term it walks: a node that is already normal
+holds the marker `True`, not itself, since a self-reference would be a
+cycle that keeps every normalized term alive until the cyclic collector
+runs; any other node holds its normal form, which is marked `True` in turn.
+That reference cannot close a cycle either, because a normal form is built
+from its term's subterms and new nodes, never from the term itself.  Nonces
+are their own normal forms and are never marked.  The slot is not a field:
+repr, equality, hashing, copy and pickle ignore it (see `equiv.Record`).
 """
 
 from __future__ import annotations
@@ -44,9 +56,10 @@ _set = object.__setattr__  # how a Record's __init__ sets its fields
 
 
 class FreeMsg(Record):
-    """Base of the free message terms."""
+    """Base of the free message terms.  `_nf` is the normal-form cache that
+    `normalize` fills; see the module docstring."""
 
-    __slots__ = ()
+    __slots__ = ("_nf",)
 
     def __eq__(self, other):
         # Structural equality, walked with an explicit stack so that term
@@ -71,6 +84,9 @@ class FreeMsg(Record):
             else:
                 stack.append((u.body, v.body))
         return True
+
+
+_set_nf = FreeMsg._nf.__set__  # how `normalize` fills the cache slot
 
 
 # Each term hashes with its constructor's tag (0 crypt, 1 decrypt, 2 mpair,
@@ -154,22 +170,38 @@ def normalize(t: FreeMsg) -> FreeMsg:
     Children are normalized first; a root redex then contracts to an
     already-normal subterm, so one root check suffices.  A term none of
     whose children changed, with no root redex, is returned itself.
+
+    The result is remembered in the term's `_nf` slot, unset until now:
+    `True` if the term is its own normal form, else the normal form, which
+    is marked `True` itself.  So every term walked here, and every subterm
+    of it, answers the next call at once.  Marking a normal node with
+    itself would make a reference cycle; the module docstring says why the
+    stored normal form cannot make one.
     """
-    if isinstance(t, Nonce):
+    cls = type(t)
+    if cls is Nonce:
         return t
-    if isinstance(t, MPair):
+    nf = getattr(t, "_nf", None)
+    if nf is not None:
+        return t if nf is True else nf
+    if cls is MPair:
         left, right = normalize(t.left), normalize(t.right)
-        if left is t.left and right is t.right:
-            return t
-        return MPair(left, right)
-    body = normalize(t.body)
-    if isinstance(t, Crypt):
-        if isinstance(body, Decrypt) and body.key == t.key:
-            return body.body
-        return t if body is t.body else Crypt(t.key, body)
-    if isinstance(body, Crypt) and body.key == t.key:
-        return body.body
-    return t if body is t.body else Decrypt(t.key, body)
+        nf = t if left is t.left and right is t.right else MPair(left, right)
+    else:
+        body = normalize(t.body)
+        if type(body) is (Decrypt if cls is Crypt else Crypt) and body.key == t.key:
+            nf = body.body  # already normal, and marked unless a nonce
+        elif body is t.body:
+            nf = t
+        else:
+            nf = cls(t.key, body)
+    if nf is t:
+        _set_nf(t, True)
+    else:
+        _set_nf(t, nf)
+        if type(nf) is not Nonce:
+            _set_nf(nf, True)
+    return nf
 
 
 def msg_eq(u: FreeMsg, v: FreeMsg) -> bool:

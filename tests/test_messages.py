@@ -1,5 +1,6 @@
 """The message algebra: rewriting, the closure oracle, and the quotient."""
 
+import gc
 import hashlib
 
 import pytest
@@ -104,6 +105,50 @@ class TestNormalize:
         oracle = closure_oracle(4)
         for t in enumerate_terms(4):
             assert (t, normalize(t)) in oracle
+
+
+def _subterms(t):
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        yield t
+        if isinstance(t, MPair):
+            stack += (t.left, t.right)
+        elif not isinstance(t, Nonce):
+            stack.append(t.body)
+
+
+class TestNormalFormCache:
+    """`normalize` remembers each term's normal form on the term."""
+
+    @given(term_strategy(), st.integers(0, 2))
+    def test_cached_results_are_normal_forms(self, t, k):
+        # `c` is shared: under a pair it stays, under `Decrypt(k, c)` it
+        # cancels, so a wrong mark on it would show in one of the two.
+        c = C(k, t)
+        for top in (t, M(c, D(k, c))):
+            nf = normalize(top)
+            assert normalize(top) is nf
+            assert normalize(nf) is nf
+            for s in _subterms(top):
+                assert normalize(s) == normalize_outermost(s)
+                assert normalize(normalize(s)) is normalize(s)
+
+    def test_cache_makes_no_cycles(self):
+        # A normal node marks itself with True, not with itself, and a
+        # normal form never refers back to its term: dropping a normalized
+        # term frees it by reference counting alone.
+        text = "(mpair (crypt 0 (decrypt 0 (nonce 1))) (mpair (nonce 2) (crypt 1 (nonce 3))))"
+        gc.collect()
+        gc.disable()
+        try:
+            t = parse_term(text)
+            assert normalize(t) == M(N(1), M(N(2), C(1, N(3))))
+            assert normalize(t.right) is t.right
+            del t
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMsgEq:

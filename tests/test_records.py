@@ -18,7 +18,7 @@ from quotients.equiv import (
     Verdict,
 )
 from quotients.integers import IntPair, QInt, intrel, qint
-from quotients.messages import Crypt, Decrypt, MPair, Msg, Nonce, msg
+from quotients.messages import Crypt, Decrypt, MPair, Msg, Nonce, msg, normalize
 from quotients.rationals import QRat, qrat
 from quotients.sexpr import SAtom, SList, parse_sexpr
 
@@ -179,3 +179,36 @@ def test_msg_values_deep_copy():
     m = msg(Crypt(0, Nonce(1)))
     twin = copy.deepcopy(m)
     assert _same(twin, m) and twin.relation.same_as(m.relation)
+
+
+# One term per class, built twice: compound terms that rewrite and one that
+# is already normal, so the cache holds a normal form or the marker.
+_CACHED_TERMS = [
+    (lambda: Nonce(1), ("value",)),
+    (lambda: MPair(Crypt(0, Decrypt(0, Nonce(1))), Nonce(2)), ("left", "right")),
+    (lambda: Crypt(0, Decrypt(0, MPair(Nonce(1), Nonce(2)))), ("key", "body")),
+    (lambda: Decrypt(1, MPair(Nonce(0), Crypt(2, Nonce(1)))), ("key", "body")),
+]
+
+
+@pytest.mark.parametrize("make, fields", _CACHED_TERMS, ids=["Nonce", "MPair", "Crypt", "Decrypt"])
+def test_normal_form_cache_is_invisible(make, fields):
+    value, fresh = make(), make()
+    normalize(value)
+    assert not hasattr(fresh, "_nf")
+    assert hasattr(value, "_nf") is not isinstance(value, Nonce)
+    assert type(value)._fields == fields
+    assert repr(value) == repr(fresh) and value == fresh and hash(value) == hash(fresh)
+    twins = [copy.copy(value), copy.deepcopy(value)]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.dumps(value, protocol) == pickle.dumps(fresh, protocol)
+        twins.append(pickle.loads(pickle.dumps(value, protocol)))
+    for twin in twins:
+        assert type(twin) is type(value) and twin == fresh
+        assert repr(twin) == repr(fresh) and hash(twin) == hash(fresh)
+    cached = getattr(value, "_nf", None)
+    with pytest.raises(AttributeError):
+        setattr(value, "_nf", None)
+    with pytest.raises(AttributeError):
+        delattr(value, "_nf")
+    assert getattr(value, "_nf", None) is cached
