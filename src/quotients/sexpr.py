@@ -191,10 +191,22 @@ def parse_term(text: str) -> FreeMsg:
 
 
 def print_term(t: FreeMsg) -> str:
-    if isinstance(t, Nonce):
-        return f"(nonce {t.value})"
-    if isinstance(t, MPair):
-        return f"(mpair {print_term(t.left)} {print_term(t.right)})"
-    if isinstance(t, Crypt):
-        return f"(crypt {t.key} {print_term(t.body)})"
-    return f"(decrypt {t.key} {print_term(t.body)})"
+    """A term as text that `parse_term` reads back.  Each node's opening
+    text is emitted in pre-order from an explicit stack, which also holds
+    the separators and closing parentheses still to come, so term depth is
+    not bounded by recursion; the pieces are joined once."""
+    out, stack = [], [t]
+    while stack:
+        t = stack.pop()
+        cls = type(t)
+        if cls is str:
+            out.append(t)
+        elif cls is Nonce:
+            out.append(f"(nonce {t.value})")
+        elif cls is MPair:
+            out.append("(mpair ")
+            stack += (")", t.right, " ", t.left)
+        else:
+            out.append(f"(crypt {t.key} " if cls is Crypt else f"(decrypt {t.key} ")
+            stack += (")", t.body)
+    return "".join(out)

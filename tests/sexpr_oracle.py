@@ -5,8 +5,9 @@ building the same `SAtom`/`SList` nodes as `quotients.sexpr.parse_sexpr`.
 `parse_term` checks constructors and arities by a recursive walk over that
 node tree, raising the first error it meets: the node's own head,
 constructor, arity and key or value, then its children left to right.
-Their depth is bounded by Python's recursion limit, so they serve only
-inputs of modest nesting.
+`print_term` is the recursive printer, one f-string per node.  Their depth
+is bounded by Python's recursion limit, so they serve only inputs of
+modest nesting.
 """
 
 from __future__ import annotations
@@ -114,3 +115,13 @@ def parse_term(text: str) -> FreeMsg:
     """Parse a message term: (nonce N) | (mpair T T) | (crypt K T) |
     (decrypt K T), whitespace-insensitive."""
     return _term_of(parse_sexpr(text))
+
+
+def print_term(t: FreeMsg) -> str:
+    if isinstance(t, Nonce):
+        return f"(nonce {t.value})"
+    if isinstance(t, MPair):
+        return f"(mpair {print_term(t.left)} {print_term(t.right)})"
+    if isinstance(t, Crypt):
+        return f"(crypt {t.key} {print_term(t.body)})"
+    return f"(decrypt {t.key} {print_term(t.body)})"

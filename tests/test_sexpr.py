@@ -206,7 +206,7 @@ def test_deep_nesting_is_read():
 
 def test_deep_terms_are_read():
     # A 100,000-deep crypt chain and a 100,000-deep left-nested pair spine;
-    # the results are walked by hand, since print_term recurses.
+    # the results are walked by hand, since hash and repr recurse.
     depth = 100_000
     chain = parse_term("(crypt 1 " * depth + "(nonce 7)" + ")" * depth)
     for _ in range(depth):
@@ -219,6 +219,39 @@ def test_deep_terms_are_read():
         assert type(spine) is MPair and type(spine.right) is Nonce and spine.right.value == i
         spine = spine.left
     assert type(spine) is Nonce and spine.value == 0
+
+
+# Keys and nonces of any size or sign, and bools, to pin the printed bytes
+# of values that a well-formed term would not hold.
+_ANY_VALUES = st.one_of(st.integers(), st.booleans())
+
+
+@given(st.recursive(
+    _ANY_VALUES.map(Nonce),
+    lambda sub: st.one_of(
+        st.builds(MPair, sub, sub),
+        st.builds(Crypt, _ANY_VALUES, sub),
+        st.builds(Decrypt, _ANY_VALUES, sub),
+    ),
+    max_leaves=20,
+))
+def test_print_term_matches_oracle(t):
+    assert print_term(t) == sexpr_oracle.print_term(t)
+
+
+def test_deep_terms_are_printed():
+    # A 100,000-deep crypt chain and a 100,000-deep left-nested pair spine,
+    # built without the reader.
+    depth = 100_000
+    chain = Nonce(7)
+    for _ in range(depth):
+        chain = Crypt(1, chain)
+    assert print_term(chain) == "(crypt 1 " * depth + "(nonce 7)" + ")" * depth
+    spine = Nonce(0)
+    for i in range(1, depth + 1):
+        spine = MPair(spine, Nonce(i))
+    assert print_term(spine) == ("(mpair " * depth + "(nonce 0)"
+                                 + "".join(f" (nonce {i}))" for i in range(1, depth + 1)))
 
 
 def test_deep_malformed_input_is_a_parse_error():
