@@ -28,14 +28,15 @@ plus the layers up to its budget.  A `Msg` is a class of the relation decided by
 rewriting, and its operations are the free functions' respect maps applied
 to classes by `equiv.operation`.
 
-The `_nf` slot is unset until the first `normalize` of the term, which then
-fills it on every compound term it walks: a node that is already normal
-holds the marker `True`, not itself, since a self-reference would be a
-cycle that keeps every normalized term alive until the cyclic collector
-runs; any other node holds its normal form, which is marked `True` in turn.
+A compound term's constructor sets `_nf` to None, so reading it never
+raises.  The first `normalize` of the term fills it on every compound term
+it walks: a node that is already normal holds the marker `True`, not
+itself, since a self-reference would be a cycle that keeps every
+normalized term alive until the cyclic collector runs; any other node
+holds its normal form, which is marked `True` in turn.
 That reference cannot close a cycle either, because a normal form is built
 from its term's subterms and new nodes, never from the term itself.  Nonces
-are their own normal forms and are never marked.  The slot is not a field:
+are their own normal forms and have no `_nf` set.  The slot is not a field:
 repr, equality, hashing, copy and pickle ignore it (see `equiv.Record`).
 """
 
@@ -86,7 +87,7 @@ class FreeMsg(Record):
         return True
 
 
-_set_nf = FreeMsg._nf.__set__  # how `normalize` fills the cache slot
+_set_nf = FreeMsg._nf.__set__  # how the constructors and `normalize` set the cache slot
 
 
 # Each term hashes with its constructor's tag (0 crypt, 1 decrypt, 2 mpair,
@@ -112,6 +113,7 @@ class MPair(FreeMsg):
     def __init__(self, left: FreeMsg, right: FreeMsg) -> None:
         _set(self, "left", left)
         _set(self, "right", right)
+        _set_nf(self, None)
 
     def __hash__(self) -> int:
         return hash((2, self.left, self.right))
@@ -123,6 +125,7 @@ class Crypt(FreeMsg):
     def __init__(self, key: int, body: FreeMsg) -> None:
         _set(self, "key", key)
         _set(self, "body", body)
+        _set_nf(self, None)
 
     def __hash__(self) -> int:
         return hash((0, self.key, self.body))
@@ -134,6 +137,7 @@ class Decrypt(FreeMsg):
     def __init__(self, key: int, body: FreeMsg) -> None:
         _set(self, "key", key)
         _set(self, "body", body)
+        _set_nf(self, None)
 
     def __hash__(self) -> int:
         return hash((1, self.key, self.body))
@@ -171,7 +175,7 @@ def normalize(t: FreeMsg) -> FreeMsg:
     already-normal subterm, so one root check suffices.  A term none of
     whose children changed, with no root redex, is returned itself.
 
-    The result is remembered in the term's `_nf` slot, unset until now:
+    The result is remembered in the term's `_nf` slot, None until now:
     `True` if the term is its own normal form, else the normal form, which
     is marked `True` itself.  So every term walked here, and every subterm
     of it, answers the next call at once.  Marking a normal node with
@@ -181,7 +185,7 @@ def normalize(t: FreeMsg) -> FreeMsg:
     cls = type(t)
     if cls is Nonce:
         return t
-    nf = getattr(t, "_nf", None)
+    nf = t._nf
     if nf is not None:
         return t if nf is True else nf
     if cls is MPair:
