@@ -1,19 +1,30 @@
 """S-expression reading and printing for terms and prefix expressions.
 
 One reading loop, `_read`, serves both the message-term grammar and the
-arithmetic expression grammars.  It is one regex and one loop over its
-tokens with an explicit stack of open lists, so nesting depth is not
+arithmetic expression grammars.  It runs over the matches of a token regex
+it is given, with an explicit stack of open lists, so nesting depth is not
 bounded by recursion; it raises the four syntax errors and hands each atom
-and each closed list to a builder.  Two pairs of builders use it:
+and each closed list to a builder.  Two sets of builders use it:
 
-* `parse_sexpr` builds a generic `SAtom`/`SList` tree with source offsets,
-  which the CLI's expression evaluator walks.
-* `parse_term` builds message terms directly, each as its `)` is read.  A
-  closed list becomes its term or the first `ParseError` of its subtree,
-  carried as a value: first in the order of the node's own head,
-  constructor, arity and key or value, then its children left to right.
-  The error is raised only once the whole text is read, so a syntax error
-  anywhere in the text wins over a shape error.
+* `parse_sexpr` reads the generic tokens, a parenthesis or a run of
+  characters that are neither, and builds a generic `SAtom`/`SList` tree
+  with source offsets, which the CLI's expression evaluator walks.
+* `parse_term` builds message terms directly, each as its `)` is read.  Its
+  regex tries three lexemes before the generic tokens: a whole nonce leaf
+  `(nonce D)`, a pair head `(mpair` and a wrapper head `(crypt D` or
+  `(decrypt D`, where D is a run of decimal digits that ends at whitespace
+  or a parenthesis.  A lexeme's list becomes its node at once when it
+  closes with terms as children, as many as the constructor takes, and its
+  D is an int (not past the int-to-text digit limit).  Any other list, and
+  a lexeme's list in every other case, goes to the list rule `_term_list`
+  with the `(token, offset)` atoms the generic tokens would have read, so
+  `_term_list` is the only code that words a term error.  A closed list
+  becomes its term or the first `ParseError` of its subtree, carried as a
+  value: first in the order of the node's own head, constructor, arity and
+  key or value, then its children left to right.  The error is raised only
+  once the whole text is read, so a syntax error anywhere in the text wins
+  over a shape error.  A lexeme starts where its `(` would and holds no
+  `)` but its own, so it moves no syntax error.
 
 Offsets are 0-based character offsets into the input (for the ASCII
 grammar these coincide with byte offsets).
@@ -67,32 +78,46 @@ def _value(token: str) -> int | str:
     return token
 
 
-def _read(text: str, atom, close):
-    """Read exactly one s-expression; anything trailing is an error.  Each
-    atom becomes `atom(token, offset)` and each list, as its `)` is read,
-    `close(items, open_offset, close_offset)` of the values of its items."""
-    # Per open list, innermost last: its open offset and the items of the
-    # list around it.  `items` are the innermost open list's; `top` holds
-    # the result.
+def _read(text: str, tokens: re.Pattern, atom, close, lexeme=None):
+    """Read exactly one s-expression of `tokens`; anything trailing is an
+    error.  Each atom becomes `atom(token, offset)` and each list, as its
+    `)` is read, `close(items, open_offset, close_offset)` of the values of
+    its items.  A token longer than `(` that starts with `(` is a lexeme,
+    several tokens read as one: a whole list if it ends with `)`, else a
+    list opened with its head.  Its list becomes `lexeme(match, items,
+    close_offset)` of the values of the items after the head (`[]` for a
+    whole list).  The term grammar's `lexeme` builds the node at once or
+    falls back to its `close` with the atoms that the head's generic tokens
+    would have given, so `close` words every error; `parse_sexpr`'s tokens
+    have no lexemes."""
+    # Per open list, innermost last: the match that opened it, kept only for
+    # a lexeme, its open offset and the items of the list around it.
+    # `items` are the innermost open list's; `top` holds the result.
     stack = []
     items = top = []
-    for match in _TOKEN.finditer(text):
+    for match in tokens.finditer(text):
         token = match[0]
         if token == ")":
             if not stack:
                 raise ParseError("trailing input after expression" if top
                                  else "unexpected closing parenthesis", match.start())
-            open_offset, outer = stack.pop()
-            outer.append(close(items, open_offset, match.start()))
+            head, open_offset, outer = stack.pop()
+            outer.append(close(items, open_offset, match.start()) if head is None
+                         else lexeme(head, items, match.start()))
             items = outer
             continue
         if items is top and top:
             raise ParseError("trailing input after expression", match.start())
         if token == "(":
-            stack.append((match.start(), items))
+            stack.append((None, match.start(), items))
             items = []
-        else:
+        elif token[0] != "(":
             items.append(atom(token, match.start()))
+        elif token[-1] == ")":
+            items.append(lexeme(match, [], match.end() - 1))
+        else:
+            stack.append((match, match.start(), items))
+            items = []
     if stack:
         raise ParseError("missing closing parenthesis", len(text))
     if not top:
@@ -110,7 +135,7 @@ def _sexpr_list(items: list, open_offset: int, close_offset: int) -> SList:
 
 def parse_sexpr(text: str) -> SNode:
     """Parse exactly one s-expression; anything trailing is an error."""
-    return _read(text, _sexpr_atom, _sexpr_list)
+    return _read(text, _TOKEN, _sexpr_atom, _sexpr_list)
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +205,38 @@ def _term_list(text: str, items: list, open_offset: int, close_offset: int) -> F
     return (Crypt if name == "crypt" else Decrypt)(key, body)
 
 
+# The term grammar's lexemes, tried before the generic tokens: a whole nonce
+# leaf, a pair head, and a wrapper head with its key.  Each group is an atom
+# the generic tokens would read.  A digit run (regex \d is exactly
+# str.isdecimal()) must end where a generic token ends: at whitespace or a
+# parenthesis.
+_TERM_TOKEN = re.compile(r"\((nonce)\s+(\d+)\s*\)|\((mpair)(?=[\s()])"
+                         r"|\((crypt|decrypt)\s+(\d+)(?=[\s()])|" + _TOKEN.pattern)
+
+
+def _term_lexeme(text: str, head: re.Match, items: list, close_offset: int) -> FreeMsg | ParseError:
+    """The list a lexeme opened: its term if the children are terms, as many
+    as the constructor takes, and the numeral is an int; else what
+    `_term_list` makes of the head's atoms and the children."""
+    kind = head.lastindex  # 2: a nonce leaf, 3: a pair head, 5: a wrapper head
+    try:
+        if kind == 2:
+            return Nonce(int(head[2]))
+        if kind == 3:
+            if len(items) == 2 and isinstance(items[0], FreeMsg) and isinstance(items[1], FreeMsg):
+                return MPair(items[0], items[1])
+        elif len(items) == 1 and isinstance(items[0], FreeMsg):
+            return (Crypt if head[4] == "crypt" else Decrypt)(int(head[5]), items[0])
+    except ValueError:  # a numeral past the int-to-text digit limit
+        pass
+    atoms = [(token, head.start(g)) for g, token in enumerate(head.groups(), 1) if token is not None]
+    return _term_list(text, atoms + items, head.start(), close_offset)
+
+
 def parse_term(text: str) -> FreeMsg:
     """Parse a message term: (nonce N) | (mpair T T) | (crypt K T) |
     (decrypt K T), whitespace-insensitive."""
-    node = _read(text, _term_atom, partial(_term_list, text))
+    node = _read(text, _TERM_TOKEN, _term_atom, partial(_term_list, text), partial(_term_lexeme, text))
     error = _subterm_error(node)
     if error is not None:
         raise error

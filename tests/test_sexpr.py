@@ -1,6 +1,7 @@
 """Term syntax: parsing, printing, and error offsets."""
 
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -180,8 +181,37 @@ _TERM_PIECES = ["(", ")", " ", "\u3000", "nonce", "mpair", "crypt", "decrypt", "
 @example(f"(nonce {'7' * 4301})")
 @example("()")
 @example("(1 (nonce 0))")
+# Each place a lexeme of the term grammar stops matching: a numeral or a name
+# that runs on, whitespace after '(' or a digit that regex \d does not match,
+# the wrong children, and text after a whole term.
+@example("(crypt 0x (nonce 1))")
+@example("(mpairx (nonce 0) (nonce 1))")
+@example("(nonce 5x)")
+@example("(\u3000crypt\u30000 (nonce 1))")
+@example("(nonce \u00b2)")
+@example("(crypt 1 (nonce 1) (nonce 2))")
+@example("(mpair (nonce 1))")
+@example("(mpair (nonce 0) (nonce 1) (nonce 2))")
+@example("(crypt 1 x)")
+@example("(decrypt 0 (seal))")
+@example("(nonce 1) (nonce 2)")
+@example("(crypt 1 (nonce 1)))")
 def test_parse_term_matches_oracle(text):
     assert _read_term(parse_term, text) == _read_term(sexpr_oracle.parse_term, text)
+
+
+def test_parse_term_matches_oracle_under_a_lower_digit_limit():
+    # A numeral within the default int-to-text digit limit but past the one
+    # in force is not a number, whether it is a nonce or a key.
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for text in (f"(nonce {'7' * 700})", f"(crypt {'7' * 700} (nonce 1))"):
+            got = _read_term(parse_term, text)
+            assert got == _read_term(sexpr_oracle.parse_term, text)
+            assert got[0] == "ParseError" and got[1].endswith("must be a natural number (at offset 7)")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_regex_whitespace_is_isspace():
@@ -260,3 +290,28 @@ def test_deep_malformed_input_is_a_parse_error():
         parse_sexpr(text)
     assert str(exc.value) == f"missing closing parenthesis (at offset {len(text)})"
     assert exc.value.offset == len(text)
+
+
+def _deep_bad_chain(depth):
+    """A crypt chain over a nonce that is not a number, and its error."""
+    return ("(crypt 1 " * depth + "(nonce x)" + ")" * depth,
+            "nonce must be a natural number", 9 * depth + 7)
+
+
+def _deep_bad_spine(depth):
+    """A left-nested pair spine whose innermost pair has one argument, and
+    its error."""
+    return ("(mpair " * depth + "(nonce 0))" + "".join(f" (nonce {i}))" for i in range(2, depth + 1)),
+            "mpair takes 2 arguments, got 1", 7 * depth + 9)
+
+
+@pytest.mark.parametrize("deep_bad_term", [_deep_bad_chain, _deep_bad_spine])
+def test_deep_malformed_term_is_a_parse_error(deep_bad_term):
+    # Every lexeme head above the error falls back to the generic list rule
+    # at its own ')', so the first error surfaces without recursion.
+    text, message, offset = deep_bad_term(30)
+    assert _read_term(sexpr_oracle.parse_term, text) == ("ParseError", f"{message} (at offset {offset})", offset)
+    text, message, offset = deep_bad_term(100_000)
+    with pytest.raises(ParseError) as exc:
+        parse_term(text)
+    assert (str(exc.value), exc.value.offset) == (f"{message} (at offset {offset})", offset)
