@@ -11,7 +11,6 @@ from .equiv import (
     EquivalenceReport,
     EquivClass,
     EquivRelation,
-    LiftedFunction,
     RespectMap,
     Verdict,
     check_equivalence,
@@ -37,7 +36,6 @@ __all__ = [
     "EquivalenceReport",
     "EquivClass",
     "EquivRelation",
-    "LiftedFunction",
     "RespectMap",
     "Verdict",
     "check_equivalence",

@@ -11,8 +11,8 @@ Two independent routes decide that equivalence:
 * `normalize` orients the cancellation equations left-to-right as a rewrite
   system.  Every step shrinks the term, and all critical pairs converge, so
   normal forms are unique and `msg_eq` compares them structurally.
-  Each term remembers its normal form in a private slot, `_nf`, so a term
-  is rewritten once however often it is compared (see below).
+  Each term's constructor stores its normal form in a private slot, `_nf`
+  (see below), so `normalize` only reads it.
 * `closure_classes` computes the least fixpoint of the eight rules over a
   bounded term universe, never consulting the rewriter, and returns it as
   the partition of that universe into classes.  The enumeration records
@@ -28,16 +28,15 @@ plus the layers up to its budget.  A `Msg` is a class of the relation decided by
 rewriting, and its operations are the free functions' respect maps applied
 to classes by `equiv.operation`.
 
-A compound term's constructor sets `_nf` to None, so reading it never
-raises.  The first `normalize` of the term fills it on every compound term
-it walks: a node that is already normal holds the marker `True`, not
-itself, since a self-reference would be a cycle that keeps every
-normalized term alive until the cyclic collector runs; any other node
-holds its normal form, which is marked `True` in turn.
-That reference cannot close a cycle either, because a normal form is built
-from its term's subterms and new nodes, never from the term itself.  Nonces
-are their own normal forms and have no `_nf` set.  The slot is not a field:
-repr, equality, hashing, copy and pickle ignore it (see `equiv.Record`).
+A node's normal form is its children's normal forms under one root check,
+so each constructor sets `_nf` from its parts' slots: `True` if the node
+is already normal, else its normal form, which is marked `True` in turn.
+A normal node is not marked with itself, since a self-reference would be a
+cycle that keeps every term alive until the cyclic collector runs; and a
+stored normal form is built from the term's subterms and new nodes, never
+from the term itself, so it cannot close a cycle either.  The slot is not a
+field: repr, equality, hashing, copy and pickle ignore it (see
+`equiv.Record`).
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ _set = object.__setattr__  # how a Record's __init__ sets its fields
 
 
 class FreeMsg(Record):
-    """Base of the free message terms.  `_nf` is the normal-form cache that
-    `normalize` fills; see the module docstring."""
+    """Base of the free message terms.  `_nf` holds the term's normal form,
+    set by its constructor; see the module docstring."""
 
     __slots__ = ("_nf",)
 
@@ -87,7 +86,7 @@ class FreeMsg(Record):
         return True
 
 
-_set_nf = FreeMsg._nf.__set__  # how the constructors and `normalize` set the cache slot
+_set_nf = FreeMsg._nf.__set__  # how the constructors set the normal-form slot
 
 
 # Each term hashes with its constructor's tag (0 crypt, 1 decrypt, 2 mpair,
@@ -96,12 +95,15 @@ _set_nf = FreeMsg._nf.__set__  # how the constructors and `normalize` set the ca
 # collide, and collisions would double with every wrapper level.  The hash is
 # computed on each call: most terms are built and never hashed, so storing
 # it at construction costs more than it saves.  Equality is FreeMsg's; the
-# rest (immutability, repr, copy and pickle) is Record's.
+# rest (immutability, repr, copy and pickle) is Record's.  A part that is
+# not a term (the carrier tests build such terms) has no `_nf` and counts
+# as normal.
 class Nonce(FreeMsg):
     __slots__ = ("value",)
 
     def __init__(self, value: int) -> None:
         _set(self, "value", value)
+        _set_nf(self, True)
 
     def __hash__(self) -> int:
         return hash((3, self.value))
@@ -113,37 +115,59 @@ class MPair(FreeMsg):
     def __init__(self, left: FreeMsg, right: FreeMsg) -> None:
         _set(self, "left", left)
         _set(self, "right", right)
-        _set_nf(self, None)
+        try:
+            left_nf = left._nf
+        except AttributeError:
+            left_nf = True
+        try:
+            right_nf = right._nf
+        except AttributeError:
+            right_nf = True
+        if left_nf is True and right_nf is True:
+            _set_nf(self, True)
+        else:
+            _set_nf(self, MPair(left if left_nf is True else left_nf,
+                                right if right_nf is True else right_nf))
 
     def __hash__(self) -> int:
         return hash((2, self.left, self.right))
 
 
-class Crypt(FreeMsg):
+class _Wrapper(FreeMsg):
+    """Crypt and Decrypt: a key and a body.  Each subclass names its hash
+    tag and its inverse, the wrapper that cancels it under the same key."""
+
     __slots__ = ("key", "body")
 
     def __init__(self, key: int, body: FreeMsg) -> None:
         _set(self, "key", key)
         _set(self, "body", body)
-        _set_nf(self, None)
+        try:
+            nf = body._nf
+        except AttributeError:
+            nf = True
+        if nf is True:
+            nf = body
+        if type(nf) is self._inverse and nf.key == key:
+            _set_nf(self, nf.body)  # normal, as a part of a normal form
+        else:
+            _set_nf(self, True if nf is body else type(self)(key, nf))
 
     def __hash__(self) -> int:
-        return hash((0, self.key, self.body))
+        return hash((self._tag, self.key, self.body))
 
 
-class Decrypt(FreeMsg):
-    __slots__ = ("key", "body")
-
-    def __init__(self, key: int, body: FreeMsg) -> None:
-        _set(self, "key", key)
-        _set(self, "body", body)
-        _set_nf(self, None)
-
-    def __hash__(self) -> int:
-        return hash((1, self.key, self.body))
+class Crypt(_Wrapper):
+    __slots__ = ()
+    _tag = 0
 
 
-_WRAPPERS = (Crypt, Decrypt)
+class Decrypt(_Wrapper):
+    __slots__ = ()
+    _tag = 1
+
+
+Crypt._inverse, Decrypt._inverse = Decrypt, Crypt
 
 
 def well_formed(t) -> bool:
@@ -154,7 +178,7 @@ def well_formed(t) -> bool:
     stack = [t]
     while stack:
         t = stack.pop()
-        while isinstance(t, _WRAPPERS):
+        while isinstance(t, _Wrapper):
             if type(t.key) is not int or t.key < 0:
                 return False
             t = t.body
@@ -169,43 +193,12 @@ def well_formed(t) -> bool:
 # Rewriting to normal form
 
 def normalize(t: FreeMsg) -> FreeMsg:
-    """Innermost (leftmost) reduction to the unique redex-free form.
-
-    Children are normalized first; a root redex then contracts to an
-    already-normal subterm, so one root check suffices.  A term none of
-    whose children changed, with no root redex, is returned itself.
-
-    The result is remembered in the term's `_nf` slot, None until now:
-    `True` if the term is its own normal form, else the normal form, which
-    is marked `True` itself.  So every term walked here, and every subterm
-    of it, answers the next call at once.  Marking a normal node with
-    itself would make a reference cycle; the module docstring says why the
-    stored normal form cannot make one.
-    """
-    cls = type(t)
-    if cls is Nonce:
-        return t
+    """Innermost reduction to the unique redex-free form, as stored in the
+    term's `_nf` slot by its constructor: children are normalized first,
+    then a root redex contracts to an already-normal subterm.  A term that
+    is already normal is returned itself."""
     nf = t._nf
-    if nf is not None:
-        return t if nf is True else nf
-    if cls is MPair:
-        left, right = normalize(t.left), normalize(t.right)
-        nf = t if left is t.left and right is t.right else MPair(left, right)
-    else:
-        body = normalize(t.body)
-        if type(body) is (Decrypt if cls is Crypt else Crypt) and body.key == t.key:
-            nf = body.body  # already normal, and marked unless a nonce
-        elif body is t.body:
-            nf = t
-        else:
-            nf = cls(t.key, body)
-    if nf is t:
-        _set_nf(t, True)
-    else:
-        _set_nf(t, nf)
-        if type(nf) is not Nonce:
-            _set_nf(nf, True)
-    return nf
+    return t if nf is True else nf
 
 
 def msg_eq(u: FreeMsg, v: FreeMsg) -> bool:

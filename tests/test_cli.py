@@ -188,11 +188,9 @@ BIG = "1" + "0" * 3000
 @pytest.mark.parametrize("argv", [
     ["int-eval", f"(* {BIG} {BIG})"],
     ["rat-eval", f"(* {BIG} {BIG})"],
-    ["msg-nf", "(crypt 0 " * 1200 + "(nonce 0)" + ")" * 1200],
     ["oracle-msgrel", "--bound", "100000"],
     ["check", "msg-equivalence", "--bound", "3000"],
-], ids=["int-eval-digits", "rat-eval-digits", "msg-nf-deep", "oracle-huge-bound",
-        "check-huge-bound"])
+], ids=["int-eval-digits", "rat-eval-digits", "oracle-huge-bound", "check-huge-bound"])
 def test_unhandled_input_is_an_error_report(argv, capsys):
     rc = cli.main(argv + ["--json"])
     doc = json.loads(capsys.readouterr().out)
@@ -240,8 +238,8 @@ _TEXT = st.one_of(_EXPR, st.lists(st.one_of(_EXPR, _JUNK), max_size=4).map(" ".j
 # Random draws rarely multiply two such integers, so every run does: the
 # 4400-digit product is past the int-to-text limit.
 _PRODUCT = f"(* {'9' * 2200} {'9' * 2200})"
-# The readers and the evaluator take any depth; a term 100,000 deep then
-# passes the recursion limit of normalize (exit 2), and 5000 unclosed
+# The readers, the evaluator and the msg-* commands take any depth, so a
+# term or an expression 100,000 deep gets a result, and 5000 unclosed
 # parentheses are a parse error.
 _DEEP_TERM = "(crypt 0 " * 100_000 + "(nonce 0)" + ")" * 100_000
 _DEEP_EXPR = "(neg " * 100_000 + "1" + ")" * 100_000
@@ -379,12 +377,34 @@ def test_deep_expression_is_evaluated(command, payload, capsys):
 
 
 def test_deep_terms_are_compared(capsys):
-    # 600 deep: a recursive == would pass the recursion limit near 340.
-    term = "(crypt 0 " * 600 + "(nonce 0)" + ")" * 600
-    rc = cli.main(["msg-eq", "--json", "--", term, term])
-    doc = json.loads(capsys.readouterr().out)
-    assert rc == 0
-    assert doc["status"] == "ok" and doc["payload"]["equal"] is True
+    # 100,000 deep: a crypt chain, a chain of cancelling crypt/decrypt pairs
+    # and a pair spine; and a 1200-deep chain, just past the default
+    # recursion limit.  Reading, normal forms, ==, printing and the free
+    # functions take any depth.
+    def run(command, *texts):
+        rc = cli.main(command + ["--json", "--"] + list(texts))
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == ("ok" if rc == 0 else "refuted")
+        return rc, doc["payload"]
+
+    n = 100_000
+    pair = "(mpair (nonce 0) (nonce 1))"
+    chain = "(crypt 0 " * n + "(nonce 0)" + ")" * n
+    cancelling = "(crypt 0 (decrypt 0 " * (n // 2) + pair + "))" * (n // 2)
+    spine = "(mpair (nonce 1) " * n + "(nonce 0)" + ")" * n
+    short = "(crypt 0 " * 1200 + "(nonce 0)" + ")" * 1200
+    assert run(["msg-nf"], short) == (0, {"normal_form": short})
+    for term, nf, left, nonces, discrim in [
+        (chain, chain, "(nonce 0)", [0], 2 * n),
+        (cancelling, pair, "(nonce 0)", [0, 1], 1),
+        (spine, spine, "(nonce 1)", [0, 1], 1),
+    ]:
+        assert run(["msg-nf"], term) == (0, {"normal_form": nf})
+        assert run(["msg-eq"], term, term) == (0, {"equal": True, "lhs_nf": nf, "rhs_nf": nf})
+        for function, result in [("left", left), ("nonces", nonces), ("discrim", discrim)]:
+            rc, payload = run(["msg-fn", function], term)
+            assert rc == 0 and payload["result"] == result and payload["certified"] is True
+    assert run(["msg-eq"], chain, cancelling) == (1, {"equal": False, "lhs_nf": chain, "rhs_nf": pair})
 
 
 _STDLIB_PROBE = """

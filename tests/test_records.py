@@ -195,8 +195,6 @@ _CACHED_TERMS = [
 def test_normal_form_cache_is_invisible(make, fields):
     value, fresh = make(), make()
     normalize(value)
-    assert getattr(fresh, "_nf", None) is None
-    assert (getattr(value, "_nf", None) is None) is isinstance(value, Nonce)
     assert type(value)._fields == fields
     assert repr(value) == repr(fresh) and value == fresh and hash(value) == hash(fresh)
     twins = [copy.copy(value), copy.deepcopy(value)]
