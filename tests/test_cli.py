@@ -188,9 +188,11 @@ BIG = "1" + "0" * 3000
 @pytest.mark.parametrize("argv", [
     ["int-eval", f"(* {BIG} {BIG})"],
     ["rat-eval", f"(* {BIG} {BIG})"],
+    ["msg-nf", "(crypt 0 " * 1200 + "(nonce 0)" + ")" * 1199],
     ["oracle-msgrel", "--bound", "100000"],
     ["check", "msg-equivalence", "--bound", "3000"],
-], ids=["int-eval-digits", "rat-eval-digits", "oracle-huge-bound", "check-huge-bound"])
+], ids=["int-eval-digits", "rat-eval-digits", "msg-nf-deep", "oracle-huge-bound",
+        "check-huge-bound"])
 def test_unhandled_input_is_an_error_report(argv, capsys):
     rc = cli.main(argv + ["--json"])
     doc = json.loads(capsys.readouterr().out)
