@@ -423,10 +423,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _resolve_config(args)
         return _emit(args, *args.handler(args), started)
-    # Stray ValueError (a number past the int-to-text digit limit, met when
-    # the report is written, hence inside the try) and RecursionError (a very
-    # deep term) are unhandled input, not refutation.
-    except (QuotientError, ValueError, RecursionError) as exc:
+    # A stray ValueError (a number past the int-to-text digit limit, met
+    # when the report is written, hence inside the try) is unhandled input,
+    # not refutation.
+    except (QuotientError, ValueError) as exc:
         payload = {"error": str(exc)}
         if isinstance(exc, ParseError):
             payload["offset"] = exc.offset

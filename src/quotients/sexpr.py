@@ -1,30 +1,15 @@
 """S-expression reading and printing for terms and prefix expressions.
 
-One reading loop, `_read`, serves both the message-term grammar and the
-arithmetic expression grammars.  It runs over the matches of a token regex
-it is given, with an explicit stack of open lists, so nesting depth is not
-bounded by recursion; it raises the four syntax errors and hands each atom
-and each closed list to a builder.  Two sets of builders use it:
-
-* `parse_sexpr` reads the generic tokens, a parenthesis or a run of
-  characters that are neither, and builds a generic `SAtom`/`SList` tree
-  with source offsets, which the CLI's expression evaluator walks.
-* `parse_term` builds message terms directly, each as its `)` is read.  Its
-  regex tries three lexemes before the generic tokens: a whole nonce leaf
-  `(nonce D)`, a pair head `(mpair` and a wrapper head `(crypt D` or
-  `(decrypt D`, where D is a run of decimal digits that ends at whitespace
-  or a parenthesis.  A lexeme's list becomes its node at once when it
-  closes with terms as children, as many as the constructor takes, and its
-  D is an int (not past the int-to-text digit limit).  Any other list, and
-  a lexeme's list in every other case, goes to the list rule `_term_list`
-  with the `(token, offset)` atoms the generic tokens would have read, so
-  `_term_list` is the only code that words a term error.  A closed list
-  becomes its term or the first `ParseError` of its subtree, carried as a
-  value: first in the order of the node's own head, constructor, arity and
-  key or value, then its children left to right.  The error is raised only
-  once the whole text is read, so a syntax error anywhere in the text wins
-  over a shape error.  A lexeme starts where its `(` would and holds no
-  `)` but its own, so it moves no syntax error.
+`parse_sexpr` reads a parenthesis or a run of characters that are neither
+as a token and builds a generic `SAtom`/`SList` tree with source offsets.
+`parse_term` first tries `_lexeme_term`, a loop that reads a term's nodes
+as whole lexemes, `(nonce D)`, `(mpair` and `(crypt D` or `(decrypt D`
+where D is a run of decimal digits, and builds each node as its `)` is
+read.  On any other text it gives up, and `_term_of(parse_sexpr(text))`
+reads the text again: it gives the term, or words the first error, a
+syntax error anywhere, else the first shape error in pre-order.
+Both loops keep open lists on an explicit stack, so depth is not bounded
+by recursion.
 
 Offsets are 0-based character offsets into the input (for the ASCII
 grammar these coincide with byte offsets).
@@ -33,7 +18,6 @@ grammar these coincide with byte offsets).
 from __future__ import annotations
 
 import re
-from functools import partial
 
 from .equiv import Record
 from .errors import ParseError
@@ -78,46 +62,29 @@ def _value(token: str) -> int | str:
     return token
 
 
-def _read(text: str, tokens: re.Pattern, atom, close, lexeme=None):
-    """Read exactly one s-expression of `tokens`; anything trailing is an
-    error.  Each atom becomes `atom(token, offset)` and each list, as its
-    `)` is read, `close(items, open_offset, close_offset)` of the values of
-    its items.  A token longer than `(` that starts with `(` is a lexeme,
-    several tokens read as one: a whole list if it ends with `)`, else a
-    list opened with its head.  Its list becomes `lexeme(match, items,
-    close_offset)` of the values of the items after the head (`[]` for a
-    whole list).  The term grammar's `lexeme` builds the node at once or
-    falls back to its `close` with the atoms that the head's generic tokens
-    would have given, so `close` words every error; `parse_sexpr`'s tokens
-    have no lexemes."""
-    # Per open list, innermost last: the match that opened it, kept only for
-    # a lexeme, its open offset and the items of the list around it.
-    # `items` are the innermost open list's; `top` holds the result.
+def parse_sexpr(text: str) -> SNode:
+    """Parse exactly one s-expression; anything trailing is an error."""
+    # Per open list, innermost last: its open offset and the items of the
+    # list around it.  `items` are the innermost open list's; `top` holds
+    # the result.
     stack = []
     items = top = []
-    for match in tokens.finditer(text):
+    for match in _TOKEN.finditer(text):
         token = match[0]
         if token == ")":
             if not stack:
                 raise ParseError("trailing input after expression" if top
                                  else "unexpected closing parenthesis", match.start())
-            head, open_offset, outer = stack.pop()
-            outer.append(close(items, open_offset, match.start()) if head is None
-                         else lexeme(head, items, match.start()))
+            open_offset, outer = stack.pop()
+            outer.append(SList(tuple(items), open_offset, match.start()))
             items = outer
-            continue
-        if items is top and top:
+        elif items is top and top:
             raise ParseError("trailing input after expression", match.start())
-        if token == "(":
-            stack.append((None, match.start(), items))
+        elif token == "(":
+            stack.append((match.start(), items))
             items = []
-        elif token[0] != "(":
-            items.append(atom(token, match.start()))
-        elif token[-1] == ")":
-            items.append(lexeme(match, [], match.end() - 1))
         else:
-            stack.append((match, match.start(), items))
-            items = []
+            items.append(SAtom(_value(token), match.start()))
     if stack:
         raise ParseError("missing closing parenthesis", len(text))
     if not top:
@@ -125,122 +92,112 @@ def _read(text: str, tokens: re.Pattern, atom, close, lexeme=None):
     return top[0]
 
 
-def _sexpr_atom(token: str, offset: int) -> SAtom:
-    return SAtom(_value(token), offset)
-
-
-def _sexpr_list(items: list, open_offset: int, close_offset: int) -> SList:
-    return SList(tuple(items), open_offset, close_offset)
-
-
-def parse_sexpr(text: str) -> SNode:
-    """Parse exactly one s-expression; anything trailing is an error."""
-    return _read(text, _TOKEN, _sexpr_atom, _sexpr_list)
-
-
 # ---------------------------------------------------------------------------
-# Message terms.  An atom is kept as its (token, offset) pair; its value is
-# read only where the grammar asks for a number or an error names it.
+# Message terms.
 
 _TERM_ARITY = {"nonce": 1, "mpair": 2, "crypt": 2, "decrypt": 2}
 
 
-def _term_atom(token: str, offset: int) -> tuple[str, int]:
-    return token, offset
-
-
-def _subterm_error(item) -> ParseError | None:
-    """None for a term in term position, else its error: the first error of
-    a list, or an atom's."""
-    if isinstance(item, FreeMsg):
-        return None
-    if type(item) is tuple:
-        return ParseError(f"expected a term, got atom {_value(item[0])!r}", item[1])
-    return item
-
-
-def _nat(text: str, head: tuple[str, int], item, what: str) -> int | ParseError:
-    """The natural number in the position after `head`, or its error."""
-    if type(item) is not tuple:
-        # A list: the error is at its '(', the first token after the head.
-        name, offset = head
-        offset = _TOKEN.search(text, offset + len(name)).start()
-        return ParseError(f"{what} must be a natural number", offset)
-    value = _value(item[0])
+def _nat(node: SNode, what: str) -> int:
+    """The natural number `node` holds in a key or nonce position."""
+    if type(node) is SList:
+        raise ParseError(f"{what} must be a natural number", node.open_offset)
+    value = node.value
     if type(value) is not int:
-        return ParseError(f"{what} must be a natural number", item[1])
+        raise ParseError(f"{what} must be a natural number", node.offset)
     if value < 0:
-        return ParseError(f"{what} must be a natural number, got {value}", item[1])
+        raise ParseError(f"{what} must be a natural number, got {value}", node.offset)
     return value
 
 
-def _term_list(text: str, items: list, open_offset: int, close_offset: int) -> FreeMsg | ParseError:
-    """A closed list of the term grammar: its term, or the first error of
-    its subtree."""
-    head = items[0] if items else None
-    name = head[0] if type(head) is tuple else None
-    arity = _TERM_ARITY.get(name)
-    if arity is None:
-        if name is not None and type(_value(name)) is str:
-            return ParseError(f"unknown constructor {name!r}", head[1])
-        return ParseError("expected a constructor name after '('", open_offset)
-    if len(items) != arity + 1:
-        return ParseError(
-            f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(items) - 1}",
-            close_offset,
-        )
-    if name == "mpair":
-        left, right = items[1], items[2]
-        if isinstance(left, FreeMsg) and isinstance(right, FreeMsg):
-            return MPair(left, right)
-        return _subterm_error(left) or _subterm_error(right)
-    key = _nat(text, head, items[1], "nonce" if name == "nonce" else "key")
-    if type(key) is not int:
-        return key
-    if name == "nonce":
-        return Nonce(key)
-    body = items[2]
-    if not isinstance(body, FreeMsg):
-        return _subterm_error(body)
-    return (Crypt if name == "crypt" else Decrypt)(key, body)
+def _term_of(node: SNode) -> FreeMsg:
+    """The term a generic tree spells, or its first error: each node's own
+    head, constructor, arity and key or value, then its children left to
+    right.  Nodes are checked in pre-order from an explicit stack and built
+    in reverse pre-order, so depth is not bounded by recursion."""
+    order, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if type(node) is SAtom:
+            raise ParseError(f"expected a term, got atom {node.value!r}", node.offset)
+        items = node.items
+        head = items[0] if items else None
+        if type(head) is not SAtom or type(head.value) is not str:
+            raise ParseError("expected a constructor name after '('", node.open_offset)
+        name = head.value
+        arity = _TERM_ARITY.get(name)
+        if arity is None:
+            raise ParseError(f"unknown constructor {name!r}", head.offset)
+        if len(items) != arity + 1:
+            raise ParseError(
+                f"{name} takes {arity} argument{'s' if arity != 1 else ''}, got {len(items) - 1}",
+                node.close_offset,
+            )
+        if name == "mpair":
+            order.append((name, None))
+            stack += (items[2], items[1])
+        else:
+            order.append((name, _nat(items[1], "nonce" if name == "nonce" else "key")))
+            stack += items[2:]
+    # A node's children are the terms built last, its left child on top.
+    terms = []
+    for name, key in reversed(order):
+        if name == "nonce":
+            terms.append(Nonce(key))
+        elif name == "mpair":
+            terms.append(MPair(terms.pop(), terms.pop()))
+        else:
+            terms.append((Crypt if name == "crypt" else Decrypt)(key, terms.pop()))
+    return terms[0]
 
 
-# The term grammar's lexemes, tried before the generic tokens: a whole nonce
-# leaf, a pair head, and a wrapper head with its key.  Each group is an atom
-# the generic tokens would read.  A digit run (regex \d is exactly
-# str.isdecimal()) must end where a generic token ends: at whitespace or a
-# parenthesis.
+# Whole term nodes as single lexemes, tried before the generic tokens: a
+# nonce leaf, a pair head, and a wrapper head with its key.  A digit run
+# (regex \d is exactly str.isdecimal()) must end where a generic token
+# ends: at whitespace or a parenthesis.  The generic tokens come last, so a
+# stray character is a token and not skipped.
 _TERM_TOKEN = re.compile(r"\((nonce)\s+(\d+)\s*\)|\((mpair)(?=[\s()])"
                          r"|\((crypt|decrypt)\s+(\d+)(?=[\s()])|" + _TOKEN.pattern)
 
 
-def _term_lexeme(text: str, head: re.Match, items: list, close_offset: int) -> FreeMsg | ParseError:
-    """The list a lexeme opened: its term if the children are terms, as many
-    as the constructor takes, and the numeral is an int; else what
-    `_term_list` makes of the head's atoms and the children."""
-    kind = head.lastindex  # 2: a nonce leaf, 3: a pair head, 5: a wrapper head
+def _lexeme_term(text: str) -> FreeMsg | None:
+    """The term `text` spells if it is read by lexemes and `)` alone, each
+    node built as its `)` is read; else None.  It never words an error."""
+    # Per open list, innermost last: the match of its head and the items of
+    # the list around it.  Items are always terms.
+    stack = []
+    items = top = []
     try:
-        if kind == 2:
-            return Nonce(int(head[2]))
-        if kind == 3:
-            if len(items) == 2 and isinstance(items[0], FreeMsg) and isinstance(items[1], FreeMsg):
-                return MPair(items[0], items[1])
-        elif len(items) == 1 and isinstance(items[0], FreeMsg):
-            return (Crypt if head[4] == "crypt" else Decrypt)(int(head[5]), items[0])
+        for match in _TERM_TOKEN.finditer(text):
+            kind = match.lastindex  # 2: a nonce leaf, 3: a pair head, 5: a wrapper head
+            if kind is None:
+                if match[0] != ")" or not stack:
+                    return None
+                head, outer = stack.pop()
+                if head.lastindex == 3:
+                    if len(items) != 2:
+                        return None
+                    outer.append(MPair(items[0], items[1]))
+                else:
+                    if len(items) != 1:
+                        return None
+                    outer.append((Crypt if head[4] == "crypt" else Decrypt)(int(head[5]), items[0]))
+                items = outer
+            elif kind == 2:
+                items.append(Nonce(int(match[2])))
+            else:
+                stack.append((match, items))
+                items = []
     except ValueError:  # a numeral past the int-to-text digit limit
-        pass
-    atoms = [(token, head.start(g)) for g, token in enumerate(head.groups(), 1) if token is not None]
-    return _term_list(text, atoms + items, head.start(), close_offset)
+        return None
+    return top[0] if not stack and len(top) == 1 else None
 
 
 def parse_term(text: str) -> FreeMsg:
     """Parse a message term: (nonce N) | (mpair T T) | (crypt K T) |
     (decrypt K T), whitespace-insensitive."""
-    node = _read(text, _TERM_TOKEN, _term_atom, partial(_term_list, text), partial(_term_lexeme, text))
-    error = _subterm_error(node)
-    if error is not None:
-        raise error
-    return node
+    term = _lexeme_term(text)
+    return term if term is not None else _term_of(parse_sexpr(text))
 
 
 def print_term(t: FreeMsg) -> str:

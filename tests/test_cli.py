@@ -242,10 +242,12 @@ _TEXT = st.one_of(_EXPR, st.lists(st.one_of(_EXPR, _JUNK), max_size=4).map(" ".j
 _PRODUCT = f"(* {'9' * 2200} {'9' * 2200})"
 # The readers, the evaluator and the msg-* commands take any depth, so a
 # term or an expression 100,000 deep gets a result, and 5000 unclosed
-# parentheses are a parse error.
+# parentheses or a 100,000-deep term malformed only at its leaf (read twice
+# at full depth) are a parse error.
 _DEEP_TERM = "(crypt 0 " * 100_000 + "(nonce 0)" + ")" * 100_000
 _DEEP_EXPR = "(neg " * 100_000 + "1" + ")" * 100_000
 _UNCLOSED = "(" * 5000
+_DEEP_BAD_TERM = "(crypt 0 " * 100_000 + "(nonce x)" + ")" * 100_000
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,6 +258,7 @@ _UNCLOSED = "(" * 5000
 @example(["int-eval"], _PRODUCT, "")
 @example(["rat-eval"], _PRODUCT, "")
 @example(["msg-nf"], _DEEP_TERM, "")
+@example(["msg-nf"], _DEEP_BAD_TERM, "")
 @example(["int-eval"], _DEEP_EXPR, "")
 @example(["msg-eq"], _UNCLOSED, _DEEP_TERM)
 def test_exit_code_contract(command, lhs, rhs):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import sexpr_oracle
 from conftest import term_strategy
+from quotients import sexpr
 from quotients.errors import ParseError
 from quotients.messages import Crypt, Decrypt, MPair, Nonce
 from quotients.sexpr import SAtom, SList, parse_sexpr, parse_term, print_term
@@ -65,6 +66,7 @@ def test_atom_is_not_a_term():
 @given(term_strategy())
 def test_round_trip(t):
     assert parse_term(print_term(t)) == t
+    assert sexpr._lexeme_term(print_term(t)) == t  # printed text never needs the general reader
 
 
 def test_generic_sexpr_nodes():
@@ -181,9 +183,10 @@ _TERM_PIECES = ["(", ")", " ", "\u3000", "nonce", "mpair", "crypt", "decrypt", "
 @example(f"(nonce {'7' * 4301})")
 @example("()")
 @example("(1 (nonce 0))")
-# Each place a lexeme of the term grammar stops matching: a numeral or a name
-# that runs on, whitespace after '(' or a digit that regex \d does not match,
-# the wrong children, and text after a whole term.
+# Each place the lexeme loop gives up: a numeral or a name that runs on,
+# whitespace after '(' or a digit that regex \d does not match, the wrong
+# children, text or a stray token after a whole term, and a list that is no
+# lexeme.
 @example("(crypt 0x (nonce 1))")
 @example("(mpairx (nonce 0) (nonce 1))")
 @example("(nonce 5x)")
@@ -196,6 +199,10 @@ _TERM_PIECES = ["(", ")", " ", "\u3000", "nonce", "mpair", "crypt", "decrypt", "
 @example("(decrypt 0 (seal))")
 @example("(nonce 1) (nonce 2)")
 @example("(crypt 1 (nonce 1)))")
+@example("(nonce 1) x")
+@example("((nonce 1))")
+@example("(mpair)")
+@example("(mpair (nonce 0) ( nonce 1))")  # a valid term with one list that is no lexeme
 def test_parse_term_matches_oracle(text):
     assert _read_term(parse_term, text) == _read_term(sexpr_oracle.parse_term, text)
 
@@ -291,9 +298,10 @@ def test_deep_malformed_input_is_a_parse_error():
     assert str(exc.value) == f"missing closing parenthesis (at offset {len(text)})"
     assert exc.value.offset == len(text)
     # A crypt chain over a nonce that is not a number, and a left-nested
-    # pair spine whose innermost pair has one argument.  Every lexeme head
-    # above the error falls back to the list rule at its own ')', so the
-    # first error surfaces without recursion; the oracle agrees when shallow.
+    # pair spine whose innermost pair has one argument.  The lexeme loop
+    # gives up at the error and the whole text is read again by
+    # parse_sexpr and checked by _term_of, without recursion; the oracle
+    # agrees when shallow.
     for depth in (30, 100_000):
         chain = "(crypt 1 " * depth + "(nonce x)" + ")" * depth
         spine = "(mpair " * depth + "(nonce 0))" + "".join(f" (nonce {i}))" for i in range(2, depth + 1))
