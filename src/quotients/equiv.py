@@ -5,7 +5,8 @@ bundling a decision procedure with a carrier test and a related-pair
 generator, :class:`EquivClass` values whose equality delegates to the
 relation, and bounded congruence checks that certify (up to a budget) that a
 candidate function is independent of the representative chosen from each
-class.  Certified functions can then be lifted to operate on class values.
+class.  A congruence report names the map it checked, and `lift(report)`
+turns a certified report's map into a function on class values.
 
 Nothing in this module proves anything: a ``certified`` verdict means "no
 counterexample among the first `budget` generated cases", and every
@@ -167,22 +168,25 @@ class RespectMap(Record, Generic[D]):
 
 
 class CongruenceReport(Record):
-    """Outcome of a bounded congruence check.
+    """Outcome of a bounded congruence check of `map`.
 
     `checked` is the number of cases actually examined (the generator may
     exhaust before the requested budget).  A refuted report's counterexample
     re-validates independently: each source decider holds on its pair and
-    the target equality fails on the images.
+    the target equality fails on the images.  `map` is the `RespectMap` the
+    check ran on; `check_respects` and `respects2_via_commutativity` set it,
+    so `lift` and `revalidate_counterexample` need only the report.
     """
 
-    __slots__ = ("verdict", "checked", "counterexample", "note")
+    __slots__ = ("verdict", "checked", "counterexample", "note", "map")
 
     def __init__(self, verdict: Verdict, checked: int, counterexample: tuple | None = None,
-                 note: str | None = None) -> None:
+                 note: str | None = None, map: RespectMap | None = None) -> None:
         _set(self, "verdict", verdict)
         _set(self, "checked", checked)
         _set(self, "counterexample", counterexample)
         _set(self, "note", note)
+        _set(self, "map", map)
 
     @property
     def certified(self) -> bool:
@@ -328,10 +332,10 @@ def check_respects(m: RespectMap[D], budget: int) -> CongruenceReport:
         if not ok:
             # The failing case, recovered by its row-major position.
             case = next(itertools.islice(itertools.product(*per_source), checked - 1, None))
-            return CongruenceReport(Verdict.REFUTED, checked, case[0] if n == 1 else case)
+            return CongruenceReport(Verdict.REFUTED, checked, case[0] if n == 1 else case, map=m)
     if checked == 0:
-        return CongruenceReport(Verdict.NO_SAMPLES, 0)
-    return CongruenceReport(Verdict.CERTIFIED, checked)
+        return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
+    return CongruenceReport(Verdict.CERTIFIED, checked, map=m)
 
 
 check_respects2 = check_respects  # kept: bench/ calls or patches this name
@@ -359,7 +363,7 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     pairs = list(itertools.islice(rel.related_pairs(side), side))
     elems = _sample_elements(rel, pairs)
     if not elems:
-        return CongruenceReport(Verdict.NO_SAMPLES, 0)
+        return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
 
     checked = 0
     swaps = itertools.islice(itertools.product(elems, repeat=2), max(1, budget // 2))
@@ -368,36 +372,16 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
             rest = budget - checked
             full = check_respects(m, rest) if rest else CongruenceReport(Verdict.NO_SAMPLES, 0)
             note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
-            return CongruenceReport(full.verdict, checked + full.checked, full.counterexample, note)
+            return CongruenceReport(full.verdict, checked + full.checked, full.counterexample,
+                                    note, m)
 
     firsts = itertools.islice(((x, y, c) for x, y in pairs for c in elems), budget - checked)
     for checked, (x, y, c) in enumerate(firsts, checked + 1):
         if not m.target_eq(f(x, c), f(y, c)):
-            return CongruenceReport(Verdict.REFUTED, checked, ((x, y), (c, c)))
+            return CongruenceReport(Verdict.REFUTED, checked, ((x, y), (c, c)), map=m)
     return CongruenceReport(
-        Verdict.CERTIFIED, checked, note="via commutativity and single-argument respect"
+        Verdict.CERTIFIED, checked, note="via commutativity and single-argument respect", map=m
     )
-
-
-class LiftedFunction(Record, Generic[D]):
-    """A function on class values, obtained by applying the underlying map
-    to the stored representatives.
-
-    `checked` records whether a certified congruence report backed the lift;
-    unchecked lifts are permitted only when explicitly requested and stay
-    flagged here.
-    """
-
-    __slots__ = ("map", "certificate", "checked")
-
-    def __init__(self, map: RespectMap[D], certificate: CongruenceReport | None,
-                 checked: bool) -> None:
-        _set(self, "map", map)
-        _set(self, "certificate", certificate)
-        _set(self, "checked", checked)
-
-    def __call__(self, *classes: EquivClass) -> D:
-        return operation(self.map)(*classes)
 
 
 def operation(m: RespectMap[D], kind: type | None = None) -> Callable:
@@ -407,7 +391,9 @@ def operation(m: RespectMap[D], kind: type | None = None) -> Callable:
     The result checks its arity and each argument's relation against
     `m.sources`, then applies `m.function` to the stored representatives.
     With `kind`, it returns the image as a `kind` class of the first source
-    relation.  No certificate is consulted on a call; `lift` attaches one.
+    relation.  No certificate is consulted: `operation(m)` is the unchecked
+    lift, and `lift(report)` returns `operation(report.map)` for a certified
+    report.
     """
     f, sources, n = m.function, m.sources, len(m.sources)
 
@@ -425,29 +411,34 @@ def operation(m: RespectMap[D], kind: type | None = None) -> Callable:
     return apply
 
 
-def lift(
-    cert: CongruenceReport | None,
-    m: RespectMap[D],
-    strict: bool = True,
-) -> LiftedFunction[D]:
-    """Lift a map to class values.
+def lift(cert: CongruenceReport) -> Callable:
+    """The map a certified report checked, on class values:
+    `operation(cert.map)`.
 
-    In strict mode (the default) a certified report is required; a refuted
-    or missing one raises, carrying the counterexample.  Passing
-    ``strict=False`` permits the lift anyway, flagged as unchecked.
+    Raises `UncertifiedLiftError`, carrying `cert`, when `cert` is not a
+    `CongruenceReport` (None included), is not certified, or names no map.
+    An unchecked lift is `operation(m)`.
     """
-    certified = cert is not None and cert.certified
-    if strict and not certified:
-        detail = "no certificate" if cert is None else f"verdict {cert.verdict}"
-        if cert is not None and cert.counterexample is not None:
-            detail += f", counterexample {cert.counterexample!r}"
-        raise UncertifiedLiftError(f"strict lift rejected: {detail}", report=cert)
-    return LiftedFunction(m, cert, certified)
+    if cert is None:
+        problem = "no congruence report"
+    elif not isinstance(cert, CongruenceReport):
+        problem = f"{type(cert).__name__} is not a congruence report"
+    elif not cert.certified:
+        problem = f"verdict {cert.verdict}"
+        if cert.counterexample is not None:
+            problem += f", counterexample {cert.counterexample!r}"
+    elif cert.map is None:
+        problem = "the report names no map"
+    else:
+        return operation(cert.map)
+    raise UncertifiedLiftError(f"lift rejected: {problem}", report=cert)
 
 
-def revalidate_counterexample(m: RespectMap[D], report: CongruenceReport) -> bool:
-    """Re-check a refuted report from scratch."""
-    if report.counterexample is None:
+def revalidate_counterexample(report: CongruenceReport) -> bool:
+    """Re-check a refuted report from scratch against the map it names:
+    False when it has no counterexample or no map."""
+    m = report.map
+    if report.counterexample is None or m is None:
         return False
     pairs = (report.counterexample,) if len(m.sources) == 1 else report.counterexample
     xs, ys = zip(*pairs)

@@ -16,10 +16,11 @@ class RelationMismatchError(QuotientError):
 
 
 class UncertifiedLiftError(QuotientError):
-    """A strict lift was requested without a certified congruence report.
+    """`lift` was given something other than a certified congruence report
+    that names its map.
 
-    Carries the offending report (if any) so callers can inspect the
-    counterexample that blocked the lift.
+    Carries what it was given (a report, or None) so callers can inspect
+    the counterexample that blocked the lift.
     """
 
     def __init__(self, message: str, report=None):

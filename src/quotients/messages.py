@@ -575,7 +575,7 @@ def nonce(n: int) -> Msg:
 
 
 # Keys are unbounded naturals, so the per-key ops live in a bounded cache.
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def _keyed_op(key_map, k: int):
     return operation(key_map(k), Msg)
 

@@ -1,5 +1,6 @@
 """Command-line behavior: golden JSON bytes, exit codes, determinism."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -16,6 +17,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from quotients import cli
+from quotients.equiv import EquivalenceReport, Verdict
+from quotients.integers import IntPair, qint
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -127,6 +130,12 @@ def test_text_output_smoke(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "(nonce 5)" in out
+    # No suite's relation is refuted, so a refuted report is printed directly.
+    refuted = cli._report_dict(EquivalenceReport(Verdict.REFUTED, 2, "symmetry", (1, 2)), "r")
+    args = argparse.Namespace(json=False, deterministic=True)
+    assert cli._emit(args, cli.REFUTED, {"results": [refuted]}, 2, 0.0) == 1
+    assert capsys.readouterr().out == (
+        "r: refuted (checked 2) witness [1, 2] law symmetry\noverall: refuted\n")
 
 
 # Each golden's argv without --json, mapped to [exit code, stdout].
@@ -154,12 +163,32 @@ def _readme_examples() -> list[tuple[list[str], str]]:
     return examples
 
 
+def _readme_python() -> list[tuple[object, str]]:
+    """Runs the README's python block line by line and gives, for each bare
+    expression, its value and its comment up to ", i.e."."""
+    (block,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    namespace: dict = {}
+    shown = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("#")
+        try:
+            expression = compile(code, "README.md", "eval")
+        except SyntaxError:
+            exec(code, namespace)
+        else:
+            shown.append((eval(expression, namespace), comment.partition(", i.e.")[0].strip()))
+    return shown
+
+
 def test_readme_examples(capsys):
     examples = _readme_examples()
     assert [argv[0] for argv, _ in examples] == ["int-eval", "check"]
     for argv, expected in examples:
         cli.main(argv)
         assert capsys.readouterr().out == expected
+    (negated, negated_comment), (added, added_comment) = _readme_python()
+    assert (negated, negated_comment) == (IntPair(0, 2), "IntPair(0, 2)")
+    assert (added, repr(added), added_comment) == (qint(0, 3), "QInt(0, 3)", "QInt(0, 3)")
 
 
 def test_usage_error_exit_code():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import equiv_oracle
 
 from quotients.equiv import (
+    CongruenceReport,
     EquivClass,
     EquivRelation,
     RespectMap,
@@ -20,6 +21,7 @@ from quotients.equiv import (
     class_eq,
     class_of,
     lift,
+    operation,
     respects2_via_commutativity,
     revalidate_counterexample,
 )
@@ -100,12 +102,14 @@ class TestCheckEquivalence:
     def test_intrel_certified(self):
         report = check_equivalence(intrel, 200)
         assert report.verdict is Verdict.CERTIFIED
+        assert report.certified
 
     def test_less_than_refuted_reflexivity(self):
         report = check_equivalence(less_than, 10)
         assert report.verdict is Verdict.REFUTED
         assert report.law == "reflexivity"
         assert report.witness == (0, 0)
+        assert not report.certified
 
     def test_msgrel_certified(self):
         report = check_equivalence(msgrel, 500)
@@ -122,6 +126,10 @@ class TestCheckEquivalence:
     def test_budget_validated(self):
         with pytest.raises(ValueError):
             check_equivalence(intrel, 0)
+        with pytest.raises(ValueError):
+            check_respects(NEG_MAP, 0)
+        with pytest.raises(ValueError):
+            respects2_via_commutativity(ADD_MAP, 0)
 
     def test_broken_symmetry_caught(self):
         # Divisibility is reflexive and transitive but not symmetric.
@@ -199,20 +207,25 @@ class TestClassOfAndEq:
 
 class TestCheckRespects:
     def test_negation_certified(self):
-        assert check_respects(NEG_MAP, 200).verdict is Verdict.CERTIFIED
+        report = check_respects(NEG_MAP, 200)
+        assert report.verdict is Verdict.CERTIFIED
+        assert report.map is NEG_MAP
+        assert not revalidate_counterexample(report)
 
     def test_first_component_refuted(self):
         m = RespectMap(lambda p: p[0], (intrel,), plain_eq)
         report = check_respects(m, 50)
         assert report.verdict is Verdict.REFUTED
         assert report.counterexample == (IntPair(0, 0), IntPair(1, 1))
-        assert revalidate_counterexample(m, report)
+        assert revalidate_counterexample(report)
+        unnamed = CongruenceReport(report.verdict, report.checked, report.counterexample)
+        assert not revalidate_counterexample(unnamed)
 
     def test_truncated_discriminator_refuted(self):
         report = check_respects(FREEDISCRIM_TRUNCATED_MAP, 500)
         assert report.verdict is Verdict.REFUTED
         assert report.counterexample == (Crypt(0, Decrypt(0, Nonce(0))), Nonce(0))
-        assert revalidate_counterexample(FREEDISCRIM_TRUNCATED_MAP, report)
+        assert revalidate_counterexample(report)
 
     def test_no_samples(self):
         report = check_respects(RespectMap(lambda x: x, (barren,), plain_eq), 10)
@@ -225,7 +238,7 @@ class TestCheckRespects:
         assert report.verdict is Verdict.REFUTED
         assert report.checked == 14
         assert report.counterexample == (IntPair(3, 0), IntPair(4, 1))
-        assert revalidate_counterexample(m, report)
+        assert revalidate_counterexample(report)
 
 
 class TestCheckRespects2:
@@ -242,7 +255,7 @@ class TestCheckRespects2:
         m2 = RespectMap(lambda p, q: p[0] + q[0], (intrel, intrel), plain_eq)
         report = check_respects(m2, 100)
         assert report.verdict is Verdict.REFUTED
-        assert revalidate_counterexample(m2, report)
+        assert revalidate_counterexample(report)
 
     def test_row_major_counterexample_pinned(self):
         # Refuted in row 0, column 13 of the 21 x 21 product at budget 400.
@@ -256,7 +269,7 @@ class TestCheckRespects2:
         assert report.counterexample == (
             (IntPair(0, 0), IntPair(1, 1)), (IntPair(3, 0), IntPair(4, 1))
         )
-        assert revalidate_counterexample(m2, report)
+        assert revalidate_counterexample(report)
 
 
 class TestCheckRespectsNAry:
@@ -276,15 +289,15 @@ class TestCheckRespectsNAry:
         assert report.verdict is Verdict.REFUTED
         assert report.checked == 1
         assert len(report.counterexample) == 3
-        assert revalidate_counterexample(m3, report)
+        assert revalidate_counterexample(report)
 
     def test_three_argument_lift(self):
-        g = lift(check_respects(self.add3, 64), self.add3)
+        g = lift(check_respects(self.add3, 64))
         z = [class_of(intrel, IntPair(x, y)) for x, y in ((3, 0), (0, 5), (4, 1))]
         assert intrel_holds(g(*z), IntPair(1, 0))
 
     def test_lift_arity_checked(self):
-        g = lift(check_respects(ADD_MAP, 50), ADD_MAP)
+        g = lift(check_respects(ADD_MAP, 50))
         with pytest.raises(TypeError):
             g(class_of(intrel, IntPair(1, 0)))
 
@@ -294,6 +307,8 @@ class TestRespects2ViaCommutativity:
         report = respects2_via_commutativity(ADD_MAP, 400)
         assert report.verdict is Verdict.CERTIFIED
         assert "commutativity" in report.note
+        out = lift(report)(class_of(intrel, IntPair(2, 0)), class_of(intrel, IntPair(0, 5)))
+        assert intrel_holds(out, IntPair(0, 3))
 
     def test_multiplication_via_commutativity(self):
         assert respects2_via_commutativity(MUL_MAP, 400).verdict is Verdict.CERTIFIED
@@ -308,6 +323,7 @@ class TestRespects2ViaCommutativity:
         assert report.verdict is Verdict.CERTIFIED
         assert "not commutative" in report.note
         assert report.checked == 400
+        assert report.map is sub
 
     def test_mismatched_relations_rejected(self):
         m2 = RespectMap(lambda p, q: 0, (intrel, ratrel), plain_eq)
@@ -324,32 +340,32 @@ class TestRespects2ViaCommutativity:
 
 class TestLifting:
     def test_lift1_negation_characteristic_equation(self):
-        g = lift(check_respects(NEG_MAP, 100), NEG_MAP)
+        g = lift(check_respects(NEG_MAP, 100))
         out = g(class_of(intrel, IntPair(3, 1)))
         assert intrel_holds(out, IntPair(1, 3))
 
     def test_lift1_constant(self):
         m = RespectMap(lambda p: 7, (intrel,), plain_eq)
-        g = lift(check_respects(m, 100), m)
+        g = lift(check_respects(m, 100))
         assert g(class_of(intrel, IntPair(9, 4))) == 7
 
     def test_lift1_freenonces(self):
-        g = lift(check_respects(FREENONCES_MAP, 200), FREENONCES_MAP)
+        g = lift(check_respects(FREENONCES_MAP, 200))
         assert g(class_of(msgrel, Crypt(1, Nonce(5)))) == {5}
 
     def test_lift2_addition(self):
-        g = lift(check_respects(ADD_MAP, 200), ADD_MAP)
+        g = lift(check_respects(ADD_MAP, 200))
         out = g(class_of(intrel, IntPair(1, 0)), class_of(intrel, IntPair(1, 0)))
         assert intrel_holds(out, IntPair(2, 0))
 
     @given(st.integers(0, 40), st.integers(0, 40))
     def test_lift2_additive_identity(self, x, y):
-        g = lift(check_respects(ADD_MAP, 50), ADD_MAP)
+        g = lift(check_respects(ADD_MAP, 50))
         z = class_of(intrel, IntPair(x, y))
         assert intrel_holds(g(class_of(intrel, IntPair(0, 0)), z), z.representative)
 
     def test_lift2_multiplication_native_oracle(self):
-        g = lift(check_respects(MUL_MAP, 200), MUL_MAP)
+        g = lift(check_respects(MUL_MAP, 200))
         out = g(class_of(intrel, IntPair(2, 0)), class_of(intrel, IntPair(0, 3)))
         assert out == IntPair(0, 6)
         assert 2 * -3 == out[0] - out[1]
@@ -358,28 +374,43 @@ class TestLifting:
         m = RespectMap(lambda p: p[0], (intrel,), plain_eq)
         report = check_respects(m, 50)
         with pytest.raises(UncertifiedLiftError) as exc:
-            lift(report, m)
+            lift(report)
         assert exc.value.report is report
 
     def test_strict_lift_rejects_missing(self):
-        with pytest.raises(UncertifiedLiftError):
-            lift(None, NEG_MAP)
-        with pytest.raises(UncertifiedLiftError):
-            lift(None, ADD_MAP)
+        with pytest.raises(UncertifiedLiftError, match="no congruence report") as exc:
+            lift(None)
+        assert exc.value.report is None
 
     def test_unchecked_lift_is_flagged(self):
-        g = lift(None, NEG_MAP, strict=False)
-        assert g.checked is False
+        g = operation(NEG_MAP)
         assert intrel_holds(g(class_of(intrel, IntPair(4, 1))), IntPair(1, 4))
 
+    def test_lift_takes_the_map_from_its_report(self):
+        cert = check_respects(NEG_MAP, 50)
+        p = IntPair(3, 0)  # canonical, so the class stores p itself
+        assert lift(cert)(class_of(intrel, p)) == neg_pair(p) == IntPair(0, 3)
+        with pytest.raises(TypeError):
+            lift(cert, NEG_MAP)
+        refuted = check_respects(RespectMap(lambda p: p[0], (intrel,), plain_eq), 50)
+        for report, problem in [
+            (check_equivalence(intrel, 50), "EquivalenceReport is not a congruence report"),
+            (CongruenceReport(Verdict.CERTIFIED, 3), "the report names no map"),
+            (None, "no congruence report"),
+            (refuted, "verdict refuted, counterexample"),
+        ]:
+            with pytest.raises(UncertifiedLiftError, match=problem) as exc:
+                lift(report)
+            assert exc.value.report is report
+
     def test_lift_rejects_wrong_relation(self):
-        g = lift(check_respects(NEG_MAP, 100), NEG_MAP)
+        g = lift(check_respects(NEG_MAP, 100))
         with pytest.raises(RelationMismatchError):
             g(class_of(ratrel, RatPair(1, 2)))
 
     @given(st.integers(0, 50), st.integers(0, 50))
     def test_certified_lift_matches_function(self, x, y):
-        g = lift(check_respects(NEG_MAP, 50), NEG_MAP)
+        g = lift(check_respects(NEG_MAP, 50))
         p = IntPair(x, y)
         assert intrel_holds(g(class_of(intrel, p)), neg_pair(p))
 
@@ -394,10 +425,11 @@ class TestLifting:
             related_pairs=intrel.related_pairs,
         )
         m = RespectMap(neg_pair, (raw,), intrel_holds)
-        g = lift(check_respects(m, 50), m)
+        g = lift(check_respects(m, 50))
         a = class_of(raw, IntPair(x, y))
         b = class_of(raw, IntPair(x + k, y + k))
         assert intrel_holds(g(a), g(b))
+        assert a == b and hash(a) == hash(b)
 
 
 class TestOperation:
@@ -405,7 +437,7 @@ class TestOperation:
         z = neg(qint(3, 1))
         assert isinstance(z, QInt) and isinstance(z, EquivClass)
         assert z.relation is intrel and z.representative == z.pair == IntPair(0, 2)
-        assert lift(check_respects(NEG_MAP, 50), NEG_MAP)(z) == IntPair(2, 0)
+        assert lift(check_respects(NEG_MAP, 50))(z) == IntPair(2, 0)
 
     @pytest.mark.parametrize("op,arg", [
         (neg, qrat(1, 2)),

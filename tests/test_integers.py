@@ -29,6 +29,8 @@ def test_intrel_holds_examples():
     assert intrel_holds((3, 1), (5, 3))
     assert intrel_holds((0, 0), (0, 0))
     assert not intrel_holds((1, 0), (0, 1))
+    for bad in (None, 5, (1,)):
+        assert not intrel.carrier(bad)
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,7 @@ class TestFieldLaws:
             assert rat_add(a, rat_zero()) == a
             assert rat_mul(a, rat_one()) == a
             assert rat_add(a, rat_neg(a)) == rat_zero()
+            assert a + -a == rat_zero() and a * rat_one() == a
 
 
 def test_from_native():
@@ -165,3 +166,5 @@ def test_related_pairs_contract():
     for p, q in ratrel.related_pairs(200):
         assert ratrel.carrier(p) and ratrel.carrier(q)
         assert ratrel_holds(p, q)
+    for bad in (None, 5, (1,)):
+        assert not ratrel.carrier(bad)

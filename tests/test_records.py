@@ -13,12 +13,13 @@ from quotients.equiv import (
     EquivalenceReport,
     EquivClass,
     EquivRelation,
-    LiftedFunction,
     RespectMap,
     Verdict,
 )
-from quotients.integers import IntPair, QInt, intrel, qint
-from quotients.messages import Crypt, Decrypt, MPair, Msg, Nonce, msg, normalize
+from quotients.integers import NEG_MAP, IntPair, QInt, intrel, qint
+from quotients.messages import (
+    FREELEFT_MAP, Crypt, Decrypt, MPair, Msg, Nonce, msg, msgrel, normalize,
+)
 from quotients.rationals import QRat, qrat
 from quotients.sexpr import SAtom, SList, parse_sexpr
 
@@ -39,11 +40,10 @@ def _records():
         (rel, dict(name="r", decider=operator.eq, carrier=bool, related_pairs=list,
                    canonicalize=None)),
         (rmap, dict(function=len, sources=(rel,), target_eq=operator.eq, name="len")),
-        (CongruenceReport(CERTIFIED, 3),
-         dict(verdict=CERTIFIED, checked=3, counterexample=None, note=None)),
+        (CongruenceReport(CERTIFIED, 3, map=rmap),
+         dict(verdict=CERTIFIED, checked=3, counterexample=None, note=None, map=rmap)),
         (EquivalenceReport(REFUTED, 2, "symmetry", (1, 2)),
          dict(verdict=REFUTED, checked=2, law="symmetry", witness=(1, 2))),
-        (LiftedFunction(rmap, None, False), dict(map=rmap, certificate=None, checked=False)),
         (EquivClass((1, 0), intrel), dict(representative=(1, 0), relation=intrel)),
         (qint(3, 1), dict(representative=IntPair(2, 0), relation=intrel)),
     ]
@@ -62,20 +62,20 @@ def _records():
          " open_offset=0, close_offset=6)"),
         (CongruenceReport(CERTIFIED, 3),
          "CongruenceReport(verdict=<Verdict.CERTIFIED: 'certified'>, checked=3,"
-         " counterexample=None, note=None)"),
+         " counterexample=None, note=None, map=None)"),
         (CongruenceReport(REFUTED, 5, ((1, 2),), "n"),
          "CongruenceReport(verdict=<Verdict.REFUTED: 'refuted'>, checked=5,"
-         " counterexample=((1, 2),), note='n')"),
+         " counterexample=((1, 2),), note='n', map=None)"),
         (EquivalenceReport(REFUTED, 2, "symmetry", (1, 2)),
          "EquivalenceReport(verdict=<Verdict.REFUTED: 'refuted'>, checked=2,"
          " law='symmetry', witness=(1, 2))"),
         (RespectMap(len, (intrel,), operator.eq, name="len"),
          "RespectMap(function=<built-in function len>, sources=(EquivRelation('intrel'),),"
          " target_eq=<built-in function eq>, name='len')"),
-        (LiftedFunction(RespectMap(len, (intrel,), operator.eq), None, False),
-         "LiftedFunction(map=RespectMap(function=<built-in function len>,"
-         " sources=(EquivRelation('intrel'),), target_eq=<built-in function eq>, name=''),"
-         " certificate=None, checked=False)"),
+        (CongruenceReport(CERTIFIED, 3, map=RespectMap(len, (intrel,), operator.eq)),
+         "CongruenceReport(verdict=<Verdict.CERTIFIED: 'certified'>, checked=3,"
+         " counterexample=None, note=None, map=RespectMap(function=<built-in function len>,"
+         " sources=(EquivRelation('intrel'),), target_eq=<built-in function eq>, name=''))"),
         (intrel, "EquivRelation('intrel')"),
         (EquivClass((1, 0), intrel), "[(1, 0)]/intrel"),
         (qint(3, 1), "QInt(2, 0)"),
@@ -92,7 +92,8 @@ def test_repr(value, expected):
     [
         (lambda *f: EquivRelation(*f), ("r", operator.eq, bool, list, None)),
         (lambda *f: RespectMap(*f), (len, (intrel,), operator.eq, "len")),
-        (lambda *f: CongruenceReport(*f), (REFUTED, 5, ((1, 2),), "n")),
+        (lambda *f: CongruenceReport(*f),
+         (REFUTED, 5, ((1, 2),), "n", RespectMap(len, (intrel,), operator.eq, "len"))),
         (lambda *f: EquivalenceReport(*f), (REFUTED, 2, "symmetry", (1, 2))),
         (lambda *f: SAtom(*f), ("x", 4)),
         (lambda *f: SList(*f), ((SAtom(1, 1),), 0, 2)),
@@ -110,7 +111,7 @@ def test_defaults_and_keywords():
     assert EquivRelation("r", operator.eq, bool, list).canonicalize is None
     assert RespectMap(len, (), operator.eq).name == ""
     assert CongruenceReport(CERTIFIED, 3) == CongruenceReport(
-        verdict=CERTIFIED, checked=3, counterexample=None, note=None)
+        verdict=CERTIFIED, checked=3, counterexample=None, note=None, map=None)
     assert EquivalenceReport(CERTIFIED, 1) == EquivalenceReport(CERTIFIED, 1, law=None, witness=None)
 
 
@@ -146,7 +147,7 @@ _ROUND_TRIPS = [
     parse_sexpr("(add 1 (neg x))"),
     qint(3, 1),
     qrat(2, 4),
-    CongruenceReport(REFUTED, 5, (IntPair(0, 1), IntPair(1, 2)), "n"),
+    CongruenceReport(REFUTED, 5, (IntPair(0, 1), IntPair(1, 2)), "n", NEG_MAP),
     EquivalenceReport(REFUTED, 2, "symmetry", (qint(1, 0), qint(0, 1))),
 ]
 
@@ -174,11 +175,17 @@ def test_pickle_round_trips(value):
 
 
 def test_msg_values_deep_copy():
-    # msgrel's pair generator is a closure, so a Msg cannot be pickled; a
-    # deep copy rebuilds msgrel around the same functions.
+    # msgrel's pair generator is a closure, so a Msg, or a report that holds
+    # a map over msgrel, cannot be pickled; a deep copy rebuilds msgrel
+    # around the same functions.
     m = msg(Crypt(0, Nonce(1)))
     twin = copy.deepcopy(m)
     assert _same(twin, m) and twin.relation.same_as(m.relation)
+    report = CongruenceReport(CERTIFIED, 3, map=FREELEFT_MAP)
+    twin = copy.deepcopy(report)
+    assert twin.map.sources[0].same_as(msgrel) and twin.map.function is FREELEFT_MAP.function
+    with pytest.raises((pickle.PicklingError, AttributeError)):
+        pickle.dumps(report)
 
 
 # One term per class, built twice: compound terms that rewrite and one that
