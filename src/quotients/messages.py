@@ -15,16 +15,16 @@ Two independent routes decide that equivalence:
   (see below), so `normalize` only reads it.
 * `closure_classes` computes the least fixpoint of the eight rules over a
   bounded term universe, never consulting the rewriter, and returns it as
-  the partition of that universe into classes.  The enumeration records
-  each term's shape (constructor, key or value, child indices) as it builds
-  the term, and the closure works on those shapes alone: it never hashes a
-  term, and its cancellation seeds are shape tests.
+  the partition of that universe into classes.  The universe is a list of
+  shapes (constructor, key or value, child indices), and the closure works
+  on those shapes alone: it builds and hashes no term, and its cancellation
+  seeds are shape tests.
 
 Tests drive the two against each other: `msg_relation` decides by
 rewriting and draws the congruence checker's related pairs from the
 partition, smallest first.  The pairs come in size layers, each sorted on
-its own, as indices, as a request reaches it, so a check costs the closure
-plus the layers up to its budget.  A `Msg` is a class of the relation decided by
+its own as a request reaches it, and terms are built from their shapes only
+as far as those layers reach.  A `Msg` is a class of the relation decided by
 rewriting, and its operations are the free functions' respect maps applied
 to classes by `equiv.operation`.
 
@@ -46,7 +46,6 @@ import itertools
 import operator
 import threading
 from functools import lru_cache
-from typing import NamedTuple
 
 from .equiv import EquivClass, EquivRelation, Record, RespectMap, class_of, operation
 from .errors import UniverseTooLargeError
@@ -90,14 +89,14 @@ _set_nf = FreeMsg._nf.__set__  # how the constructors set the normal-form slot
 
 
 # Each term hashes with its constructor's tag (0 crypt, 1 decrypt, 2 mpair,
-# 3 nonce, as in `_Universe`), so Crypt(k, x) and Decrypt(k, x) differ in
-# hash as well as in equality.  A hash over the fields alone would make them
-# collide, and collisions would double with every wrapper level.  The hash is
-# computed on each call: most terms are built and never hashed, so storing
-# it at construction costs more than it saves.  Equality is FreeMsg's; the
-# rest (immutability, repr, copy and pickle) is Record's.  A part that is
-# not a term (the carrier tests build such terms) has no `_nf` and counts
-# as normal.
+# 3 nonce, as in the universe's shapes), so Crypt(k, x) and Decrypt(k, x)
+# differ in hash as well as in equality.  A hash over the fields alone would
+# make them collide, and collisions would double with every wrapper level.
+# The hash is computed on each call: most terms are built and never hashed,
+# so storing it at construction costs more than it saves.  Equality is
+# FreeMsg's; the rest (immutability, repr, copy and pickle) is Record's.  A
+# part that is not a term (the carrier tests build such terms) has no `_nf`
+# and counts as normal.
 class Nonce(FreeMsg):
     __slots__ = ("value",)
 
@@ -290,21 +289,12 @@ def universe_size(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> int:
     return max(_running_sizes(bound, keys, nonces), default=0)
 
 
-class _Universe(NamedTuple):
-    """A bounded universe, graded by size.  `shapes[i]` is term i's
-    constructor as `(tag, key, body)` with tag 0 for crypt and 1 for
-    decrypt, `(2, left, right)` for mpair or `(3, value)` for nonce, its
-    children given by index; every child comes before its parent.  Terms
-    of size s are `terms[starts[s - 1]:starts[s]]`."""
-
-    terms: list[FreeMsg]
-    shapes: list[tuple[int, ...]]
-    starts: list[int]
-
-
-def _enumerate(bound: int, keys, nonces) -> _Universe:
-    """The terms of size <= bound, size by size, each with its shape; the
-    shapes are recorded as the terms are built, so no term is hashed."""
+def _enumerate(bound: int, keys, nonces) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The universe of terms of size <= bound as shapes, size by size; no
+    term is built.  `shapes[i]` is term i's constructor: `(tag, key, body)`
+    with tag 0 for crypt and 1 for decrypt, `(2, left, right)` for mpair or
+    `(3, value)` for nonce, children by index, each before its parent.
+    Terms of size s are the indices `starts[s - 1]:starts[s]`."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     # The full recurrence takes seconds for a bound in the thousands; stopping
@@ -315,22 +305,32 @@ def _enumerate(bound: int, keys, nonces) -> _Universe:
             break
     if total > MAX_TERMS:
         raise UniverseTooLargeError(total, MAX_TERMS)
-    terms: list[FreeMsg] = [Nonce(n) for n in nonces]
     shapes: list[tuple[int, ...]] = [(3, n) for n in nonces]
-    starts = [0, len(terms)]
+    starts = [0, len(shapes)]
     for s in range(2, bound + 1):
         for i in range(1, s - 1):
-            for l in range(starts[i - 1], starts[i]):
-                for r in range(starts[s - 2 - i], starts[s - 1 - i]):
-                    terms.append(MPair(terms[l], terms[r]))
-                    shapes.append((2, l, r))
-        for tag, make in ((0, Crypt), (1, Decrypt)):
-            for k in keys:
-                for b in range(starts[s - 2], starts[s - 1]):
-                    terms.append(make(k, terms[b]))
-                    shapes.append((tag, k, b))
-        starts.append(len(terms))
-    return _Universe(terms, shapes, starts)
+            shapes += [(2, l, r) for l in range(starts[i - 1], starts[i])
+                       for r in range(starts[s - 2 - i], starts[s - 1 - i])]
+        for tag in (0, 1):
+            shapes += [(tag, k, b) for k in keys for b in range(starts[s - 2], starts[s - 1])]
+        starts.append(len(shapes))
+    return shapes, starts
+
+
+def _grow(terms: list[FreeMsg], shapes, starts, size: int) -> list[FreeMsg]:
+    """Extend `terms`, the universe's first terms, to every term of size at
+    most `size`, in one forward pass: every child comes before its parent."""
+    for shape in shapes[len(terms):starts[min(size, len(starts) - 1)]]:
+        tag = shape[0]
+        if tag == 3:
+            terms.append(Nonce(shape[1]))
+        elif tag == 2:
+            terms.append(MPair(terms[shape[1]], terms[shape[2]]))
+        elif tag == 0:
+            terms.append(Crypt(shape[1], terms[shape[2]]))
+        else:
+            terms.append(Decrypt(shape[1], terms[shape[2]]))
+    return terms
 
 
 def enumerate_terms(
@@ -342,10 +342,10 @@ def enumerate_terms(
     by size.  Raises UniverseTooLargeError before enumerating anything that
     would blow the cap."""
     keys, nonces = _domains(keys, nonces)
-    return _enumerate(bound, keys, nonces).terms
+    return _grow([], *_enumerate(bound, keys, nonces), bound)
 
 
-def _closure(bound: int, keys, nonces) -> tuple[_Universe, list[list[int]]]:
+def _closure(bound: int, keys, nonces) -> tuple[list[tuple], list[int], list[list[int]]]:
     """Union-find least fixpoint of the eight rules over the bounded
     universe, as its partition into classes of indices.
 
@@ -358,8 +358,7 @@ def _closure(bound: int, keys, nonces) -> tuple[_Universe, list[list[int]]]:
     nothing changes.  Agreement with the naive rule-by-rule iteration is
     itself a tested property.
     """
-    universe = _enumerate(bound, keys, nonces)
-    shapes = universe.shapes
+    shapes, starts = _enumerate(bound, keys, nonces)
     n = len(shapes)
 
     parent = list(range(n))
@@ -409,7 +408,7 @@ def _closure(bound: int, keys, nonces) -> tuple[_Universe, list[list[int]]]:
     classes: dict[int, list[int]] = {}
     for i in range(n):
         classes.setdefault(find(i), []).append(i)
-    return universe, list(classes.values())
+    return shapes, starts, list(classes.values())
 
 
 def closure_classes(
@@ -421,8 +420,8 @@ def closure_classes(
     related exactly when they share a class.  Members keep universe order,
     and classes come in the order of their first members."""
     keys, nonces = _domains(keys, nonces)
-    universe, classes = _closure(bound, keys, nonces)
-    terms = universe.terms
+    shapes, starts, classes = _closure(bound, keys, nonces)
+    terms = _grow([], shapes, starts, bound)
     return tuple(tuple(terms[i] for i in members) for members in classes)
 
 
@@ -433,10 +432,10 @@ class _PairLayers:
     (crypt, decrypt, mpair, nonce), then key or value, then parts.  Each class's members
     are grouped by the size their index falls in, every pair of size groups
     is filed under the layer of its total size, and `take` sorts and emits
-    whole layers, as index pairs, until the budget is met."""
+    whole layers until the budget is met, building terms only as far as
+    they reach: a side of layer s has size at most s - 1."""
 
-    def __init__(self, universe: _Universe, classes) -> None:
-        terms, shapes, starts = universe
+    def __init__(self, shapes, starts, classes) -> None:
         blocks: dict[int, list] = {}
         for members in classes:
             groups: dict[int, list[int]] = {}
@@ -453,18 +452,18 @@ class _PairLayers:
                 sort_keys.append((tag, sort_keys[a], sort_keys[shape[2]]))
             else:
                 sort_keys.append((tag, a, sort_keys[shape[2]]))
-        self._terms, self._sort_keys = terms, sort_keys
-        self._layers = iter([blocks[s] for s in sorted(blocks)])
+        self._shapes, self._starts, self._sort_keys = shapes, starts, sort_keys
+        self._terms: list[FreeMsg] = []
+        self._layers = sorted(blocks.items(), reverse=True)  # pending, smallest last
         self._pairs: list[tuple[FreeMsg, FreeMsg]] = []
         self._lock = threading.Lock()
 
     def take(self, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:
         terms, sort_keys = self._terms, self._sort_keys
         with self._lock:
-            while len(self._pairs) < budget:
-                layer_blocks = next(self._layers, None)
-                if layer_blocks is None:
-                    break
+            while len(self._pairs) < budget and self._layers:
+                s, layer_blocks = self._layers.pop()
+                _grow(terms, self._shapes, self._starts, s - 1)
                 layer = [(u, v) for us, vs in layer_blocks for u in us for v in vs]
                 layer.sort(key=lambda p: (sort_keys[p[0]], sort_keys[p[1]]))
                 self._pairs += [(terms[u], terms[v]) for u, v in layer]

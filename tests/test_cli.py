@@ -46,6 +46,11 @@ CASES = [
     ("check_msg_congruence_truncated.json",
      ["check", "msg-congruence", "--budget", "500", "--truncated-discrim",
       "--json", "--deterministic"], 1),
+    # Above the default bound: the universe's terms are built only as far
+    # as the budget's pairs reach.
+    ("check_msg_congruence_b8_truncated.json",
+     ["check", "msg-congruence", "--bound", "8", "--budget", "2000", "--truncated-discrim",
+      "--json", "--deterministic"], 1),
     ("check_int_congruence.json",
      ["check", "int-congruence", "--budget", "300", "--json", "--deterministic"], 0),
     ("oracle_msgrel_b3.json",

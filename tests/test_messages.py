@@ -2,6 +2,8 @@
 
 import gc
 import hashlib
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -193,7 +195,8 @@ class TestUniverse:
                              ids=["default-domains", "one-key-three-nonces"])
     @pytest.mark.parametrize("bound", range(1, 7))
     def test_shapes_and_size_starts(self, bound, keys, nonces):
-        terms, shapes, starts = messages._enumerate(bound, keys, nonces)
+        shapes, starts = messages._enumerate(bound, keys, nonces)
+        terms = enumerate_terms(bound, keys, nonces)
         assert len(shapes) == len(terms)
         rebuild = {
             0: lambda k, b: C(k, terms[b]),
@@ -447,6 +450,41 @@ class TestPairStream:
         rel = msg_relation(bound, keys, nonces)
         for budget in budgets:
             assert rel.related_pairs(budget) == naive[:budget]
+
+    def test_stream_builds_only_the_terms_it_reaches(self):
+        messages._pair_layers.cache_clear()
+        rel = msg_relation(7)
+        built = messages._pair_layers(7, (0, 1), (0, 1))._terms
+        first = rel.related_pairs(200)  # layers up to total size 6
+        assert len(built) == universe_size(5) == 1134
+        second = rel.related_pairs(2000)  # layers up to total size 8
+        assert len(built) == universe_size(7) == 33_534
+        assert all(p is q for p, q in zip(first, second[:200], strict=True))
+
+    def test_concurrent_requests_share_one_stream(self):
+        # Requests from many threads grow one stream's term and pair lists;
+        # each must still get the exact prefix of the eager sort.
+        naive = sorted_pairs_naive(5)
+        budgets = [1, 10, 100, 1000, 4000, len(naive)] * 2
+        messages._pair_layers.cache_clear()
+        rel = msg_relation(5)
+        results = [None] * len(budgets)
+
+        def request(i):
+            results[i] = rel.related_pairs(budgets[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=request, args=(i,)) for i in range(len(budgets))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [naive[:budget] for budget in budgets]
 
     def test_closure_runs_once_per_universe(self, monkeypatch):
         calls = []
