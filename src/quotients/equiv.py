@@ -214,17 +214,52 @@ class EquivalenceReport(Record, Generic[T]):
         return self.verdict is Verdict.CERTIFIED
 
 
-def _sample_elements(rel: EquivRelation[T], pairs: Iterable[tuple[T, T]]) -> list[T]:
+def _sample_elements(rel: EquivRelation[T], pairs: Iterable[tuple[T, T]]
+                     ) -> tuple[list[T], list[T] | None, bytearray | None]:
     """Distinct carrier elements drawn from generated pairs, in first-seen
-    order, followed by their canonical forms (which are fixpoints)."""
-    seen: dict = {}
+    order, followed by their canonical forms (which are fixpoints).
+
+    With a canonicalizer, also the canonical form of each drawn element, in
+    the same order, and a byte per pair: whether its two forms agree; else
+    None for both.  Each drawn element is canonicalized once, as it is
+    first seen.  Where a pair's two forms agree the second is replaced by
+    the first, and at the end every form by the equal element of the
+    result, so equal forms are held as one object.
+    """
+    canon = rel.canonicalize
+    if canon is None:
+        seen: dict = {}
+        for x, y in pairs:
+            seen.setdefault(x, None)
+            seen.setdefault(y, None)
+        return list(seen), None, None
+    index: dict = {}  # element -> its position in elems
+    elems: list = []
+    forms: list = []
+    agree = bytearray()
+    n = 0  # len(elems)
     for x, y in pairs:
-        seen.setdefault(x, None)
-        seen.setdefault(y, None)
-    if rel.canonicalize is not None:
-        for x in list(seen):
-            seen.setdefault(rel.canonicalize(x), None)
-    return list(seen)
+        i = index.setdefault(x, n)
+        if i == n:
+            elems.append(x)
+            forms.append(canon(x))
+            n += 1
+        j = index.setdefault(y, n)
+        if j == n:
+            elems.append(y)
+            forms.append(canon(y))
+            n += 1
+        same = forms[i] == forms[j]
+        if same:
+            forms[j] = forms[i]
+        agree.append(1 if same else 0)
+    for i, c in enumerate(forms):
+        k = index.setdefault(c, n)
+        if k == n:
+            elems.append(c)
+            n += 1
+        forms[i] = elems[k]
+    return elems, forms, agree
 
 
 def _law_cases(rel: EquivRelation[T], pairs: list[tuple[T, T]], budget: int):
@@ -237,7 +272,7 @@ def _law_cases(rel: EquivRelation[T], pairs: list[tuple[T, T]], budget: int):
             yield "pair-generator-carrier", (x, y)
         yield None if related(x, y) else ("pair-generator-decider", (x, y))
 
-    elems = _sample_elements(rel, pairs)
+    elems, forms, agree = _sample_elements(rel, pairs)
     for x in elems:
         yield None if related(x, x) else ("reflexivity", (x, x))
     for x, y in pairs:
@@ -261,12 +296,13 @@ def _law_cases(rel: EquivRelation[T], pairs: list[tuple[T, T]], budget: int):
         if related(a, b) and related(b, c):
             yield None if related(a, c) else ("transitivity", (a, b, c))
 
-    canon = rel.canonicalize
-    if canon is not None:
-        for x in elems:
-            yield None if related(x, canon(x)) else ("canonical-related", (x, canon(x)))
-        for x, y in pairs:
-            yield None if canon(x) == canon(y) else ("canonical-agreement", (x, y))
+    if forms is not None:
+        # An appended form is canonicalized here, once, as it is reached.
+        appended = map(rel.canonicalize, elems[len(forms):])
+        for x, c in zip(elems, itertools.chain(forms, appended)):
+            yield None if related(x, c) else ("canonical-related", (x, c))
+        for (x, y), same in zip(pairs, agree):
+            yield None if same else ("canonical-agreement", (x, y))
 
 
 def check_equivalence(rel: EquivRelation[T], budget: int) -> EquivalenceReport[T]:
@@ -361,7 +397,7 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     f = m.function
     side = int(budget ** 0.5) + 1
     pairs = list(itertools.islice(rel.related_pairs(side), side))
-    elems = _sample_elements(rel, pairs)
+    elems = _sample_elements(rel, pairs)[0]
     if not elems:
         return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
 

@@ -6,7 +6,9 @@ as candidates: the congruence checker, not the formulas' pedigree, is what
 certifies them.  Canonicalization (reduced form, positive denominator) is a
 storage convenience only; every correctness claim routes through the
 relation itself.  A `QRat` is such a class, and each operation is its
-RespectMap applied to classes by `equiv.operation`.
+RespectMap applied to classes by `equiv.operation`.  The maps return plain
+`(num, den)` tuples; a class stores the canonical `RatPair` that `class_of`
+makes of its image.
 """
 
 from __future__ import annotations
@@ -55,14 +57,17 @@ def _is_rat_pair(p) -> bool:
 
 def _scaled_pairs() -> Iterator[tuple[RatPair, RatPair]]:
     # Pairs ((x, y), (k*x, k*y)) graded by |x| + |y| + |k|; k = 1 is skipped
-    # as uninformative, negative x and k are included.
+    # as uninformative, negative x and k are included.  rows[m] holds the
+    # RatPairs with |x| + y = m and y >= 1 in emission order, each built
+    # once; only the scaled partners are built per pair.
+    rows: list[list[RatPair]] = [[], []]
     for s in itertools.count(3):
+        m = s - 1
+        rows.append([RatPair(0, m)] + [RatPair(x, m - j) for j in range(1, m) for x in (j, -j)])
         for k_mag in range(1, s - 1):
+            row = rows[s - k_mag]
             for k in ((-k_mag, k_mag) if k_mag > 1 else (-1,)):
-                for x_mag in range(0, s - k_mag):
-                    y = s - k_mag - x_mag
-                    for x in ((x_mag,) if x_mag == 0 else (x_mag, -x_mag)):
-                        yield RatPair(x, y), RatPair(k * x, k * y)
+                yield from zip(row, [RatPair(k * x, k * y) for x, y in row])
 
 
 def _ratrel_pairs(budget: int) -> list[tuple[RatPair, RatPair]]:
@@ -116,22 +121,22 @@ def rat_from_native(i: int) -> QRat:
     return qrat(i, 1)
 
 
-def add_pair(p, q) -> RatPair:
-    return RatPair(p[0] * q[1] + q[0] * p[1], p[1] * q[1])
+def add_pair(p, q) -> tuple[int, int]:
+    return p[0] * q[1] + q[0] * p[1], p[1] * q[1]
 
 
-def mul_pair(p, q) -> RatPair:
-    return RatPair(p[0] * q[0], p[1] * q[1])
+def mul_pair(p, q) -> tuple[int, int]:
+    return p[0] * q[0], p[1] * q[1]
 
 
-def neg_pair(p) -> RatPair:
-    return RatPair(-p[0], p[1])
+def neg_pair(p) -> tuple[int, int]:
+    return -p[0], p[1]
 
 
-def inv_pair(p) -> RatPair:
+def inv_pair(p) -> tuple[int, int]:
     if p[0] == 0:
         raise DomainError("zero has no multiplicative inverse")
-    return RatPair(p[1], p[0])
+    return p[1], p[0]
 
 
 RAT_ADD_MAP = RespectMap(add_pair, (ratrel, ratrel), ratrel_holds, name="rat_add")

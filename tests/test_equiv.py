@@ -143,6 +143,24 @@ class TestCheckEquivalence:
         assert report.verdict is Verdict.REFUTED
         assert report.law == "symmetry"
 
+    @pytest.mark.parametrize("rel", [intrel, ratrel], ids=["intrel", "ratrel"])
+    def test_canonicalizes_each_element_once(self, rel):
+        # One call per distinct sampled element, in first-seen order, then
+        # one per canonical form appended after them.
+        calls = []
+
+        def counted(p):
+            calls.append(p)
+            return rel.canonicalize(p)
+
+        counting = EquivRelation(rel.name, rel.decider, rel.carrier, rel.related_pairs, counted)
+        assert check_equivalence(counting, 2000) == check_equivalence(rel, 2000)
+        pairs = rel.related_pairs(2000)
+        sampled = list(dict.fromkeys(e for pair in pairs for e in pair))
+        elems = equiv_oracle._sample_elements(rel, pairs)
+        assert len(elems) >= len(sampled) > 100
+        assert calls == elems
+
     def test_filtered_pairs_fallback(self):
         # Congruence mod 3 with the generic product-plus-filter generator.
         mod3 = EquivRelation(
@@ -539,6 +557,33 @@ def _finite_relations(draw):
 def test_check_equivalence_matches_oracle(rel, budget):
     assert _outcome(check_equivalence, rel, budget) == \
         _outcome(equiv_oracle.check_equivalence, rel, budget)
+
+
+def _partition_with_canonicalizer(canon):
+    """Three classes {0, 1}, {2, 3}, {4, 5} of range(6), with related
+    generated pairs and the canonicalizer `canon`."""
+    labels = (0, 0, 1, 1, 2, 2)
+    return EquivRelation(
+        name="finite",
+        decider=lambda x, y: labels[x] == labels[y],
+        carrier=lambda x: x in _R,
+        related_pairs=lambda budget: [(0, 1), (1, 0), (2, 3), (4, 5), (5, 4)],
+        canonicalize=canon.__getitem__,
+    )
+
+
+@pytest.mark.parametrize("canon, law, witness", [
+    # Each element its own form: related to it, but a class has two forms.
+    ((0, 1, 2, 3, 4, 5), "canonical-agreement", (0, 1)),
+    # 5's form 3 lies in another class.
+    ((0, 0, 2, 2, 4, 3), "canonical-related", (5, 3)),
+], ids=["agreement", "related"])
+def test_broken_canonicalizer_matches_oracle(canon, law, witness):
+    rel = _partition_with_canonicalizer(canon)
+    for budget in (5, 60):
+        outcome = _outcome(check_equivalence, rel, budget)
+        assert outcome == _outcome(equiv_oracle.check_equivalence, rel, budget)
+        assert outcome[0] is Verdict.REFUTED and outcome[2:] == (law, witness)
 
 
 @st.composite

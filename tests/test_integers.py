@@ -1,19 +1,33 @@
 """The integer quotient, validated against native signed arithmetic."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
-from quotients.equiv import class_eq, class_of
+import pair_oracles
+
+from quotients.equiv import (
+    RespectMap,
+    Verdict,
+    check_respects,
+    class_eq,
+    class_of,
+    revalidate_counterexample,
+)
 from quotients.integers import (
     IntPair,
     add,
+    add_pair,
     canonical,
     from_native,
     intrel,
     intrel_holds,
     le,
     mul,
+    mul_pair,
     neg,
+    neg_pair,
     one,
     qint,
     to_nat,
@@ -193,3 +207,30 @@ def test_dunder_operators():
     assert qint(2, 0) * qint(0, 3) == from_native(-6)
     assert -qint(2, 0) == from_native(-2)
     assert qint(0, 1) <= qint(1, 0)
+
+
+def test_shift_pairs_match_reference():
+    # The same first 50,000 pairs as the nested-loop generator, element
+    # types included; only the sharing of equal elements differs.
+    ours = list(itertools.islice(intrel.related_pairs(50_000), 50_000))
+    assert ours == list(itertools.islice(pair_oracles.shift_pairs(), 50_000))
+    assert {type(e) for pair in ours for e in pair} == {IntPair}
+
+
+def test_maps_return_plain_tuples_and_classes_store_int_pairs():
+    p, q = IntPair(3, 1), IntPair(0, 4)
+    outs = [neg_pair(p), add_pair(p, q), mul_pair(p, q)]
+    assert [type(out) for out in outs] == [tuple] * 3
+    assert outs == [(1, 3), (3, 5), (4, 12)]
+    assert type(add(qint(1, 0), qint(0, 3)).pair) is IntPair
+    assert type(mul(qint(1, 0), qint(0, 3)).pair) is IntPair
+    assert type(neg(qint(1, 0)).pair) is IntPair
+    assert neg(qint(5, 2)).pair.x == 0 and neg(qint(5, 2)).pair.y == 3
+
+
+def test_broken_map_counterexample_revalidates():
+    # Keeps p's second component and drops q's: not a map on classes.
+    broken = RespectMap(lambda p, q: (p[0] + q[0], p[1]), (intrel, intrel), intrel_holds)
+    report = check_respects(broken, 100)
+    assert report.verdict is Verdict.REFUTED
+    assert revalidate_counterexample(report)

@@ -4,11 +4,14 @@ The oracle is Python's Fraction, but every comparison goes through
 ratrel_holds: reduced forms never serve as the arbiter.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
+
+import pair_oracles
 
 from quotients.equiv import Verdict, check_respects
 from quotients.errors import DomainError
@@ -17,6 +20,10 @@ from quotients.rationals import (
     RAT_MUL_MAP,
     RAT_NEG_MAP,
     RatPair,
+    add_pair,
+    inv_pair,
+    mul_pair,
+    neg_pair,
     qrat,
     rat_add,
     rat_canonical,
@@ -168,3 +175,23 @@ def test_related_pairs_contract():
         assert ratrel_holds(p, q)
     for bad in (None, 5, (1,)):
         assert not ratrel.carrier(bad)
+
+
+def test_scaled_pairs_match_reference():
+    # The same first 60,000 pairs as the nested-loop generator, element
+    # types included; only the sharing of equal elements differs.
+    ours = list(itertools.islice(ratrel.related_pairs(60_000), 60_000))
+    assert ours == list(itertools.islice(pair_oracles.scaled_pairs(), 60_000))
+    assert {type(e) for pair in ours for e in pair} == {RatPair}
+
+
+def test_maps_return_plain_tuples_and_classes_store_rat_pairs():
+    p, q = RatPair(2, -4), RatPair(3, 5)
+    outs = [add_pair(p, q), mul_pair(p, q), neg_pair(p), inv_pair(p)]
+    assert [type(out) for out in outs] == [tuple] * 4
+    assert outs == [(-2, -20), (6, -20), (-2, -4), (-4, 2)]
+    for value in (rat_mul(qrat(2, -4), qrat(3, 5)), rat_add(qrat(1, 2), qrat(1, 3)),
+                  rat_neg(qrat(1, 2)), rat_inv(qrat(2, 6))):
+        assert type(value.pair) is RatPair
+    value = rat_mul(qrat(2, -4), qrat(3, 5))
+    assert (value.num, value.den, value.pair.num) == (-3, 10, -3)
