@@ -18,13 +18,15 @@ Two independent routes decide that equivalence:
   the partition of that universe into classes.  The universe is a list of
   shapes (constructor, key or value, child indices), and the closure works
   on those shapes alone: it builds and hashes no term, and its cancellation
-  seeds are shape tests.
+  seeds are shape tests.  It closes one size at a time, in one pass per
+  size, which is the least fixpoint.
 
 Tests drive the two against each other: `msg_relation` decides by
 rewriting and draws the congruence checker's related pairs from the
-partition, smallest first.  The pairs come in size layers, each sorted on
-its own as a request reaches it, and terms are built from their shapes only
-as far as those layers reach.  A `Msg` is a class of the relation decided by
+partition, smallest first.  The pairs come in size layers.  A request
+closes and groups the universe only up to the sizes its layers reach,
+sorts each layer as it reaches it, and builds only the terms of the pairs
+it emits, with their subterms.  A `Msg` is a class of the relation decided by
 rewriting, and its operations are the free functions' respect maps applied
 to classes by `equiv.operation`.
 
@@ -42,7 +44,6 @@ field: repr, equality, hashing, copy and pickle ignore it (see
 from __future__ import annotations
 
 import bisect
-import itertools
 import operator
 import threading
 from functools import lru_cache
@@ -56,9 +57,11 @@ _set = object.__setattr__  # how a Record's __init__ sets its fields
 
 class FreeMsg(Record):
     """Base of the free message terms.  `_nf` holds the term's normal form,
-    set by its constructor; see the module docstring."""
+    set by its constructor (see the module docstring); `_hash` holds its
+    hash once asked for.  Equality, hashing and repr walk explicit stacks,
+    so term depth is bounded by memory, not by recursion."""
 
-    __slots__ = ("_nf",)
+    __slots__ = ("_nf", "_hash")
 
     def __eq__(self, other):
         # Structural equality, walked with an explicit stack so that term
@@ -84,32 +87,68 @@ class FreeMsg(Record):
                 stack.append((u.body, v.body))
         return True
 
+    def __hash__(self) -> int:
+        # hash((tag, *fields)) with the constructor's tag (0 crypt, 1 decrypt,
+        # 2 mpair, 3 nonce, as in the universe's shapes), so Crypt(k, x) and
+        # Decrypt(k, x) differ in hash too.  Stored on first use, not at
+        # construction (most terms are never hashed); the nodes without one
+        # are hashed post-order, so the tuple hash reads stored hashes only.
+        h = getattr(self, "_hash", None)
+        if h is not None:
+            return h
+        stack = [self]
+        while stack:
+            t = stack[-1]
+            fields = ((t.left, t.right) if type(t) is MPair else (t.value,) if type(t) is Nonce
+                      else (t.key, t.body))
+            ready = True
+            for f in fields:
+                if isinstance(f, FreeMsg) and not hasattr(f, "_hash"):
+                    stack.append(f)
+                    ready = False
+            if ready:
+                stack.pop()
+                _set_hash(t, hash((t._tag, *fields)))
+        return self._hash
+
+    def __repr__(self) -> str:
+        # Record's repr: the stack holds terms still to print and the text
+        # already made for everything else.
+        out, stack = [], [self]
+        while stack:
+            t = stack.pop()
+            if not isinstance(t, FreeMsg):
+                out.append(t)
+                continue
+            items = [f"{type(t).__qualname__}("]
+            for k, name in enumerate(t._fields):
+                value = getattr(t, name)
+                items += (f"{', ' if k else ''}{name}=",
+                          value if isinstance(value, FreeMsg) else repr(value))
+            items.append(")")
+            stack += reversed(items)
+        return "".join(out)
+
 
 _set_nf = FreeMsg._nf.__set__  # how the constructors set the normal-form slot
+_set_hash = FreeMsg._hash.__set__  # and the hash slot, on first hash
 
 
-# Each term hashes with its constructor's tag (0 crypt, 1 decrypt, 2 mpair,
-# 3 nonce, as in the universe's shapes), so Crypt(k, x) and Decrypt(k, x)
-# differ in hash as well as in equality.  A hash over the fields alone would
-# make them collide, and collisions would double with every wrapper level.
-# The hash is computed on each call: most terms are built and never hashed,
-# so storing it at construction costs more than it saves.  Equality is
-# FreeMsg's; the rest (immutability, repr, copy and pickle) is Record's.  A
-# part that is not a term (the carrier tests build such terms) has no `_nf`
-# and counts as normal.
+# Equality, hashing and repr are FreeMsg's; the rest (immutability, copy and
+# pickle) is Record's.  A part that is not a term (the carrier tests build
+# such terms) has no `_nf` and counts as normal.
 class Nonce(FreeMsg):
     __slots__ = ("value",)
+    _tag = 3
 
     def __init__(self, value: int) -> None:
         _set(self, "value", value)
         _set_nf(self, True)
 
-    def __hash__(self) -> int:
-        return hash((3, self.value))
-
 
 class MPair(FreeMsg):
     __slots__ = ("left", "right")
+    _tag = 2
 
     def __init__(self, left: FreeMsg, right: FreeMsg) -> None:
         _set(self, "left", left)
@@ -127,9 +166,6 @@ class MPair(FreeMsg):
         else:
             _set_nf(self, MPair(left if left_nf is True else left_nf,
                                 right if right_nf is True else right_nf))
-
-    def __hash__(self) -> int:
-        return hash((2, self.left, self.right))
 
 
 class _Wrapper(FreeMsg):
@@ -151,9 +187,6 @@ class _Wrapper(FreeMsg):
             _set_nf(self, nf.body)  # normal, as a part of a normal form
         else:
             _set_nf(self, True if nf is body else type(self)(key, nf))
-
-    def __hash__(self) -> int:
-        return hash((self._tag, self.key, self.body))
 
 
 class Crypt(_Wrapper):
@@ -317,20 +350,23 @@ def _enumerate(bound: int, keys, nonces) -> tuple[list[tuple[int, ...]], list[in
     return shapes, starts
 
 
-def _grow(terms: list[FreeMsg], shapes, starts, size: int) -> list[FreeMsg]:
-    """Extend `terms`, the universe's first terms, to every term of size at
-    most `size`, in one forward pass: every child comes before its parent."""
-    for shape in shapes[len(terms):starts[min(size, len(starts) - 1)]]:
+def _build(shapes, terms: list, indices) -> None:
+    """Build term i of the universe from its shape into `terms[i]` for each
+    i in `indices`, ascending, in one forward pass.  `terms` holds the
+    terms built so far by index (None for the rest); every child precedes
+    its parent, so it must be built already or come earlier in `indices`.
+    Each term is built once and shared by every term that contains it."""
+    for i in indices:
+        shape = shapes[i]
         tag = shape[0]
         if tag == 3:
-            terms.append(Nonce(shape[1]))
+            terms[i] = Nonce(shape[1])
         elif tag == 2:
-            terms.append(MPair(terms[shape[1]], terms[shape[2]]))
+            terms[i] = MPair(terms[shape[1]], terms[shape[2]])
         elif tag == 0:
-            terms.append(Crypt(shape[1], terms[shape[2]]))
+            terms[i] = Crypt(shape[1], terms[shape[2]])
         else:
-            terms.append(Decrypt(shape[1], terms[shape[2]]))
-    return terms
+            terms[i] = Decrypt(shape[1], terms[shape[2]])
 
 
 def enumerate_terms(
@@ -342,73 +378,51 @@ def enumerate_terms(
     by size.  Raises UniverseTooLargeError before enumerating anything that
     would blow the cap."""
     keys, nonces = _domains(keys, nonces)
-    return _grow([], *_enumerate(bound, keys, nonces), bound)
+    shapes, _ = _enumerate(bound, keys, nonces)
+    terms: list = [None] * len(shapes)
+    _build(shapes, terms, range(len(shapes)))
+    return terms
 
 
-def _closure(bound: int, keys, nonces) -> tuple[list[tuple], list[int], list[list[int]]]:
-    """Union-find least fixpoint of the eight rules over the bounded
-    universe, as its partition into classes of indices.
+def _closure(shapes, parent: list[int], seen: dict, stop: int) -> None:
+    """Extend the union-find least fixpoint of the eight rules from the
+    terms `shapes[:len(parent)]` to `shapes[:stop]`, in place: `parent[i]`
+    is the root (least index) of term i's class, and `seen` maps each
+    signature, a constructor with its parts' roots, to its first term.
 
-    The closure works on shapes alone and never hashes a term.
-    Reflexivity, symmetry, and transitivity live in the union-find
-    structure; the cancellation axioms are the seed unions, found by a shape
-    test (a crypt or decrypt whose body has the opposite tag and the same
-    key joins its grandchild); the constructor rules are applied by merging
-    terms whose (constructor, class-of-parts) signatures collide, until
-    nothing changes.  Agreement with the naive rule-by-rule iteration is
-    itself a tested property.
+    The closure works on shapes alone.  Reflexivity, symmetry and
+    transitivity live in the union-find; the cancellation axioms are seed
+    unions, found by a shape test (a crypt or decrypt whose body has the
+    opposite tag and the same key joins its grandchild); the constructor
+    rules merge terms whose signatures collide.  One pass in index order,
+    children first, applies both to each new term.  A union that adds the
+    new term, still alone, to an older class leaves every recorded
+    signature valid, since no older term has it as a part, so a pass made
+    only of such unions is the least fixpoint, with no appeal to
+    confluence.  A union of two older classes raises instead of running a
+    signature loop, so no partition that may not be closed is returned; in
+    size order none occurs, as the cancellation rules' critical pairs meet.
     """
-    shapes, starts = _enumerate(bound, keys, nonces)
-    n = len(shapes)
-
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    def union(i: int, j: int) -> bool:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            return False
-        if rj < ri:
-            ri, rj = rj, ri
-        parent[rj] = ri
-        return True
-
-    for i, shape in enumerate(shapes):
+    for i in range(len(parent), stop):
+        shape = shapes[i]
         tag = shape[0]
-        if tag < 2:
+        root = i
+        if tag == 3:
+            sig = shape
+        elif tag == 2:
+            sig = (tag, parent[shape[1]], parent[shape[2]])
+        else:
+            sig = (tag, shape[1], parent[shape[2]])
             body = shapes[shape[2]]
             if body[0] == 1 - tag and body[1] == shape[1]:
-                union(i, body[2])
-
-    changed = True
-    while changed:
-        changed = False
-        seen: dict = {}
-        for i, shape in enumerate(shapes):
-            tag = shape[0]
-            if tag == 3:
-                sig = shape
-            elif tag == 2:
-                sig = (tag, find(shape[1]), find(shape[2]))
-            else:
-                sig = (tag, shape[1], find(shape[2]))
-            j = seen.get(sig)
-            if j is None:
-                seen[sig] = i
-            elif union(i, j):
-                changed = True
-
-    classes: dict[int, list[int]] = {}
-    for i in range(n):
-        classes.setdefault(find(i), []).append(i)
-    return shapes, starts, list(classes.values())
+                root = parent[body[2]]
+        j = seen.setdefault(sig, i)
+        if j != i:
+            if root == i:
+                root = parent[j]
+            elif root != parent[j]:
+                raise RuntimeError(f"term {i} merges two older classes; the one-pass closure needs size order")
+        parent.append(root)
 
 
 def closure_classes(
@@ -420,31 +434,50 @@ def closure_classes(
     related exactly when they share a class.  Members keep universe order,
     and classes come in the order of their first members."""
     keys, nonces = _domains(keys, nonces)
-    shapes, starts, classes = _closure(bound, keys, nonces)
-    terms = _grow([], shapes, starts, bound)
-    return tuple(tuple(terms[i] for i in members) for members in classes)
+    shapes, _ = _enumerate(bound, keys, nonces)
+    parent: list[int] = []
+    _closure(shapes, parent, {}, len(shapes))
+    terms: list = [None] * len(shapes)
+    _build(shapes, terms, range(len(shapes)))
+    classes: dict[int, list[FreeMsg]] = {}
+    for t, root in zip(terms, parent):
+        classes.setdefault(root, []).append(t)
+    return tuple(map(tuple, classes.values()))
 
 
 class _PairLayers:
     """A universe's related pairs, smallest first: by total size, then by
     the sort key of each side.  A term's sort key is its shape with each
     child index replaced by the child's sort key, so terms order by tag
-    (crypt, decrypt, mpair, nonce), then key or value, then parts.  Each class's members
-    are grouped by the size their index falls in, every pair of size groups
-    is filed under the layer of its total size, and `take` sorts and emits
-    whole layers until the budget is met, building terms only as far as
-    they reach: a side of layer s has size at most s - 1."""
+    (crypt, decrypt, mpair, nonce), then key or value, then parts.
 
-    def __init__(self, shapes, starts, classes) -> None:
-        blocks: dict[int, list] = {}
-        for members in classes:
-            groups: dict[int, list[int]] = {}
-            for i in members:
-                groups.setdefault(bisect.bisect_right(starts, i), []).append(i)
-            for (a, us), (b, vs) in itertools.product(groups.items(), repeat=2):
-                blocks.setdefault(a + b, []).append((us, vs))
-        sort_keys: list[tuple] = []
-        for shape in shapes:
+    Layer s pairs terms of size at most s - 1, so before `take` sorts it,
+    it closes size c = s - 1, builds its sort keys and files what it adds
+    to later layers: a term alone in its class, its reflexive pair to
+    layer 2c; a class's members `new` of size c, the blocks (us, new) and
+    (new, us) to layer a + c for each older size group (a, us) of the
+    class, and (new, new) to layer 2c.  Sizes no request reaches are never
+    closed, and only the sides of emitted pairs and their subterms are
+    built, each once."""
+
+    def __init__(self, bound: int, keys, nonces) -> None:
+        self._shapes, self._starts = _enumerate(bound, keys, nonces)
+        self._parent: list[int] = []  # class roots of the closed terms
+        self._seen: dict = {}  # _closure's signatures
+        self._sort_keys: list[tuple] = []
+        self._terms: list = [None] * len(self._shapes)
+        self._groups: dict[int, list] = {}  # root -> its (size, members) groups, if not alone
+        self._reflexive: dict[int, list[int]] = {}  # layer -> terms alone in their class
+        self._blocks: dict[int, list] = {}  # layer -> (us, vs) blocks
+        self._layer = 1  # the last layer emitted
+        self._pairs: list[tuple[FreeMsg, FreeMsg]] = []
+        self._lock = threading.Lock()
+
+    def _close(self, c: int) -> None:
+        shapes, starts, parent, sort_keys = self._shapes, self._starts, self._parent, self._sort_keys
+        lo, hi = starts[c - 1], starts[c]
+        _closure(shapes, parent, self._seen, hi)
+        for shape in shapes[lo:hi]:
             tag, a = shape[0], shape[1]
             if tag == 3:
                 sort_keys.append(shape)
@@ -452,27 +485,49 @@ class _PairLayers:
                 sort_keys.append((tag, sort_keys[a], sort_keys[shape[2]]))
             else:
                 sort_keys.append((tag, a, sort_keys[shape[2]]))
-        self._shapes, self._starts, self._sort_keys = shapes, starts, sort_keys
-        self._terms: list[FreeMsg] = []
-        self._layers = sorted(blocks.items(), reverse=True)  # pending, smallest last
-        self._pairs: list[tuple[FreeMsg, FreeMsg]] = []
-        self._lock = threading.Lock()
+        joined: dict[int, list[int]] = {}
+        for i in range(lo, hi):
+            if parent[i] != i:
+                joined.setdefault(parent[i], []).append(i)
+        self._reflexive[2 * c] = [i for i in range(lo, hi) if parent[i] == i and i not in joined]
+        for root, new in joined.items():
+            if root >= lo:
+                new.insert(0, root)
+                old = []
+            else:
+                old = self._groups.get(root) or [(bisect.bisect_right(starts, root), [root])]
+            for a, us in old:
+                self._blocks.setdefault(a + c, []).extend(((us, new), (new, us)))
+            self._blocks.setdefault(2 * c, []).append((new, new))
+            self._groups[root] = [*old, (c, new)]
 
     def take(self, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:
-        terms, sort_keys = self._terms, self._sort_keys
+        shapes, terms, sort_keys = self._shapes, self._terms, self._sort_keys
+        bound = len(self._starts) - 1
         with self._lock:
-            while len(self._pairs) < budget and self._layers:
-                s, layer_blocks = self._layers.pop()
-                _grow(terms, self._shapes, self._starts, s - 1)
-                layer = [(u, v) for us, vs in layer_blocks for u in us for v in vs]
+            while len(self._pairs) < budget and self._layer < 2 * bound:
+                s = self._layer + 1
+                if s - 1 <= bound:
+                    self._close(s - 1)
+                layer = [(i, i) for i in self._reflexive.pop(s, ())]
+                layer += [(u, v) for us, vs in self._blocks.pop(s, ()) for u in us for v in vs]
                 layer.sort(key=lambda p: (sort_keys[p[0]], sort_keys[p[1]]))
+                new, stack = set(), [i for pair in layer for i in pair]
+                while stack:  # the unbuilt sides and subterms
+                    i = stack.pop()
+                    if terms[i] is None and i not in new:
+                        new.add(i)
+                        shape = shapes[i]
+                        stack += shape[1:] if shape[0] == 2 else shape[2:]
+                _build(shapes, terms, sorted(new))
                 self._pairs += [(terms[u], terms[v]) for u, v in layer]
+                self._layer = s
             return self._pairs[:budget]
 
 
 @lru_cache(maxsize=8)
 def _pair_layers(bound: int, keys, nonces) -> _PairLayers:
-    return _PairLayers(*_closure(bound, keys, nonces))
+    return _PairLayers(bound, keys, nonces)
 
 
 def _sorted_pairs(bound: int, keys, nonces, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:
@@ -492,9 +547,9 @@ def msg_relation(
     keep each other honest wherever this relation feeds the congruence
     checker.  Pairs come smallest first, by total size and then by each
     side's constructor (crypt, decrypt, mpair, nonce), key or value, and
-    parts, from a per-universe stream that sorts one size layer at a time:
-    a request for `budget` pairs costs the closure (once per universe) plus
-    the layers up to the budget."""
+    parts, from a per-universe stream that grows one size layer at a time:
+    a request for `budget` pairs costs the layers up to the budget, each
+    paid once per universe."""
     keys, nonces = _domains(keys, nonces)
     default = bound == SAMPLING_BOUND and keys == DEFAULT_KEYS and nonces == DEFAULT_NONCES
     name = "msgrel" if default else f"msgrel[bound={bound},keys={keys},nonces={nonces}]"

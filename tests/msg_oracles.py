@@ -1,9 +1,10 @@
 """Reference implementations the message tests compare against.
 
-A term-size count, the recursive carrier test, an outermost rewriting
-strategy and a redex-free test, a naive round-by-round rule closure, the closure as an explicit pair set,
-and an eager sort of every related pair on a recursive term key, each
-independent of the engine it checks in `quotients.messages`.
+A term-size count, the recursive carrier test, recursive term hash and
+repr, an outermost rewriting strategy and a redex-free test, a naive
+round-by-round rule closure, the closure as an explicit pair set, and an
+eager sort of every related pair on a recursive term key, each independent
+of the engine it checks in `quotients.messages`.
 """
 
 from __future__ import annotations
@@ -43,6 +44,40 @@ def well_formed_recursive(t) -> bool:
     if isinstance(t, (Crypt, Decrypt)):
         return type(t.key) is int and t.key >= 0 and well_formed_recursive(t.body)
     return False
+
+
+_TAGS = {Crypt: 0, Decrypt: 1, MPair: 2, Nonce: 3}
+
+
+class _Hashed:
+    """Hashes as the number it holds, as a term's own `__hash__` did when
+    it recursed."""
+
+    def __init__(self, value: int) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return self.value
+
+
+def hash_recursive(t) -> int:
+    """A term's hash as a recursive walk: hash((tag, *fields)) with the
+    constructor's tag, each term field hashing as this walk's number for
+    it, and any other field as itself."""
+    if not isinstance(t, FreeMsg):
+        return hash(t)
+    fields = [getattr(t, name) for name in t._fields]
+    return hash((_TAGS[type(t)], *[_Hashed(hash_recursive(f)) if isinstance(f, FreeMsg) else f
+                                   for f in fields]))
+
+
+def repr_recursive(t) -> str:
+    """A term's repr as a recursive walk: `Name(field=value, ...)`, the
+    text of `equiv.Record.__repr__`."""
+    if not isinstance(t, FreeMsg):
+        return repr(t)
+    fields = ", ".join(f"{name}={repr_recursive(getattr(t, name))}" for name in t._fields)
+    return f"{type(t).__qualname__}({fields})"
 
 
 def term_key(t: FreeMsg):

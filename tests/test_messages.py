@@ -13,8 +13,10 @@ from msg_oracles import (
     MsgRule,
     closure_oracle,
     closure_oracle_naive,
+    hash_recursive,
     is_normal,
     normalize_outermost,
+    repr_recursive,
     rule_instances,
     size,
     sorted_pairs_naive,
@@ -226,6 +228,61 @@ class TestTermHash:
         assert copy == t and copy is not t
         assert hash(copy) == hash(t)
 
+    @given(term_strategy())
+    def test_hash_matches_recursive_reference(self, t):
+        expected = hash_recursive(t)
+        assert hash(t) == expected
+        assert hash(t) == expected  # read back from the term
+
+    def test_universe_hashes_match_recursive_reference(self):
+        # Parts hashed before their parents, and parents first.
+        terms = enumerate_terms(5)
+        assert [hash(t) for t in terms] == [hash_recursive(t) for t in terms]
+        terms = enumerate_terms(5)
+        assert [hash(t) for t in reversed(terms)] == [hash_recursive(t) for t in reversed(terms)]
+        # A part that is not a term hashes as itself.
+        for t in (N("1"), C(None, N(True)), M(N(0), 1.5), D(1, M(N(0), N(0)))):
+            assert hash(t) == hash_recursive(t)
+
+    def test_deep_terms(self):
+        # A 100,000-deep crypt chain and pair spine, each built twice:
+        # hashed without recursion, and equal terms hash equal.
+        for build in (_deep_chain, _deep_spine):
+            u, v, w = build(0), build(0), build(1)
+            assert hash(u) == hash(v) != hash(w)
+            assert hash(msg(u)) == hash(msg(v))
+
+
+def _deep_chain(leaf: int, depth: int = 100_000) -> FreeMsg:
+    t = N(leaf)
+    for _ in range(depth):
+        t = C(0, t)
+    return t
+
+
+def _deep_spine(leaf: int, depth: int = 100_000) -> FreeMsg:
+    t = N(leaf)
+    for _ in range(depth):
+        t = M(t, N(1))
+    return t
+
+
+class TestTermRepr:
+    @given(term_strategy())
+    def test_repr_matches_recursive_reference(self, t):
+        assert repr(t) == repr_recursive(t)
+
+    def test_parts_that_are_not_terms(self):
+        for t in (N("1"), C(None, N(True)), M(N(0), 1.5), D(1, M(N(0), N(0)))):
+            assert repr(t) == repr_recursive(t)
+        assert repr(C(None, N("1"))) == "Crypt(key=None, body=Nonce(value='1'))"
+
+    def test_deep_terms(self):
+        n = 100_000
+        assert repr(_deep_chain(7)) == "Crypt(key=0, body=" * n + "Nonce(value=7)" + ")" * n
+        assert repr(_deep_spine(0)) == (
+            "MPair(left=" * n + "Nonce(value=0)" + ", right=Nonce(value=1))" * n)
+
 
 class TestTermEq:
     @given(term_strategy(), term_strategy())
@@ -319,6 +376,38 @@ class TestClosureOracle:
         # Members in universe order, classes in the order of their first members.
         assert all(list(c) == sorted(c, key=position) for c in classes)
         assert [c[0] for c in classes] == sorted((c[0] for c in classes), key=position)
+
+    def test_closure_out_of_size_order_raises(self):
+        # Listed out of size order, crypt 0 (crypt 0 (decrypt 0 (decrypt 0 n)))
+        # comes before crypt 0 (decrypt 0 n).  The latter's seed joins n's
+        # class, and its signature then meets the former's: a union of two
+        # older classes, which one pass cannot finish, so the closure raises
+        # rather than return a partition that may not be closed.
+        keys, nonces = (0,), (0,)
+        shapes, _ = messages._enumerate(5, keys, nonces)
+        index = {t: i for i, t in enumerate(enumerate_terms(5, keys, nonces))}
+
+        def children(shape):
+            return shape[1:] if shape[0] == 2 else shape[2:]
+
+        placed: dict[int, int] = {}  # universe index -> index in the new order
+
+        def place(i):
+            for child in children(shapes[i]):
+                place(child)
+            placed.setdefault(i, len(placed))
+
+        place(index[C(0, C(0, D(0, D(0, N(0)))))])
+        for i in range(len(shapes)):
+            place(i)
+        assert list(placed) != sorted(placed)
+        order = [None] * len(shapes)
+        for i, k in placed.items():
+            shape = shapes[i]
+            kept = len(shape) - len(children(shape))
+            order[k] = (*shape[:kept], *(placed[c] for c in children(shape)))
+        with pytest.raises(RuntimeError, match="merges two older classes"):
+            messages._closure(order, [], {}, len(order))
 
     def test_bound6_partition_is_pinned(self):
         # Every class, member and order of the default bound-6 partition;
@@ -452,14 +541,41 @@ class TestPairStream:
             assert rel.related_pairs(budget) == naive[:budget]
 
     def test_stream_builds_only_the_terms_it_reaches(self):
+        # The terms built are exactly the sides of the emitted pairs and
+        # their subterms, each built once: a later request returns the
+        # same objects.
         messages._pair_layers.cache_clear()
         rel = msg_relation(7)
-        built = messages._pair_layers(7, (0, 1), (0, 1))._terms
+        stream = messages._pair_layers(7, (0, 1), (0, 1))
+
+        def built():
+            return {id(t) for t in stream._terms if t is not None}
+
+        def reached():
+            found, stack = {}, [t for pair in stream._pairs for t in pair]
+            while stack:
+                t = stack.pop()
+                if id(t) not in found:
+                    found[id(t)] = t
+                    stack += (t.left, t.right) if type(t) is M else () if type(t) is N else (t.body,)
+            return found.keys()
+
         first = rel.related_pairs(200)  # layers up to total size 6
-        assert len(built) == universe_size(5) == 1134
+        before = list(stream._terms)
+        assert built() == reached() and len(built()) == 158
         second = rel.related_pairs(2000)  # layers up to total size 8
-        assert len(built) == universe_size(7) == 33_534
+        assert built() == reached() and len(built()) == 1494
+        assert all(t is None or t is u for t, u in zip(before, stream._terms, strict=True))
         assert all(p is q for p, q in zip(first, second[:200], strict=True))
+
+    def test_stream_closes_only_the_sizes_it_reaches(self):
+        # Layers up to total size 8 pair terms of size at most 7, so a
+        # bound-8 stream asked for 2000 pairs closes no size-8 shape.
+        messages._pair_layers.cache_clear()
+        pairs = msg_relation(8).related_pairs(2000)
+        stream = messages._pair_layers(8, (0, 1), (0, 1))
+        assert len(pairs) == 2000 and max(size(u) + size(v) for u, v in pairs) == 8
+        assert len(stream._parent) == len(stream._sort_keys) == universe_size(7) < universe_size(8)
 
     def test_concurrent_requests_share_one_stream(self):
         # Requests from many threads grow one stream's term and pair lists;
@@ -487,9 +603,11 @@ class TestPairStream:
         assert results == [naive[:budget] for budget in budgets]
 
     def test_closure_runs_once_per_universe(self, monkeypatch):
+        # One pass per size of the universe, each once across both rounds;
+        # a call's last argument is the end of the size it closes.
         calls = []
         closure = messages._closure
-        monkeypatch.setattr(messages, "_closure", lambda *args: calls.append(args) or closure(*args))
+        monkeypatch.setattr(messages, "_closure", lambda *args: calls.append(args[-1]) or closure(*args))
         messages._pair_layers.cache_clear()
         for _ in range(2):
             rel = msg_relation(4)
@@ -497,7 +615,7 @@ class TestPairStream:
                 check_respects(rmap, 2000)
             check_respects(RespectMap(M, (rel, rel), msg_eq), 2000)
             check_equivalence(rel, 2000)
-        assert calls == [(4, (0, 1), (0, 1))]
+        assert calls == list(messages._running_sizes(4, (0, 1), (0, 1)))
 
 
 class TestQuotientLayer:
