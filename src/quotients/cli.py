@@ -50,9 +50,9 @@ def _load_config() -> dict:
     if not path:
         return {}
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
         raise QuotientError(f"cannot read config file {path!r}: {exc}")
     if not isinstance(cfg, dict):
         raise QuotientError(f"config file {path!r} must hold a JSON object")
@@ -318,7 +318,7 @@ def _cmd_check(args):
 
 
 def _cmd_oracle_msgrel(args):
-    sizes = [len(c) for c in messages.closure_classes(args.bound, args.keys, args.nonces)]
+    sizes = messages.class_sizes(args.bound, args.keys, args.nonces)
     payload = {
         "bound": args.bound,
         "keys": list(args.keys),

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import threading
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from .errors import DomainError, RelationMismatchError, UncertifiedLiftError
@@ -94,8 +95,12 @@ class EquivRelation(Record, Generic[T]):
     `decider` answers whether two carrier elements are related, `carrier`
     tests membership in the underlying set, and `related_pairs` produces, for
     a given budget, a deterministic finite sequence of related pairs used by
-    the bounded checks.  `canonicalize`, when present, maps every element to
-    the distinguished representative of its class.
+    the bounded checks; any callable will do.  `canonicalize`, when present,
+    maps every element to the distinguished representative of its class.
+    The built-in relations' pairs come from a `PairStream`, kept per relation
+    (per universe for messages): `related_pairs(b)` is a prefix of
+    `related_pairs(b')` for b <= b', and memory is bounded by the largest
+    budget asked.
     """
 
     __slots__ = ("name", "decider", "carrier", "related_pairs", "canonicalize")
@@ -114,6 +119,43 @@ class EquivRelation(Record, Generic[T]):
 
     def same_as(self, other: "EquivRelation") -> bool:
         return self is other or (self.name == other.name and self.decider == other.decider)
+
+
+class PairStream(Record, Generic[T]):
+    """A `related_pairs` that generates each pair once per process.
+
+    `tiers()` is called once and yields one tier per grade, smallest first;
+    it may end.  A tier is the grade's pairs as two columns, the lists of
+    their left and of their right elements, so no pair tuple is built until
+    a request asks for it.  A call returns a new list of the first `budget`
+    pairs.  The columns of the tiers reached so far are kept, and a call
+    extends them under a lock only through the tier its budget ends in, so
+    a request within them generates nothing.  Nothing is dropped: memory is
+    bounded by the largest budget asked.  A copy or pickle is an equal
+    stream over the same `tiers`, with nothing kept.
+    """
+
+    __slots__ = ("tiers", "_tiers", "_lefts", "_rights", "_lock")
+
+    def __init__(self, tiers: Callable[[], Iterable[tuple[Sequence[T], Sequence[T]]]]) -> None:
+        _set(self, "tiers", tiers)
+        _set(self, "_tiers", iter(tiers()))
+        _set(self, "_lefts", [])
+        _set(self, "_rights", [])
+        _set(self, "_lock", threading.Lock())
+
+    def __call__(self, budget: int) -> list[tuple[T, T]]:
+        if budget < 0:
+            raise ValueError("budget must be >= 0")
+        lefts, rights = self._lefts, self._rights
+        with self._lock:
+            if len(lefts) < budget:
+                for xs, ys in self._tiers:
+                    lefts += xs
+                    rights += ys
+                    if len(lefts) >= budget:
+                        break
+            return list(itertools.islice(zip(lefts, rights), budget))
 
 
 class EquivClass(Record, Generic[T]):

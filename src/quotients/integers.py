@@ -7,6 +7,10 @@ representative-independent by the bounded congruence checks and applied to
 classes by `equiv.operation`; a native-int bridge is provided purely as a
 test oracle.  The maps return plain `(x, y)` tuples; a class stores the
 canonical `IntPair` that `class_of` makes of its image.
+
+`intrel.related_pairs` is a `PairStream`: each pair is generated once per
+process, `related_pairs(b)` is a prefix of `related_pairs(b')` for b <= b',
+and the kept pairs are bounded by the largest budget asked.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import itertools
 import operator
 from typing import Iterator, NamedTuple
 
-from .equiv import EquivClass, EquivRelation, RespectMap, class_of, operation
+from .equiv import EquivClass, EquivRelation, PairStream, RespectMap, class_of, operation
 
 
 class IntPair(NamedTuple):
@@ -45,29 +49,28 @@ def _is_nat_pair(p) -> bool:
     return isinstance(x, int) and isinstance(y, int) and x >= 0 and y >= 0
 
 
-def _shift_pairs() -> Iterator[tuple[IntPair, IntPair]]:
-    # Graded by x + y + k so small cases come first; k >= 1 keeps every
-    # emitted pair informative (a shift, not mere reflexivity).  rows[m]
-    # holds the IntPairs with x + y = m by x, each built once: shifting
-    # rows[s - k][x] by k gives rows[s + k][x + k].
+def _shift_pairs() -> Iterator[tuple[list[IntPair], list[IntPair]]]:
+    # One tier per grade s = x + y + k, so small cases come first; k >= 1
+    # keeps every emitted pair informative (a shift, not mere reflexivity).
+    # rows[m] holds the IntPairs with x + y = m by x, each built once:
+    # shifting rows[s - k][x] by k gives rows[s + k][x + k].
     rows: list[list[IntPair]] = []
     for s in itertools.count(1):
         while len(rows) <= 2 * s:
             m = len(rows)
             rows.append([IntPair(x, m - x) for x in range(m + 1)])
+        lefts, rights = [], []
         for k in range(1, s + 1):
-            yield from zip(rows[s - k], rows[s + k][k:])
-
-
-def _intrel_pairs(budget: int) -> list[tuple[IntPair, IntPair]]:
-    return list(itertools.islice(_shift_pairs(), budget))
+            lefts += rows[s - k]
+            rights += rows[s + k][k:s + 1]
+        yield lefts, rights
 
 
 intrel: EquivRelation[IntPair] = EquivRelation(
     name="intrel",
     decider=intrel_holds,
     carrier=_is_nat_pair,
-    related_pairs=_intrel_pairs,
+    related_pairs=PairStream(_shift_pairs),
     canonicalize=canonical,
 )
 

@@ -45,10 +45,10 @@ from __future__ import annotations
 
 import bisect
 import operator
-import threading
+from collections import Counter
 from functools import lru_cache
 
-from .equiv import EquivClass, EquivRelation, Record, RespectMap, class_of, operation
+from .equiv import EquivClass, EquivRelation, PairStream, Record, RespectMap, class_of, operation
 from .errors import UniverseTooLargeError
 
 
@@ -425,6 +425,20 @@ def _closure(shapes, parent: list[int], seen: dict, stop: int) -> None:
         parent.append(root)
 
 
+def _partition(bound: int, keys, nonces) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The universe's shapes and, by index, the root of each term's class."""
+    shapes, _ = _enumerate(bound, *_domains(keys, nonces))
+    parent: list[int] = []
+    _closure(shapes, parent, {}, len(shapes))
+    return shapes, parent
+
+
+def class_sizes(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> list[int]:
+    """The sizes of `closure_classes`' classes, in its order, read off the
+    closure's roots without building a term."""
+    return list(Counter(_partition(bound, keys, nonces)[1]).values())
+
+
 def closure_classes(
     bound: int,
     keys=DEFAULT_KEYS,
@@ -433,10 +447,7 @@ def closure_classes(
     """The universe's partition under the rule closure: two terms are
     related exactly when they share a class.  Members keep universe order,
     and classes come in the order of their first members."""
-    keys, nonces = _domains(keys, nonces)
-    shapes, _ = _enumerate(bound, keys, nonces)
-    parent: list[int] = []
-    _closure(shapes, parent, {}, len(shapes))
+    shapes, parent = _partition(bound, keys, nonces)
     terms: list = [None] * len(shapes)
     _build(shapes, terms, range(len(shapes)))
     classes: dict[int, list[FreeMsg]] = {}
@@ -451,10 +462,11 @@ class _PairLayers:
     child index replaced by the child's sort key, so terms order by tag
     (crypt, decrypt, mpair, nonce), then key or value, then parts.
 
-    Layer s pairs terms of size at most s - 1, so before `take` sorts it,
-    it closes size c = s - 1, builds its sort keys and files what it adds
-    to later layers: a term alone in its class, its reflexive pair to
-    layer 2c; a class's members `new` of size c, the blocks (us, new) and
+    `_layers` is the tier source of the universe's `PairStream`: its tiers
+    are the size layers.  Layer s pairs terms of size at most s - 1, so before `_layers` sorts it, it
+    closes size c = s - 1, builds its sort keys and files what it adds to
+    later layers: a term alone in its class, its reflexive pair to layer
+    2c; a class's members `new` of size c, the blocks (us, new) and
     (new, us) to layer a + c for each older size group (a, us) of the
     class, and (new, new) to layer 2c.  Sizes no request reaches are never
     closed, and only the sides of emitted pairs and their subterms are
@@ -469,9 +481,6 @@ class _PairLayers:
         self._groups: dict[int, list] = {}  # root -> its (size, members) groups, if not alone
         self._reflexive: dict[int, list[int]] = {}  # layer -> terms alone in their class
         self._blocks: dict[int, list] = {}  # layer -> (us, vs) blocks
-        self._layer = 1  # the last layer emitted
-        self._pairs: list[tuple[FreeMsg, FreeMsg]] = []
-        self._lock = threading.Lock()
 
     def _close(self, c: int) -> None:
         shapes, starts, parent, sort_keys = self._shapes, self._starts, self._parent, self._sort_keys
@@ -501,38 +510,36 @@ class _PairLayers:
             self._blocks.setdefault(2 * c, []).append((new, new))
             self._groups[root] = [*old, (c, new)]
 
-    def take(self, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:
+    def _layers(self):
         shapes, terms, sort_keys = self._shapes, self._terms, self._sort_keys
         bound = len(self._starts) - 1
-        with self._lock:
-            while len(self._pairs) < budget and self._layer < 2 * bound:
-                s = self._layer + 1
-                if s - 1 <= bound:
-                    self._close(s - 1)
-                layer = [(i, i) for i in self._reflexive.pop(s, ())]
-                layer += [(u, v) for us, vs in self._blocks.pop(s, ()) for u in us for v in vs]
-                layer.sort(key=lambda p: (sort_keys[p[0]], sort_keys[p[1]]))
-                new, stack = set(), [i for pair in layer for i in pair]
-                while stack:  # the unbuilt sides and subterms
-                    i = stack.pop()
-                    if terms[i] is None and i not in new:
-                        new.add(i)
-                        shape = shapes[i]
-                        stack += shape[1:] if shape[0] == 2 else shape[2:]
-                _build(shapes, terms, sorted(new))
-                self._pairs += [(terms[u], terms[v]) for u, v in layer]
-                self._layer = s
-            return self._pairs[:budget]
+        for s in range(2, 2 * bound + 1):
+            if s - 1 <= bound:
+                self._close(s - 1)
+            layer = [(i, i) for i in self._reflexive.pop(s, ())]
+            layer += [(u, v) for us, vs in self._blocks.pop(s, ()) for u in us for v in vs]
+            layer.sort(key=lambda p: (sort_keys[p[0]], sort_keys[p[1]]))
+            new, stack = set(), [i for pair in layer for i in pair]
+            while stack:  # the unbuilt sides and subterms
+                i = stack.pop()
+                if terms[i] is None and i not in new:
+                    new.add(i)
+                    shape = shapes[i]
+                    stack += shape[1:] if shape[0] == 2 else shape[2:]
+            _build(shapes, terms, sorted(new))
+            yield [terms[u] for u, _ in layer], [terms[v] for _, v in layer]
 
 
 @lru_cache(maxsize=8)
-def _pair_layers(bound: int, keys, nonces) -> _PairLayers:
-    return _PairLayers(bound, keys, nonces)
+def _pair_layers(bound: int, keys, nonces) -> PairStream[FreeMsg]:
+    # The stream holds the layers and not the reverse, so an evicted
+    # universe is freed at once, with no cycle for the collector.
+    return PairStream(_PairLayers(bound, keys, nonces)._layers)
 
 
 def _sorted_pairs(bound: int, keys, nonces, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:
     """The first `budget` related pairs of the universe, smallest first."""
-    return _pair_layers(bound, keys, nonces).take(budget)
+    return _pair_layers(bound, keys, nonces)(budget)
 
 
 def msg_relation(
@@ -547,9 +554,10 @@ def msg_relation(
     keep each other honest wherever this relation feeds the congruence
     checker.  Pairs come smallest first, by total size and then by each
     side's constructor (crypt, decrypt, mpair, nonce), key or value, and
-    parts, from a per-universe stream that grows one size layer at a time:
+    parts, from a per-universe `PairStream` whose tiers are size layers:
     a request for `budget` pairs costs the layers up to the budget, each
-    paid once per universe."""
+    paid once per universe, and the kept pairs are bounded by the largest
+    budget asked."""
     keys, nonces = _domains(keys, nonces)
     default = bound == SAMPLING_BOUND and keys == DEFAULT_KEYS and nonces == DEFAULT_NONCES
     name = "msgrel" if default else f"msgrel[bound={bound},keys={keys},nonces={nonces}]"

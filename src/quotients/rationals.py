@@ -9,6 +9,10 @@ relation itself.  A `QRat` is such a class, and each operation is its
 RespectMap applied to classes by `equiv.operation`.  The maps return plain
 `(num, den)` tuples; a class stores the canonical `RatPair` that `class_of`
 makes of its image.
+
+`ratrel.related_pairs` is a `PairStream`: each pair is generated once per
+process, `related_pairs(b)` is a prefix of `related_pairs(b')` for b <= b',
+and the kept pairs are bounded by the largest budget asked.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import itertools
 import math
 from typing import Iterator, NamedTuple
 
-from .equiv import EquivClass, EquivRelation, RespectMap, class_of, operation
+from .equiv import EquivClass, EquivRelation, PairStream, RespectMap, class_of, operation
 from .errors import DomainError
 
 
@@ -55,30 +59,29 @@ def _is_rat_pair(p) -> bool:
     return isinstance(num, int) and isinstance(den, int) and den != 0
 
 
-def _scaled_pairs() -> Iterator[tuple[RatPair, RatPair]]:
-    # Pairs ((x, y), (k*x, k*y)) graded by |x| + |y| + |k|; k = 1 is skipped
-    # as uninformative, negative x and k are included.  rows[m] holds the
-    # RatPairs with |x| + y = m and y >= 1 in emission order, each built
-    # once; only the scaled partners are built per pair.
+def _scaled_pairs() -> Iterator[tuple[list[RatPair], list[RatPair]]]:
+    # Pairs ((x, y), (k*x, k*y)), one tier per grade |x| + |y| + |k|; k = 1
+    # is skipped as uninformative, negative x and k are included.  rows[m]
+    # holds the RatPairs with |x| + y = m and y >= 1 in emission order, each
+    # built once; only the scaled partners are built per pair.
     rows: list[list[RatPair]] = [[], []]
     for s in itertools.count(3):
         m = s - 1
         rows.append([RatPair(0, m)] + [RatPair(x, m - j) for j in range(1, m) for x in (j, -j)])
+        lefts, rights = [], []
         for k_mag in range(1, s - 1):
             row = rows[s - k_mag]
             for k in ((-k_mag, k_mag) if k_mag > 1 else (-1,)):
-                yield from zip(row, [RatPair(k * x, k * y) for x, y in row])
-
-
-def _ratrel_pairs(budget: int) -> list[tuple[RatPair, RatPair]]:
-    return list(itertools.islice(_scaled_pairs(), budget))
+                lefts += row
+                rights += [RatPair(k * x, k * y) for x, y in row]
+        yield lefts, rights
 
 
 ratrel: EquivRelation[RatPair] = EquivRelation(
     name="ratrel",
     decider=ratrel_holds,
     carrier=_is_rat_pair,
-    related_pairs=_ratrel_pairs,
+    related_pairs=PairStream(_scaled_pairs),
     canonicalize=rat_canonical,
 )
 

@@ -41,6 +41,16 @@ def test_certification_suite_certifies(bench_modules):
     assert all(r.verdict == "certified" and r.checked > 0 for r in reports)
 
 
+def test_certification_suite_repeats(bench_modules):
+    # The second run reads the pairs the first one kept.
+    _, warm = bench_modules
+    from quotients import equiv, integers, rationals
+
+    runs = [[(r.verdict, r.checked) for r in warm.certify(equiv, integers, rationals, 500)]
+            for _ in range(2)]
+    assert runs[0] == runs[1]
+
+
 def test_warm_ops_match_references(bench_modules):
     _, warm = bench_modules
     from quotients import integers as I, messages as M, rationals as R, sexpr as S

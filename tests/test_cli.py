@@ -89,6 +89,23 @@ def test_repeat_invocations_are_byte_identical(golden, argv, code, capsys):
     assert first == second
 
 
+# The bytes CI pins for these suites at --budget 20000.
+WARM_PINS = {
+    "int-equivalence": '{"budget_used":86020,"elapsed_ms":0,"payload":{"results":[{"checked":86020,"law":null,"name":"intrel","verdict":"certified","witness":null}],"suite":"int-equivalence"},"status":"ok"}',
+    "int-congruence": '{"budget_used":119216,"elapsed_ms":0,"payload":{"results":[{"checked":20000,"counterexample":null,"name":"neg","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"nat","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"add","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"mul","note":null,"verdict":"certified"},{"checked":19608,"counterexample":null,"name":"add/commutative","note":"via commutativity and single-argument respect","verdict":"certified"},{"checked":19608,"counterexample":null,"name":"mul/commutative","note":"via commutativity and single-argument respect","verdict":"certified"}],"suite":"int-congruence"},"status":"ok"}',
+    "rat-congruence": '{"budget_used":60000,"elapsed_ms":0,"payload":{"results":[{"checked":20000,"counterexample":null,"name":"rat_neg","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"rat_add","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"rat_mul","note":null,"verdict":"certified"}],"suite":"rat-congruence"},"status":"ok"}',
+}
+
+
+@pytest.mark.parametrize("suite", sorted(WARM_PINS))
+def test_warm_process_gives_pinned_bytes(suite, capsys):
+    # The second run reads the pairs the first one kept.
+    argv = ["check", suite, "--budget", "20000", "--json", "--deterministic"]
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == WARM_PINS[suite] + "\n"
+
+
 def test_schema_fields(capsys):
     cli.main(["int-eval", "7", "--json", "--deterministic"])
     doc = json.loads(capsys.readouterr().out)
@@ -554,6 +571,16 @@ class TestConfigFile:
         doc = json.loads(capsys.readouterr().out)
         assert rc == 2
         assert doc["status"] == "error"
+
+    def test_config_not_utf8_is_unreadable(self, tmp_path, monkeypatch, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(b'\xff{"budget": 5}')
+        monkeypatch.setenv(cli.CONFIG_ENV, str(cfg))
+        rc = cli.main(["int-eval", "1", "--json", "--deterministic"])
+        doc = json.loads(capsys.readouterr().out)
+        assert rc == 2
+        assert doc["payload"]["error"].startswith(f"cannot read config file {str(cfg)!r}: ")
+        assert "can't decode byte 0xff" in doc["payload"]["error"]
 
     def test_missing_config_file_is_an_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.CONFIG_ENV, str(tmp_path / "nope.json"))

@@ -1,7 +1,11 @@
 """Generic machinery: equivalence checks, congruence checks, lifting."""
 
+import copy
 import itertools
 import operator
+import pickle
+import sys
+import threading
 from functools import partial
 from typing import Callable, Sequence, TypeVar
 
@@ -9,11 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import equiv_oracle
+import pair_oracles
 
+from quotients import integers, rationals
 from quotients.equiv import (
     CongruenceReport,
     EquivClass,
     EquivRelation,
+    PairStream,
     RespectMap,
     Verdict,
     check_equivalence,
@@ -50,6 +57,7 @@ from quotients.messages import (
     crypt,
     decrypt,
     left,
+    msg_relation,
     msgrel,
 )
 from quotients.rationals import RatPair, qrat, rat_neg, ratrel
@@ -626,3 +634,98 @@ def test_respects2_via_commutativity_stays_in_budget(m, target_eq, budget):
     # and leave no budget for the full check.
     m = RespectMap(m.function, m.sources, target_eq, m.name)
     assert respects2_via_commutativity(m, budget).checked <= budget
+
+
+# (relation, its tier source, the reference generator of its pairs)
+NUMERIC_STREAMS = [
+    pytest.param(intrel, integers._shift_pairs, pair_oracles.shift_pairs, id="intrel"),
+    pytest.param(ratrel, rationals._scaled_pairs, pair_oracles.scaled_pairs, id="ratrel"),
+]
+
+
+class TestPairStream:
+    @pytest.mark.parametrize("rel, source, reference", NUMERIC_STREAMS)
+    def test_prefix_matches_reference(self, rel, source, reference):
+        # Budgets on both sides of a tier's end, asked in increasing and
+        # then in decreasing order, of the relation and of a fresh stream.
+        sizes = (len(xs) for xs, _ in source())
+        edge = next(end for end in itertools.accumulate(sizes) if end >= 1000)
+        budgets = [1, edge - 1, edge, edge + 1, 20_000]
+        expected = list(itertools.islice(reference(), 20_000))
+        fresh = PairStream(source)
+        for budget in budgets + budgets[::-1]:
+            assert rel.related_pairs(budget) == expected[:budget]
+            assert fresh(budget) == expected[:budget]
+
+    @pytest.mark.parametrize("rel, source, reference", NUMERIC_STREAMS)
+    def test_kept_request_pulls_no_tier(self, rel, source, reference):
+        pulled = []
+
+        def counted():
+            for xs, ys in source():
+                pulled.append(len(xs))
+                yield xs, ys
+
+        stream = PairStream(counted)
+        stream(500)
+        kept = sum(pulled)
+        assert kept - pulled[-1] < 500 <= kept  # through the tier 500 ends in
+        for budget in (500, 499, 1, 0, kept):
+            stream(budget)
+        assert sum(pulled) == kept
+        stream(kept + 1)
+        assert sum(pulled) - pulled[-1] == kept  # one tier more
+
+    @pytest.mark.parametrize("rel", [intrel, ratrel, msgrel], ids=["intrel", "ratrel", "msgrel"])
+    def test_each_call_returns_a_new_list(self, rel):
+        first = rel.related_pairs(50)
+        expected = list(first)
+        first[0] = None
+        del first[10:]
+        assert rel.related_pairs(50) == expected
+
+    @pytest.mark.parametrize("rel, source, reference", NUMERIC_STREAMS)
+    def test_concurrent_requests_share_one_stream(self, rel, source, reference):
+        # As for the message stream: requests from many threads grow one
+        # fresh stream, and each gets the exact prefix.
+        expected = list(itertools.islice(reference(), 20_000))
+        budgets = [1, 10, 100, 1000, 5000, 20_000] * 2
+        stream = PairStream(source)
+        results = [None] * len(budgets)
+
+        def request(i):
+            results[i] = stream(budgets[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=request, args=(i,)) for i in range(len(budgets))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected[:budget] for budget in budgets]
+
+    @pytest.mark.parametrize("rel", [intrel, ratrel, msg_relation(3)],
+                             ids=["intrel", "ratrel", "msgrel-bound-3"])
+    def test_zero_and_negative_budgets(self, rel):
+        assert rel.related_pairs(0) == []
+        assert len(rel.related_pairs(20)) == 20
+        with pytest.raises(ValueError):
+            rel.related_pairs(-5)
+
+    @pytest.mark.parametrize("rel, source, reference", NUMERIC_STREAMS)
+    def test_copies_start_empty_and_give_the_same_pairs(self, rel, source, reference):
+        kept = rel.related_pairs(1000)
+        for twin in (copy.deepcopy(rel.related_pairs), pickle.loads(pickle.dumps(rel.related_pairs))):
+            assert twin is not rel.related_pairs and twin == rel.related_pairs
+            assert twin._lefts == []
+            assert twin(1000) == kept
+
+    def test_tiers_that_end(self):
+        stream = PairStream(lambda: [([1], [1]), ([], []), ([2, 3], [3, 2])])
+        assert stream(2) == [(1, 1), (2, 3)]
+        assert stream(10) == stream(3) == [(1, 1), (2, 3), (3, 2)]

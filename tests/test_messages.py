@@ -4,6 +4,7 @@ import gc
 import hashlib
 import sys
 import threading
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -420,6 +421,13 @@ class TestClosureOracle:
             "65d1b7a6f463fc505d2efd4ff05b1509ca582674994d048b6f41f67e9aa79f48"
         )
 
+    @pytest.mark.parametrize("bound, keys, nonces", [(6, (0, 1), (0, 1)), (4, (1, 0), (2,))])
+    def test_class_sizes_build_no_term(self, bound, keys, nonces, monkeypatch):
+        # `oracle-msgrel` counts classes this way.
+        expected = [len(c) for c in closure_classes(bound, keys, nonces)]
+        monkeypatch.setattr(messages, "_build", None)  # building a term would raise
+        assert messages.class_sizes(bound, keys, nonces) == expected
+
 
 class TestFreeFunctions:
     def test_freenonces(self):
@@ -541,18 +549,19 @@ class TestPairStream:
             assert rel.related_pairs(budget) == naive[:budget]
 
     def test_stream_builds_only_the_terms_it_reaches(self):
-        # The terms built are exactly the sides of the emitted pairs and
-        # their subterms, each built once: a later request returns the
-        # same objects.
+        # The terms built are exactly the sides of the kept pairs and their
+        # subterms, each built once: a later request returns the same term
+        # objects (in new pair tuples).
         messages._pair_layers.cache_clear()
         rel = msg_relation(7)
         stream = messages._pair_layers(7, (0, 1), (0, 1))
+        layers = stream.tiers.__self__
 
         def built():
-            return {id(t) for t in stream._terms if t is not None}
+            return {id(t) for t in layers._terms if t is not None}
 
         def reached():
-            found, stack = {}, [t for pair in stream._pairs for t in pair]
+            found, stack = {}, stream._lefts + stream._rights
             while stack:
                 t = stack.pop()
                 if id(t) not in found:
@@ -561,21 +570,33 @@ class TestPairStream:
             return found.keys()
 
         first = rel.related_pairs(200)  # layers up to total size 6
-        before = list(stream._terms)
+        before = list(layers._terms)
         assert built() == reached() and len(built()) == 158
         second = rel.related_pairs(2000)  # layers up to total size 8
         assert built() == reached() and len(built()) == 1494
-        assert all(t is None or t is u for t, u in zip(before, stream._terms, strict=True))
-        assert all(p is q for p, q in zip(first, second[:200], strict=True))
+        assert all(t is None or t is u for t, u in zip(before, layers._terms, strict=True))
+        assert all(p[0] is q[0] and p[1] is q[1] for p, q in zip(first, second[:200], strict=True))
 
     def test_stream_closes_only_the_sizes_it_reaches(self):
         # Layers up to total size 8 pair terms of size at most 7, so a
         # bound-8 stream asked for 2000 pairs closes no size-8 shape.
         messages._pair_layers.cache_clear()
         pairs = msg_relation(8).related_pairs(2000)
-        stream = messages._pair_layers(8, (0, 1), (0, 1))
+        layers = messages._pair_layers(8, (0, 1), (0, 1)).tiers.__self__
         assert len(pairs) == 2000 and max(size(u) + size(v) for u, v in pairs) == 8
-        assert len(stream._parent) == len(stream._sort_keys) == universe_size(7) < universe_size(8)
+        assert len(layers._parent) == len(layers._sort_keys) == universe_size(7) < universe_size(8)
+
+    def test_evicted_universe_is_freed_at_once(self):
+        # No reference cycle holds a universe the cache has let go.
+        messages._pair_layers.cache_clear()
+        msg_relation(6).related_pairs(2000)
+        gc.disable()
+        try:
+            layers = weakref.ref(messages._pair_layers(6, (0, 1), (0, 1)).tiers.__self__)
+            messages._pair_layers.cache_clear()
+            assert layers() is None
+        finally:
+            gc.enable()
 
     def test_concurrent_requests_share_one_stream(self):
         # Requests from many threads grow one stream's term and pair lists;
