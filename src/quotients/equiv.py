@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import itertools
 import threading
+from functools import partial
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from .errors import DomainError, RelationMismatchError, UncertifiedLiftError
@@ -97,13 +98,20 @@ class EquivRelation(Record, Generic[T]):
     a given budget, a deterministic finite sequence of related pairs used by
     the bounded checks; any callable will do.  `canonicalize`, when present,
     maps every element to the distinguished representative of its class.
+    `carrier` and `canonicalize` are assumed deterministic: the checks ask
+    each of them once per distinct sampled element.
     The built-in relations' pairs come from a `PairStream`, kept per relation
     (per universe for messages): `related_pairs(b)` is a prefix of
     `related_pairs(b')` for b <= b', and memory is bounded by the largest
-    budget asked.
+    budget asked.  A relation whose `related_pairs` is a `PairStream` also
+    keeps its sample of those pairs (an underscore cache, `_sample`): the
+    distinct elements in first-seen order, each one's carrier verdict and
+    canonical form, and whether each pair's two forms agree, so a repeated
+    check pays only for its decider.  Any other relation samples afresh
+    on every call.
     """
 
-    __slots__ = ("name", "decider", "carrier", "related_pairs", "canonicalize")
+    __slots__ = ("name", "decider", "carrier", "related_pairs", "canonicalize", "_sample")
 
     def __init__(self, name: str, decider: Callable[[T, T], bool], carrier: Callable[[T], bool],
                  related_pairs: Callable[[int], Sequence[tuple[T, T]]],
@@ -113,6 +121,7 @@ class EquivRelation(Record, Generic[T]):
         _set(self, "carrier", carrier)
         _set(self, "related_pairs", related_pairs)
         _set(self, "canonicalize", canonicalize)
+        _set(self, "_sample", _Sample() if isinstance(related_pairs, PairStream) else None)
 
     def __repr__(self) -> str:
         return f"EquivRelation({self.name!r})"
@@ -132,7 +141,9 @@ class PairStream(Record, Generic[T]):
     extends them under a lock only through the tier its budget ends in, so
     a request within them generates nothing.  Nothing is dropped: memory is
     bounded by the largest budget asked.  A copy or pickle is an equal
-    stream over the same `tiers`, with nothing kept.
+    stream over the same `tiers`, with nothing kept.  An `EquivRelation`
+    over a stream keeps its sample of the pairs as well, since a budget's
+    pairs are a prefix of any larger budget's.
     """
 
     __slots__ = ("tiers", "_tiers", "_lefts", "_rights", "_lock")
@@ -156,6 +167,136 @@ class PairStream(Record, Generic[T]):
                     if len(lefts) >= budget:
                         break
             return list(itertools.islice(zip(lefts, rights), budget))
+
+
+_UNASKED = 2  # an element's carrier verdict until a check asks for it
+_NO_FORM = object()  # a late form's own canonical form until a check asks for it
+
+
+class _Sample:
+    """What the checks draw from a relation's related pairs, grown with
+    them.  A relation whose pairs come from a `PairStream` keeps one, as
+    `EquivRelation._sample`; for any other relation each check builds one.
+
+    `elems` are the distinct elements of the pairs placed so far, in
+    first-seen order; `index` maps each to its position, and `inside` holds
+    each one's carrier verdict (0, 1, or `_UNASKED`).  `new` has a byte per
+    placed pair: how many elements it drew first.  Both sides of the first
+    `verified` pairs lie in the carrier.  With a canonicalizer, `forms` are
+    the canonical forms of the first elements and `agree` has one byte per
+    pair: whether its two forms agree.  A form is held as the equal element
+    where one is placed at or before the element it is the form of; any
+    other is a late form, kept in `late` as [form, position of the first
+    element with that form, the form's own form or `_NO_FORM`].
+    Everything only grows, by appending, and under `lock`, so a smaller
+    budget reads a prefix.
+    """
+
+    __slots__ = ("lock", "index", "elems", "inside", "new", "verified", "forms", "agree",
+                 "late")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.index: dict = {}
+        self.elems: list = []
+        self.inside = bytearray()
+        self.new = bytearray()
+        self.verified = 0
+        self.forms: list = []
+        self.agree = bytearray()
+        self.late: dict = {}
+
+    def verify(self, rel: EquivRelation, pairs: list) -> tuple | None:
+        """The generator-contract cases of `check_equivalence`, in order:
+        each pair's carrier test, then its decider.  Returns the first
+        failure as (checked, law, witness), else None.  The carrier is asked
+        once per element, at the first pair that draws it; a pair verified
+        before pays only for its decider."""
+        related, carrier, index, inside = rel.decider, rel.carrier, self.index, self.inside
+        kept = min(self.verified, len(pairs))
+        for checked, (x, y) in enumerate(itertools.islice(pairs, kept), 1):
+            if not related(x, y):
+                return checked, "pair-generator-decider", (x, y)
+        self.place(pairs)
+
+        def carried(x) -> int:
+            i = index[x]
+            if inside[i] == _UNASKED:
+                inside[i] = bool(carrier(x))
+            return inside[i]
+
+        for k in range(kept, len(pairs)):
+            x, y = pairs[k]
+            if not (carried(x) and carried(y)):
+                law = "pair-generator-carrier"
+            elif not related(x, y):
+                law = "pair-generator-decider"
+            else:
+                continue
+            self.verified = k
+            return k + 1, law, (x, y)
+        self.verified = max(self.verified, len(pairs))
+        return None
+
+    def place(self, pairs: list) -> int:
+        """Place the elements of `pairs` not placed yet; return how many
+        distinct elements `pairs` draw."""
+        index, elems, inside, new = self.index, self.elems, self.inside, self.new
+        for k in range(len(new), len(pairs)):
+            before = len(elems)
+            for x in pairs[k]:
+                if x not in index:
+                    index[x] = len(elems)
+                    elems.append(x)
+                    inside.append(_UNASKED)
+            new.append(len(elems) - before)
+        # sum(new[:len(pairs)]), counted in C: a pair draws at most two.
+        return new.count(1, 0, len(pairs)) + 2 * new.count(2, 0, len(pairs))
+
+    def view(self, rel: EquivRelation, pairs: list):
+        """The sample `pairs` draw, as the checks read it: the distinct
+        elements then the late forms they need, in first-seen order; with a
+        canonicalizer, an iterator over those elements' forms (a late form's
+        own form is asked as it is reached) and the agreement byte of each
+        pair, else None for both.  Each element is canonicalized once, in
+        first-seen order, when a view first reaches it."""
+        drawn = self.place(pairs)
+        elems = self.elems[:drawn]
+        canon = rel.canonicalize
+        if canon is None:
+            return elems, None, None
+        index, forms, agree = self.index, self.forms, self.agree
+        for k in range(len(agree), len(pairs)):
+            x, y = pairs[k]
+            i, j = index[x], index[y]
+            if i == len(forms):
+                forms.append(self._held(canon(x), i))
+            if j == len(forms):
+                forms.append(self._held(canon(y), j))
+            agree.append(1 if forms[i] == forms[j] else 0)
+        late = [entry for entry in self.late.values()
+                if entry[1] < drawn and index.get(entry[0], drawn) >= drawn]
+        own = map(partial(self._own_form, canon), late)
+        return (elems + [entry[0] for entry in late], itertools.chain(forms[:drawn], own),
+                agree[:len(pairs)])
+
+    def _held(self, c, p: int):
+        """`c`, the form of element `p`, as the object kept for it."""
+        k = self.index.get(c)
+        if k is not None and k <= p:
+            return self.elems[k]
+        entry = self.late.get(c)
+        if entry is None:
+            entry = self.late[c] = [c if k is None else self.elems[k], p, _NO_FORM]
+        return entry[0]
+
+    def _own_form(self, canon: Callable, entry: list):
+        if entry[2] is _NO_FORM:
+            with self.lock:
+                if entry[2] is _NO_FORM:
+                    entry[2] = canon(entry[0])
+        return entry[2]
+
 
 
 class EquivClass(Record, Generic[T]):
@@ -256,65 +397,13 @@ class EquivalenceReport(Record, Generic[T]):
         return self.verdict is Verdict.CERTIFIED
 
 
-def _sample_elements(rel: EquivRelation[T], pairs: Iterable[tuple[T, T]]
-                     ) -> tuple[list[T], list[T] | None, bytearray | None]:
-    """Distinct carrier elements drawn from generated pairs, in first-seen
-    order, followed by their canonical forms (which are fixpoints).
-
-    With a canonicalizer, also the canonical form of each drawn element, in
-    the same order, and a byte per pair: whether its two forms agree; else
-    None for both.  Each drawn element is canonicalized once, as it is
-    first seen.  Where a pair's two forms agree the second is replaced by
-    the first, and at the end every form by the equal element of the
-    result, so equal forms are held as one object.
-    """
-    canon = rel.canonicalize
-    if canon is None:
-        seen: dict = {}
-        for x, y in pairs:
-            seen.setdefault(x, None)
-            seen.setdefault(y, None)
-        return list(seen), None, None
-    index: dict = {}  # element -> its position in elems
-    elems: list = []
-    forms: list = []
-    agree = bytearray()
-    n = 0  # len(elems)
-    for x, y in pairs:
-        i = index.setdefault(x, n)
-        if i == n:
-            elems.append(x)
-            forms.append(canon(x))
-            n += 1
-        j = index.setdefault(y, n)
-        if j == n:
-            elems.append(y)
-            forms.append(canon(y))
-            n += 1
-        same = forms[i] == forms[j]
-        if same:
-            forms[j] = forms[i]
-        agree.append(1 if same else 0)
-    for i, c in enumerate(forms):
-        k = index.setdefault(c, n)
-        if k == n:
-            elems.append(c)
-            n += 1
-        forms[i] = elems[k]
-    return elems, forms, agree
-
-
-def _law_cases(rel: EquivRelation[T], pairs: list[tuple[T, T]], budget: int):
-    """The cases `check_equivalence` tests, in order: None for a case that
-    holds, else the violated law and its witness.  The caller stops at the
-    first violation, so the decider never sees a pair outside the carrier."""
-    related, carrier = rel.decider, rel.carrier
-    for x, y in pairs:
-        if not (carrier(x) and carrier(y)):
-            yield "pair-generator-carrier", (x, y)
-        yield None if related(x, y) else ("pair-generator-decider", (x, y))
-
-    elems, forms, agree = _sample_elements(rel, pairs)
+def _law_cases(rel: EquivRelation[T], pairs: list[tuple[T, T]], budget: int, elems: list,
+               forms, agree):
+    """The cases `check_equivalence` tests once the generator's contract
+    holds on `pairs`, in order: None for a case that holds, else the
+    violated law and its witness.  `elems`, `forms` and `agree` are the
+    sample's view of `pairs` (`_Sample.view`)."""
+    related = rel.decider
     for x in elems:
         yield None if related(x, x) else ("reflexivity", (x, x))
     for x, y in pairs:
@@ -339,9 +428,7 @@ def _law_cases(rel: EquivRelation[T], pairs: list[tuple[T, T]], budget: int):
             yield None if related(a, c) else ("transitivity", (a, b, c))
 
     if forms is not None:
-        # An appended form is canonicalized here, once, as it is reached.
-        appended = map(rel.canonicalize, elems[len(forms):])
-        for x, c in zip(elems, itertools.chain(forms, appended)):
+        for x, c in zip(elems, forms):
             yield None if related(x, c) else ("canonical-related", (x, c))
         for (x, y), same in zip(pairs, agree):
             yield None if same else ("canonical-agreement", (x, y))
@@ -361,8 +448,15 @@ def check_equivalence(rel: EquivRelation[T], budget: int) -> EquivalenceReport[T
     pairs = list(itertools.islice(rel.related_pairs(budget), budget))
     if not pairs:
         return EquivalenceReport(Verdict.NO_SAMPLES, 0)
-    checked = 0
-    for checked, violation in enumerate(_law_cases(rel, pairs, budget), 1):
+    sample = rel._sample or _Sample()
+    with sample.lock:
+        failure = sample.verify(rel, pairs)
+        if failure is not None:
+            return EquivalenceReport(Verdict.REFUTED, *failure)
+        elems, forms, agree = sample.view(rel, pairs)
+    checked = len(pairs)
+    for checked, violation in enumerate(_law_cases(rel, pairs, budget, elems, forms, agree),
+                                        checked + 1):
         if violation is not None:
             return EquivalenceReport(Verdict.REFUTED, checked, *violation)
     return EquivalenceReport(Verdict.CERTIFIED, checked)
@@ -439,7 +533,9 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     f = m.function
     side = int(budget ** 0.5) + 1
     pairs = list(itertools.islice(rel.related_pairs(side), side))
-    elems = _sample_elements(rel, pairs)[0]
+    sample = rel._sample or _Sample()
+    with sample.lock:
+        elems = sample.view(rel, pairs)[0]
     if not elems:
         return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
 

@@ -154,20 +154,74 @@ class TestCheckEquivalence:
     @pytest.mark.parametrize("rel", [intrel, ratrel], ids=["intrel", "ratrel"])
     def test_canonicalizes_each_element_once(self, rel):
         # One call per distinct sampled element, in first-seen order, then
-        # one per canonical form appended after them.
-        calls = []
+        # one per canonical form appended after them; the carrier once per
+        # distinct element, in the same order.  A relation over a stream
+        # keeps them: a repeat at the same or a smaller budget, or a
+        # commutativity check on fewer pairs, asks neither again.
+        calls, carried = [], []
 
         def counted(p):
             calls.append(p)
             return rel.canonicalize(p)
 
-        counting = EquivRelation(rel.name, rel.decider, rel.carrier, rel.related_pairs, counted)
-        assert check_equivalence(counting, 2000) == check_equivalence(rel, 2000)
+        def carrier(p):
+            carried.append(p)
+            return rel.carrier(p)
+
+        counting = EquivRelation(rel.name, rel.decider, carrier, rel.related_pairs, counted)
+        expected = check_equivalence(rel, 2000)
+        assert check_equivalence(counting, 2000) == expected
         pairs = rel.related_pairs(2000)
         sampled = list(dict.fromkeys(e for pair in pairs for e in pair))
         elems = equiv_oracle._sample_elements(rel, pairs)
         assert len(elems) >= len(sampled) > 100
         assert calls == elems
+        assert carried == sampled
+        del calls[:], carried[:]
+        assert check_equivalence(counting, 2000) == expected
+        for budget in (1999, 141, 1):
+            assert check_equivalence(counting, budget) == check_equivalence(rel, budget)
+        commutative = RespectMap(rel.decider, (counting, counting), operator.eq)
+        respects2_via_commutativity(commutative, 2000)
+        assert calls == carried == []
+
+    @pytest.mark.parametrize("rel", [intrel, ratrel], ids=["intrel", "ratrel"])
+    def test_plain_relation_samples_afresh(self, rel):
+        # A related_pairs that is no PairStream promises no prefixes, so
+        # each check asks the carrier once per distinct element again.
+        carried = []
+
+        def carrier(p):
+            carried.append(p)
+            return rel.carrier(p)
+
+        plain = EquivRelation(rel.name, rel.decider, carrier, lambda b: rel.related_pairs(b),
+                              rel.canonicalize)
+        for budget in (500, 500, 200):
+            del carried[:]
+            assert check_equivalence(plain, budget) == check_equivalence(rel, budget)
+            pairs = rel.related_pairs(budget)
+            assert carried == list(dict.fromkeys(e for pair in pairs for e in pair))
+
+    # check_equivalence(rel, budget).checked, pinned for both numeric
+    # relations: at 1, 2, 10, around the commutativity check's 141 pairs at
+    # budget 20,000, and at the CLI's budgets.
+    CHECKED = {1: (9, 11), 2: (18, 20), 10: (73, 82), 141: (780, 819), 142: (785, 826),
+               2000: (9347, 10303), 20000: (86020, 100839)}
+
+    @pytest.mark.parametrize("column, source", [(0, integers._shift_pairs),
+                                                (1, rationals._scaled_pairs)],
+                             ids=["intrel", "ratrel"])
+    def test_checked_is_pinned_in_any_order(self, column, source):
+        rel = (intrel, ratrel)[column]
+        fresh = EquivRelation(rel.name, rel.decider, rel.carrier, PairStream(source),
+                              rel.canonicalize)
+        ascending = sorted(self.CHECKED)
+        expected = {budget: equiv_oracle.check_equivalence(rel, budget) for budget in ascending}
+        for budget in ascending + ascending[::-1] + ascending:
+            report = check_equivalence(fresh, budget)
+            assert report == expected[budget]
+            assert report.checked == self.CHECKED[budget][column]
 
     def test_filtered_pairs_fallback(self):
         # Congruence mod 3 with the generic product-plus-filter generator.
@@ -561,10 +615,32 @@ def _finite_relations(draw):
 
 
 @settings(max_examples=400, deadline=None)
-@given(_finite_relations(), st.integers(1, 60))
-def test_check_equivalence_matches_oracle(rel, budget):
-    assert _outcome(check_equivalence, rel, budget) == \
-        _outcome(equiv_oracle.check_equivalence, rel, budget)
+@given(_finite_relations(), st.integers(1, 60), st.integers(1, 60))
+def test_check_equivalence_matches_oracle(rel, budget, other):
+    # Each budget twice, on the relation and on a copy whose pairs come
+    # from a PairStream, which keeps its sample from call to call, also
+    # after a refuted one.
+    pairs = list(rel.related_pairs(60))
+    streamed = EquivRelation(rel.name, rel.decider, rel.carrier,
+                             PairStream(lambda: [([x for x, _ in pairs], [y for _, y in pairs])]),
+                             rel.canonicalize)
+    for r in (rel, streamed):
+        for b in (budget, other, budget, other):
+            assert _outcome(check_equivalence, r, b) == \
+                _outcome(equiv_oracle.check_equivalence, rel, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_relations(), st.integers(1, 60), st.integers(1, 60))
+def test_pairs_that_are_no_prefix_match_oracle(rel, budget, other):
+    # Odd budgets take the pairs in reverse, so a smaller budget's pairs
+    # need not be a prefix of a larger one's; no sample may be kept.
+    pairs = list(rel.related_pairs(60))
+    shuffled = EquivRelation(rel.name, rel.decider, rel.carrier,
+                             lambda b: pairs[::-1][:b] if b % 2 else pairs[:b], rel.canonicalize)
+    for b in (budget, other, budget):
+        assert _outcome(check_equivalence, shuffled, b) == \
+            _outcome(equiv_oracle.check_equivalence, shuffled, b)
 
 
 def _partition_with_canonicalizer(canon):
@@ -592,6 +668,26 @@ def test_broken_canonicalizer_matches_oracle(canon, law, witness):
         outcome = _outcome(check_equivalence, rel, budget)
         assert outcome == _outcome(equiv_oracle.check_equivalence, rel, budget)
         assert outcome[0] is Verdict.REFUTED and outcome[2:] == (law, witness)
+
+
+def test_form_placed_later_is_appended_to_a_smaller_sample():
+    # A refuted check at budget 4 places every element, the form 5 of 0
+    # and 1 among them; a later check at budget 2 does not reach 5 and
+    # appends it as a form, while one at budget 3 draws it as an element.
+    labels = (0, 0, 1, 1, 2, 0)
+    pairs = [(0, 1), (2, 3), (5, 5), (6, 6)]
+    rel = EquivRelation(
+        name="finite",
+        decider=lambda x, y: labels[x] == labels[y],
+        carrier=lambda x: x in _R,
+        related_pairs=PairStream(lambda: [([x for x, _ in pairs], [y for _, y in pairs])]),
+        canonicalize=(5, 5, 2, 2, 4, 5).__getitem__,
+    )
+    for budget, law in ((4, "pair-generator-carrier"), (2, None), (3, None), (2, None)):
+        outcome = _outcome(check_equivalence, rel, budget)
+        assert outcome == _outcome(equiv_oracle.check_equivalence, rel, budget)
+        assert outcome[2] == law
+    assert equiv_oracle._sample_elements(rel, pairs[:2]) == [0, 1, 2, 3, 5]
 
 
 @st.composite
@@ -708,6 +804,39 @@ class TestPairStream:
         finally:
             sys.setswitchinterval(interval)
         assert results == [expected[:budget] for budget in budgets]
+
+    @pytest.mark.parametrize("rel, source, reference", NUMERIC_STREAMS)
+    def test_concurrent_checks_share_one_sample(self, rel, source, reference):
+        # Threads checking one fresh relation at different budgets grow
+        # one kept sample, and each gets the single-threaded report.  The
+        # pairs are generated first and the threads start together, so
+        # they race on the sample.
+        budgets = [3000, 2999, 1000, 2]
+        expected = [check_equivalence(rel, budget) for budget in budgets]
+        for _ in range(10):
+            fresh = EquivRelation(rel.name, rel.decider, rel.carrier, PairStream(source),
+                                  rel.canonicalize)
+            fresh.related_pairs(max(budgets))
+            results = [None] * len(budgets)
+            start = threading.Barrier(len(budgets))
+
+            def check(i):
+                start.wait(timeout=60)
+                results[i] = check_equivalence(fresh, budgets[i])
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=check, args=(i,)) for i in range(len(budgets))]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=120)
+                    assert not t.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            assert results == expected
+            assert [check_equivalence(fresh, budget) for budget in budgets] == expected
 
     @pytest.mark.parametrize("rel", [intrel, ratrel, msg_relation(3)],
                              ids=["intrel", "ratrel", "msgrel-bound-3"])
