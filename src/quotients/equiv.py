@@ -100,15 +100,14 @@ class EquivRelation(Record, Generic[T]):
     maps every element to the distinguished representative of its class.
     `carrier` and `canonicalize` are assumed deterministic: the checks ask
     each of them once per distinct sampled element.
-    The built-in relations' pairs come from a `PairStream`, kept per relation
-    (per universe for messages): `related_pairs(b)` is a prefix of
-    `related_pairs(b')` for b <= b', and memory is bounded by the largest
-    budget asked.  A relation whose `related_pairs` is a `PairStream` also
-    keeps its sample of those pairs (an underscore cache, `_sample`): the
-    distinct elements in first-seen order, each one's carrier verdict and
-    canonical form, and whether each pair's two forms agree, so a repeated
-    check pays only for its decider.  Any other relation samples afresh
-    on every call.
+    The built-in relations' pairs come from a `PairStream`, kept per relation:
+    `related_pairs(b)` is a prefix of `related_pairs(b')` for b <= b', and
+    memory is bounded by the largest budget asked.  A relation whose
+    `related_pairs` is a `PairStream` also keeps its sample of those pairs
+    (an underscore cache, `_sample`): the distinct elements in first-seen
+    order, each one's carrier verdict and canonical form, and whether each
+    pair's two forms agree, so a repeated check pays only for its decider.
+    Any other relation samples afresh on every call.
     """
 
     __slots__ = ("name", "decider", "carrier", "related_pairs", "canonicalize", "_sample")
@@ -140,10 +139,10 @@ class PairStream(Record, Generic[T]):
     pairs.  The columns of the tiers reached so far are kept, and a call
     extends them under a lock only through the tier its budget ends in, so
     a request within them generates nothing.  Nothing is dropped: memory is
-    bounded by the largest budget asked.  A copy or pickle is an equal
-    stream over the same `tiers`, with nothing kept.  An `EquivRelation`
-    over a stream keeps its sample of the pairs as well, since a budget's
-    pairs are a prefix of any larger budget's.
+    bounded by the largest budget asked.  A copy or pickle gives the same
+    pairs, with nothing kept.  An `EquivRelation` over a stream keeps its
+    sample of the pairs as well, since a budget's pairs are a prefix of any
+    larger budget's.
     """
 
     __slots__ = ("tiers", "_tiers", "_lefts", "_rights", "_lock")
@@ -486,13 +485,14 @@ def check_respects(m: RespectMap[D], budget: int) -> CongruenceReport:
     Each source relation contributes related pairs (xi, yi): the first
     `budget` of them for one argument, `int(budget ** (1/n)) + 1` for n
     arguments.  Their product is scanned in row-major order up to `budget`
-    cases.  A counterexample is the pair (x, y) for one argument and the
-    tuple of per-argument pairs ((x1, y1), ..., (xn, yn)) otherwise.
+    cases; a map of no arguments has one case, the empty one.  A
+    counterexample is the pair (x, y) for one argument and the tuple of
+    per-argument pairs ((x1, y1), ..., (xn, yn)) otherwise.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     n = len(m.sources)
-    side = budget if n == 1 else int(budget ** (1 / n)) + 1
+    side = budget if n <= 1 else int(budget ** (1 / n)) + 1
     per_source = [list(itertools.islice(rel.related_pairs(side), side)) for rel in m.sources]
     lefts = itertools.product(*[[x for x, _ in pairs] for pairs in per_source])
     rights = itertools.product(*[[y for _, y in pairs] for pairs in per_source])
@@ -525,6 +525,8 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if len(m.sources) != 2:
+        raise TypeError(f"commutativity shortcut takes 2 arguments, got {len(m.sources)}")
     rel, other = m.sources
     if not rel.same_as(other):
         raise RelationMismatchError(

@@ -13,22 +13,21 @@ Two independent routes decide that equivalence:
   normal forms are unique and `msg_eq` compares them structurally.
   Each term's constructor stores its normal form in a private slot, `_nf`
   (see below), so `normalize` only reads it.
-* `closure_classes` computes the least fixpoint of the eight rules over a
-  bounded term universe, never consulting the rewriter, and returns it as
-  the partition of that universe into classes.  The universe is a list of
-  shapes (constructor, key or value, child indices), and the closure works
-  on those shapes alone: it builds and hashes no term, and its cancellation
-  seeds are shape tests.  It closes one size at a time, in one pass per
-  size, which is the least fixpoint.
+* `_partition` computes the least fixpoint of the eight rules over a
+  bounded term universe, never consulting the rewriter, as each term's
+  class root.  The universe is a list of shapes (constructor, key or
+  value, child indices), and the closure works on those shapes alone: it
+  builds and hashes no term, and its cancellation seeds are shape tests.
+  It closes one size at a time, in one pass per size, the least fixpoint.
 
-Tests drive the two against each other: `msg_relation` decides by
-rewriting and draws the congruence checker's related pairs from the
-partition, smallest first.  The pairs come in size layers.  A request
-closes and groups the universe only up to the sizes its layers reach,
-sorts each layer as it reaches it, and builds only the terms of the pairs
-it emits, with their subterms.  A `Msg` is a class of the relation decided by
-rewriting, and its operations are the free functions' respect maps applied
-to classes by `equiv.operation`.
+Tests drive the two against each other: `msg_relation`, one kept relation
+per universe, decides by rewriting and draws the congruence checker's
+related pairs from the partition, smallest first, in size layers.  A
+request closes and groups the universe only up to the sizes its layers
+reach, sorts each layer as it reaches it, and builds only the terms of the
+pairs it emits, with their subterms.  A `Msg` is a class of the relation
+decided by rewriting, and its operations are the free functions' respect
+maps applied to classes by `equiv.operation`.
 
 A node's normal form is its children's normal forms under one root check,
 so each constructor sets `_nf` from its parts' slots: `True` if the node
@@ -316,18 +315,8 @@ def _running_sizes(bound: int, keys, nonces):
         yield sum(counts)
 
 
-def universe_size(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> int:
-    """Number of terms of size <= bound, by recurrence (no enumeration)."""
-    keys, nonces = _domains(keys, nonces)
-    return max(_running_sizes(bound, keys, nonces), default=0)
-
-
-def _enumerate(bound: int, keys, nonces) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The universe of terms of size <= bound as shapes, size by size; no
-    term is built.  `shapes[i]` is term i's constructor: `(tag, key, body)`
-    with tag 0 for crypt and 1 for decrypt, `(2, left, right)` for mpair or
-    `(3, value)` for nonce, children by index, each before its parent.
-    Terms of size s are the indices `starts[s - 1]:starts[s]`."""
+def _check_universe(bound: int, keys, nonces) -> None:
+    """Raise for a bound below 1 or a universe over MAX_TERMS, by recurrence."""
     if bound < 1:
         raise ValueError("bound must be >= 1")
     # The full recurrence takes seconds for a bound in the thousands; stopping
@@ -338,6 +327,15 @@ def _enumerate(bound: int, keys, nonces) -> tuple[list[tuple[int, ...]], list[in
             break
     if total > MAX_TERMS:
         raise UniverseTooLargeError(total, MAX_TERMS)
+
+
+def _enumerate(bound: int, keys, nonces) -> tuple[list[tuple[int, ...]], list[int]]:
+    """The universe of terms of size <= bound as shapes, size by size; no
+    term is built.  `shapes[i]` is term i's constructor: `(tag, key, body)`
+    with tag 0 for crypt and 1 for decrypt, `(2, left, right)` for mpair or
+    `(3, value)` for nonce, children by index, each before its parent.
+    Terms of size s are the indices `starts[s - 1]:starts[s]`."""
+    _check_universe(bound, keys, nonces)
     shapes: list[tuple[int, ...]] = [(3, n) for n in nonces]
     starts = [0, len(shapes)]
     for s in range(2, bound + 1):
@@ -367,21 +365,6 @@ def _build(shapes, terms: list, indices) -> None:
             terms[i] = Crypt(shape[1], terms[shape[2]])
         else:
             terms[i] = Decrypt(shape[1], terms[shape[2]])
-
-
-def enumerate_terms(
-    bound: int,
-    keys=DEFAULT_KEYS,
-    nonces=DEFAULT_NONCES,
-) -> list[FreeMsg]:
-    """All terms of size <= bound over the given key/nonce domains, graded
-    by size.  Raises UniverseTooLargeError before enumerating anything that
-    would blow the cap."""
-    keys, nonces = _domains(keys, nonces)
-    shapes, _ = _enumerate(bound, keys, nonces)
-    terms: list = [None] * len(shapes)
-    _build(shapes, terms, range(len(shapes)))
-    return terms
 
 
 def _closure(shapes, parent: list[int], seen: dict, stop: int) -> None:
@@ -434,26 +417,9 @@ def _partition(bound: int, keys, nonces) -> tuple[list[tuple[int, ...]], list[in
 
 
 def class_sizes(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> list[int]:
-    """The sizes of `closure_classes`' classes, in its order, read off the
-    closure's roots without building a term."""
+    """The sizes of the closure's classes, in the order of their first
+    members, read off its roots without building a term."""
     return list(Counter(_partition(bound, keys, nonces)[1]).values())
-
-
-def closure_classes(
-    bound: int,
-    keys=DEFAULT_KEYS,
-    nonces=DEFAULT_NONCES,
-) -> tuple[tuple[FreeMsg, ...], ...]:
-    """The universe's partition under the rule closure: two terms are
-    related exactly when they share a class.  Members keep universe order,
-    and classes come in the order of their first members."""
-    shapes, parent = _partition(bound, keys, nonces)
-    terms: list = [None] * len(shapes)
-    _build(shapes, terms, range(len(shapes)))
-    classes: dict[int, list[FreeMsg]] = {}
-    for t, root in zip(terms, parent):
-        classes.setdefault(root, []).append(t)
-    return tuple(map(tuple, classes.values()))
 
 
 class _PairLayers:
@@ -462,25 +428,29 @@ class _PairLayers:
     child index replaced by the child's sort key, so terms order by tag
     (crypt, decrypt, mpair, nonce), then key or value, then parts.
 
-    `_layers` is the tier source of the universe's `PairStream`: its tiers
-    are the size layers.  Layer s pairs terms of size at most s - 1, so before `_layers` sorts it, it
-    closes size c = s - 1, builds its sort keys and files what it adds to
-    later layers: a term alone in its class, its reflexive pair to layer
-    2c; a class's members `new` of size c, the blocks (us, new) and
-    (new, us) to layer a + c for each older size group (a, us) of the
-    class, and (new, new) to layer 2c.  Sizes no request reaches are never
-    closed, and only the sides of emitted pairs and their subterms are
-    built, each once."""
+    `_layers`, the tier source of the universe's `PairStream`, lists the
+    shapes at the first request and yields the size layers `_sorted_pairs`
+    makes.  Layer s pairs terms of size at most s - 1, so it first closes
+    size c = s - 1, builds its sort keys and files what it adds to later
+    layers: a term alone in its class, its reflexive pair to layer 2c; a
+    class's members `new` of size c, the blocks (us, new) and (new, us) to
+    layer a + c for each older size group (a, us) of the class, and (new,
+    new) to layer 2c.  Sizes no request reaches are never closed, and only
+    the sides of emitted pairs and their subterms are built, each once.  A
+    copy or pickle is the same universe with nothing kept."""
 
     def __init__(self, bound: int, keys, nonces) -> None:
-        self._shapes, self._starts = _enumerate(bound, keys, nonces)
+        _check_universe(bound, keys, nonces)
+        self._universe = bound, keys, nonces
         self._parent: list[int] = []  # class roots of the closed terms
         self._seen: dict = {}  # _closure's signatures
         self._sort_keys: list[tuple] = []
-        self._terms: list = [None] * len(self._shapes)
         self._groups: dict[int, list] = {}  # root -> its (size, members) groups, if not alone
         self._reflexive: dict[int, list[int]] = {}  # layer -> terms alone in their class
         self._blocks: dict[int, list] = {}  # layer -> (us, vs) blocks
+
+    def __reduce__(self):
+        return _PairLayers, self._universe
 
     def _close(self, c: int) -> None:
         shapes, starts, parent, sort_keys = self._shapes, self._starts, self._parent, self._sort_keys
@@ -511,35 +481,30 @@ class _PairLayers:
             self._groups[root] = [*old, (c, new)]
 
     def _layers(self):
-        shapes, terms, sort_keys = self._shapes, self._terms, self._sort_keys
-        bound = len(self._starts) - 1
-        for s in range(2, 2 * bound + 1):
-            if s - 1 <= bound:
-                self._close(s - 1)
-            layer = [(i, i) for i in self._reflexive.pop(s, ())]
-            layer += [(u, v) for us, vs in self._blocks.pop(s, ()) for u in us for v in vs]
-            layer.sort(key=lambda p: (sort_keys[p[0]], sort_keys[p[1]]))
-            new, stack = set(), [i for pair in layer for i in pair]
-            while stack:  # the unbuilt sides and subterms
-                i = stack.pop()
-                if terms[i] is None and i not in new:
-                    new.add(i)
-                    shape = shapes[i]
-                    stack += shape[1:] if shape[0] == 2 else shape[2:]
-            _build(shapes, terms, sorted(new))
-            yield [terms[u] for u, _ in layer], [terms[v] for _, v in layer]
+        self._shapes, self._starts = _enumerate(*self._universe)
+        self._terms = [None] * len(self._shapes)
+        for s in range(2, 2 * self._universe[0] + 1):
+            yield _sorted_pairs(self, s)
 
 
-@lru_cache(maxsize=8)
-def _pair_layers(bound: int, keys, nonces) -> PairStream[FreeMsg]:
-    # The stream holds the layers and not the reverse, so an evicted
-    # universe is freed at once, with no cycle for the collector.
-    return PairStream(_PairLayers(bound, keys, nonces)._layers)
-
-
-def _sorted_pairs(bound: int, keys, nonces, budget: int) -> list[tuple[FreeMsg, FreeMsg]]:
-    """The first `budget` related pairs of the universe, smallest first."""
-    return _pair_layers(bound, keys, nonces)(budget)
+def _sorted_pairs(layers: _PairLayers, s: int) -> tuple[list[FreeMsg], list[FreeMsg]]:
+    """Layer s of `layers` as its two columns, after closing size s - 1: a
+    module function, looked up per layer, so that a tracer can wrap it."""
+    shapes, terms, sort_keys = layers._shapes, layers._terms, layers._sort_keys
+    if s - 1 <= layers._universe[0]:
+        layers._close(s - 1)
+    layer = [(i, i) for i in layers._reflexive.pop(s, ())]
+    layer += [(u, v) for us, vs in layers._blocks.pop(s, ()) for u in us for v in vs]
+    layer.sort(key=lambda p: (sort_keys[p[0]], sort_keys[p[1]]))
+    new, stack = set(), [i for pair in layer for i in pair]
+    while stack:  # the unbuilt sides and subterms
+        i = stack.pop()
+        if terms[i] is None and i not in new:
+            new.add(i)
+            shape = shapes[i]
+            stack += shape[1:] if shape[0] == 2 else shape[2:]
+    _build(shapes, terms, sorted(new))
+    return [terms[u] for u, _ in layer], [terms[v] for _, v in layer]
 
 
 def msg_relation(
@@ -547,29 +512,30 @@ def msg_relation(
     keys=DEFAULT_KEYS,
     nonces=DEFAULT_NONCES,
 ) -> EquivRelation[FreeMsg]:
-    """The message equivalence as an executable relation.
+    """The message equivalence as an executable relation, one per universe.
 
     The decider is the rewriting route; the related-pair generator draws
     from the closure oracle over the configured universe, so the two routes
     keep each other honest wherever this relation feeds the congruence
     checker.  Pairs come smallest first, by total size and then by each
     side's constructor (crypt, decrypt, mpair, nonce), key or value, and
-    parts, from a per-universe `PairStream` whose tiers are size layers:
-    a request for `budget` pairs costs the layers up to the budget, each
-    paid once per universe, and the kept pairs are bounded by the largest
-    budget asked."""
-    keys, nonces = _domains(keys, nonces)
+    parts, from a `PairStream` whose tiers are size layers, each paid once.
+    The last eight universes are cached, domains normalized first, so
+    `msg_relation(6, [1, 0, 1])` is `msg_relation(6)`; a bad bound or a
+    universe over `MAX_TERMS` raises here, before anything is listed."""
+    return _msg_relation(bound, *_domains(keys, nonces))
+
+
+@lru_cache(maxsize=8)
+def _msg_relation(bound: int, keys, nonces) -> EquivRelation[FreeMsg]:
+    # The stream holds the layers, not the reverse: no cycle keeps an evicted universe.
     default = bound == SAMPLING_BOUND and keys == DEFAULT_KEYS and nonces == DEFAULT_NONCES
     name = "msgrel" if default else f"msgrel[bound={bound},keys={keys},nonces={nonces}]"
-
-    def pairs(budget: int):
-        return _sorted_pairs(bound, keys, nonces, budget)
-
     return EquivRelation(
         name=name,
         decider=msg_eq,
         carrier=well_formed,
-        related_pairs=pairs,
+        related_pairs=PairStream(_PairLayers(bound, keys, nonces)._layers),
         canonicalize=normalize,
     )
 

@@ -4,7 +4,10 @@ A term-size count, the recursive carrier test, recursive term hash and
 repr, an outermost rewriting strategy and a redex-free test, a naive
 round-by-round rule closure, the closure as an explicit pair set, and an
 eager sort of every related pair on a recursive term key, each independent
-of the engine it checks in `quotients.messages`.
+of the engine it checks in `quotients.messages`.  The whole universe as
+terms, its partition as classes of terms and its size by recurrence are
+built here over the engine's shapes, closure and builder, since only the
+tests need every term of a universe.
 """
 
 from __future__ import annotations
@@ -19,10 +22,41 @@ from quotients.messages import (
     FreeMsg,
     MPair,
     Nonce,
+    _build,
     _domains,
-    closure_classes,
-    enumerate_terms,
+    _enumerate,
+    _partition,
+    _running_sizes,
 )
+
+
+def universe_size(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> int:
+    """Number of terms of size <= bound, by recurrence (no enumeration)."""
+    return max(_running_sizes(bound, *_domains(keys, nonces)), default=0)
+
+
+def enumerate_terms(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> list[FreeMsg]:
+    """All terms of size <= bound over the given key/nonce domains, graded
+    by size.  Raises UniverseTooLargeError before enumerating anything that
+    would blow the cap."""
+    shapes, _ = _enumerate(bound, *_domains(keys, nonces))
+    terms: list = [None] * len(shapes)
+    _build(shapes, terms, range(len(shapes)))
+    return terms
+
+
+def closure_classes(bound: int, keys=DEFAULT_KEYS,
+                    nonces=DEFAULT_NONCES) -> tuple[tuple[FreeMsg, ...], ...]:
+    """The universe's partition under the rule closure: two terms are
+    related exactly when they share a class.  Members keep universe order,
+    and classes come in the order of their first members."""
+    shapes, parent = _partition(bound, keys, nonces)
+    terms: list = [None] * len(shapes)
+    _build(shapes, terms, range(len(shapes)))
+    classes: dict[int, list[FreeMsg]] = {}
+    for t, root in zip(terms, parent):
+        classes.setdefault(root, []).append(t)
+    return tuple(map(tuple, classes.values()))
 
 
 def size(t: FreeMsg) -> int:

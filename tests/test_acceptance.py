@@ -9,17 +9,15 @@ from fractions import Fraction
 
 import pytest
 
-from msg_oracles import closure_oracle, normalize_outermost
+from msg_oracles import closure_classes, closure_oracle, enumerate_terms, normalize_outermost
 from quotients.equiv import check_respects
 from quotients.integers import add, from_native, le, mul, neg, qint, to_nat, to_native
 from quotients.messages import (
     FREEDISCRIM_MAP,
     FREEDISCRIM_TRUNCATED_MAP,
-    closure_classes,
     crypt,
     decrypt,
     discrim,
-    enumerate_terms,
     freediscrim,
     freediscrim_truncated,
     left,

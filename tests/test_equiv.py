@@ -381,6 +381,14 @@ class TestCheckRespectsNAry:
         with pytest.raises(TypeError):
             g(class_of(intrel, IntPair(1, 0)))
 
+    def test_nullary_map_is_its_one_empty_case(self):
+        calls = []
+        m0 = RespectMap(lambda: calls.append(1) or 7, (), plain_eq, name="seven")
+        report = check_respects(m0, 50)
+        assert report.verdict is Verdict.CERTIFIED and report.checked == 1
+        assert report.counterexample is None and report.map is m0 and len(calls) == 2
+        assert lift(report)() == 7
+
 
 class TestRespects2ViaCommutativity:
     def test_addition_via_commutativity(self):
@@ -404,6 +412,12 @@ class TestRespects2ViaCommutativity:
         assert "not commutative" in report.note
         assert report.checked == 400
         assert report.map is sub
+
+    @pytest.mark.parametrize("m", [NEG_MAP, RespectMap(lambda: 0, (), plain_eq),
+                                   TestCheckRespectsNAry.add3], ids=["one", "none", "three"])
+    def test_other_arities_rejected(self, m):
+        with pytest.raises(TypeError, match=f"takes 2 arguments, got {len(m.sources)}"):
+            respects2_via_commutativity(m, 400)
 
     def test_mismatched_relations_rejected(self):
         m2 = RespectMap(lambda p, q: 0, (intrel, ratrel), plain_eq)

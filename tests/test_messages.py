@@ -12,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 from conftest import term_strategy
 from msg_oracles import (
     MsgRule,
+    closure_classes,
     closure_oracle,
     closure_oracle_naive,
+    enumerate_terms,
     hash_recursive,
     is_normal,
     normalize_outermost,
@@ -21,6 +23,7 @@ from msg_oracles import (
     rule_instances,
     size,
     sorted_pairs_naive,
+    universe_size,
     well_formed_recursive,
 )
 from quotients import messages
@@ -45,13 +48,11 @@ from quotients.messages import (
     MPair,
     Msg,
     Nonce,
-    closure_classes,
     crypt,
     crypt_map,
     decrypt,
     decrypt_map,
     discrim,
-    enumerate_terms,
     free_maps,
     freediscrim,
     freediscrim_truncated,
@@ -68,7 +69,6 @@ from quotients.messages import (
     nonces,
     normalize,
     right,
-    universe_size,
 )
 from quotients.sexpr import parse_term, print_term
 
@@ -543,7 +543,7 @@ class TestPairStream:
         # pair of the layer before it.
         firsts = [i for i in range(1, len(naive)) if totals[i] != totals[i - 1]]
         budgets = sorted({1, *firsts, *(i + 1 for i in firsts), len(naive), len(naive) + 7})
-        messages._pair_layers.cache_clear()  # extend a fresh stream layer by layer
+        messages._msg_relation.cache_clear()  # extend a fresh stream layer by layer
         rel = msg_relation(bound, keys, nonces)
         for budget in budgets:
             assert rel.related_pairs(budget) == naive[:budget]
@@ -552,9 +552,9 @@ class TestPairStream:
         # The terms built are exactly the sides of the kept pairs and their
         # subterms, each built once: a later request returns the same term
         # objects (in new pair tuples).
-        messages._pair_layers.cache_clear()
+        messages._msg_relation.cache_clear()
         rel = msg_relation(7)
-        stream = messages._pair_layers(7, (0, 1), (0, 1))
+        stream = rel.related_pairs
         layers = stream.tiers.__self__
 
         def built():
@@ -580,20 +580,20 @@ class TestPairStream:
     def test_stream_closes_only_the_sizes_it_reaches(self):
         # Layers up to total size 8 pair terms of size at most 7, so a
         # bound-8 stream asked for 2000 pairs closes no size-8 shape.
-        messages._pair_layers.cache_clear()
+        messages._msg_relation.cache_clear()
         pairs = msg_relation(8).related_pairs(2000)
-        layers = messages._pair_layers(8, (0, 1), (0, 1)).tiers.__self__
+        layers = msg_relation(8).related_pairs.tiers.__self__
         assert len(pairs) == 2000 and max(size(u) + size(v) for u, v in pairs) == 8
         assert len(layers._parent) == len(layers._sort_keys) == universe_size(7) < universe_size(8)
 
     def test_evicted_universe_is_freed_at_once(self):
         # No reference cycle holds a universe the cache has let go.
-        messages._pair_layers.cache_clear()
+        messages._msg_relation.cache_clear()
         msg_relation(6).related_pairs(2000)
         gc.disable()
         try:
-            layers = weakref.ref(messages._pair_layers(6, (0, 1), (0, 1)).tiers.__self__)
-            messages._pair_layers.cache_clear()
+            layers = weakref.ref(msg_relation(6).related_pairs.tiers.__self__)
+            messages._msg_relation.cache_clear()
             assert layers() is None
         finally:
             gc.enable()
@@ -603,7 +603,7 @@ class TestPairStream:
         # each must still get the exact prefix of the eager sort.
         naive = sorted_pairs_naive(5)
         budgets = [1, 10, 100, 1000, 4000, len(naive)] * 2
-        messages._pair_layers.cache_clear()
+        messages._msg_relation.cache_clear()
         rel = msg_relation(5)
         results = [None] * len(budgets)
 
@@ -623,13 +623,52 @@ class TestPairStream:
             sys.setswitchinterval(interval)
         assert results == [naive[:budget] for budget in budgets]
 
+    def test_repeated_check_asks_the_carrier_once_per_element(self, monkeypatch):
+        # The relation is one per universe and keeps its sample: a second
+        # check of the same relation asks the carrier nothing.
+        calls = []
+        carrier = messages.well_formed
+        monkeypatch.setattr(messages, "well_formed", lambda t: calls.append(t) or carrier(t))
+        messages._msg_relation.cache_clear()
+        try:
+            for expected in (822, 0):
+                calls.clear()
+                assert check_equivalence(msg_relation(6), 2000).verdict is Verdict.CERTIFIED
+                assert len(calls) == len({id(t) for t in calls}) == expected
+        finally:
+            messages._msg_relation.cache_clear()
+
+    def test_shapes_are_listed_at_the_first_request(self, monkeypatch):
+        calls = []
+        enumerate_ = messages._enumerate
+        monkeypatch.setattr(messages, "_enumerate", lambda *args: calls.append(args) or enumerate_(*args))
+        messages._msg_relation.cache_clear()
+        rel = msg_relation(8)
+        assert calls == []
+        rel.related_pairs(10)
+        rel.related_pairs(2000)
+        assert calls == [(8, (0, 1), (0, 1))]
+
+    def test_bad_universes_raise_when_made(self):
+        # Every time, since nothing is cached for them.
+        for _ in range(2):
+            with pytest.raises(UniverseTooLargeError):
+                msg_relation(13)
+            with pytest.raises(ValueError, match="bound must be >= 1"):
+                msg_relation(0)
+
+    def test_one_relation_per_universe(self):
+        assert msg_relation(6, (1, 0), (0, 1, 1)) is msg_relation(6)
+        assert msg_relation(6, [1, 0, 1]) is msg_relation(6) is not msg_relation(6, (0,))
+        assert msg_relation() is msg_relation(5, (0, 1), (0, 1))
+
     def test_closure_runs_once_per_universe(self, monkeypatch):
         # One pass per size of the universe, each once across both rounds;
         # a call's last argument is the end of the size it closes.
         calls = []
         closure = messages._closure
         monkeypatch.setattr(messages, "_closure", lambda *args: calls.append(args[-1]) or closure(*args))
-        messages._pair_layers.cache_clear()
+        messages._msg_relation.cache_clear()
         for _ in range(2):
             rel = msg_relation(4)
             for rmap in free_maps(rel).values():

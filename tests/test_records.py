@@ -175,17 +175,29 @@ def test_pickle_round_trips(value):
 
 
 def test_msg_values_deep_copy():
-    # msgrel's pair generator is a closure, so a Msg, or a report that holds
-    # a map over msgrel, cannot be pickled; a deep copy rebuilds msgrel
-    # around the same functions.
+    # msgrel's pairs come from its universe's stream, which copies and
+    # pickles as the universe's bound and domains: a Msg, or a report that
+    # holds a map over msgrel, round-trips to a relation with nothing kept,
+    # and its pickle stays small however many pairs msgrel keeps.
+    msgrel.related_pairs(2000)
     m = msg(Crypt(0, Nonce(1)))
-    twin = copy.deepcopy(m)
-    assert _same(twin, m) and twin.relation.same_as(m.relation)
     report = CongruenceReport(CERTIFIED, 3, map=FREELEFT_MAP)
-    twin = copy.deepcopy(report)
-    assert twin.map.sources[0].same_as(msgrel) and twin.map.function is FREELEFT_MAP.function
-    with pytest.raises((pickle.PicklingError, AttributeError)):
-        pickle.dumps(report)
+    for value in (m, report):
+        twins = [copy.deepcopy(value)]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(value, protocol)
+            assert len(data) < 1024
+            twins.append(pickle.loads(data))
+        for twin in twins:
+            assert repr(twin) == repr(value)
+            rel = twin.relation if value is m else twin.map.sources[0]
+            assert rel is not msgrel and rel.same_as(msgrel)
+            assert rel.related_pairs._lefts == []
+            assert rel.related_pairs(2000) == msgrel.related_pairs(2000)
+            if value is m:
+                assert twin == m
+            else:
+                assert twin.map.function is FREELEFT_MAP.function
 
 
 # One term per class, built twice: compound terms that rewrite and one that
