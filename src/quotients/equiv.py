@@ -30,7 +30,10 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
+import operator
 import threading
+from collections import Counter
 from functools import partial
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
@@ -99,7 +102,9 @@ class EquivRelation(Record, Generic[T]):
     the bounded checks; any callable will do.  `canonicalize`, when present,
     maps every element to the distinguished representative of its class.
     `carrier` and `canonicalize` are assumed deterministic: the checks ask
-    each of them once per distinct sampled element.
+    each of them once per distinct sampled element.  So is a
+    `RespectMap.function`, which `check_respects` asks once per row of
+    images whose leading arguments repeat.
     The built-in relations' pairs come from a `PairStream`, kept per relation:
     `related_pairs(b)` is a prefix of `related_pairs(b')` for b <= b', and
     memory is bounded by the largest budget asked.  A relation whose
@@ -136,13 +141,16 @@ class PairStream(Record, Generic[T]):
     it may end.  A tier is the grade's pairs as two columns, the lists of
     their left and of their right elements, so no pair tuple is built until
     a request asks for it.  A call returns a new list of the first `budget`
-    pairs.  The columns of the tiers reached so far are kept, and a call
-    extends them under a lock only through the tier its budget ends in, so
-    a request within them generates nothing.  Nothing is dropped: memory is
-    bounded by the largest budget asked.  A copy or pickle gives the same
-    pairs, with nothing kept.  An `EquivRelation` over a stream keeps its
-    sample of the pairs as well, since a budget's pairs are a prefix of any
-    larger budget's.
+    pairs; `columns(budget)` returns them as two new column lists, which
+    the congruence checks read.  The columns of the tiers reached so far
+    are kept, and a request extends them under a lock only through the
+    tier its budget ends in, so a request within them generates nothing.
+    Nothing is dropped: memory is bounded by the largest budget asked.  A
+    copy or pickle gives the same pairs, with nothing kept.  An
+    `EquivRelation` over a stream keeps its sample of the pairs as well,
+    since a budget's pairs are a prefix of any larger budget's; like the
+    relation's `carrier` and `canonicalize`, a `RespectMap.function` checked
+    over them is assumed deterministic.
     """
 
     __slots__ = ("tiers", "_tiers", "_lefts", "_rights", "_lock")
@@ -155,6 +163,11 @@ class PairStream(Record, Generic[T]):
         _set(self, "_lock", threading.Lock())
 
     def __call__(self, budget: int) -> list[tuple[T, T]]:
+        return list(zip(*self.columns(budget)))
+
+    def columns(self, budget: int) -> tuple[list[T], list[T]]:
+        """The first `budget` pairs as two new lists, of their left and of
+        their right elements."""
         if budget < 0:
             raise ValueError("budget must be >= 0")
         lefts, rights = self._lefts, self._rights
@@ -165,7 +178,7 @@ class PairStream(Record, Generic[T]):
                     rights += ys
                     if len(lefts) >= budget:
                         break
-            return list(itertools.islice(zip(lefts, rights), budget))
+            return lefts[:budget], rights[:budget]
 
 
 _UNASKED = 2  # an element's carrier verdict until a check asks for it
@@ -488,26 +501,67 @@ def check_respects(m: RespectMap[D], budget: int) -> CongruenceReport:
     cases; a map of no arguments has one case, the empty one.  A
     counterexample is the pair (x, y) for one argument and the tuple of
     per-argument pairs ((x1, y1), ..., (xn, yn)) otherwise.
+
+    `m.function` is assumed deterministic: a row of cases whose leading
+    arguments come back in a later row is asked once and its images reused.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     n = len(m.sources)
     side = budget if n <= 1 else int(budget ** (1 / n)) + 1
-    per_source = [list(itertools.islice(rel.related_pairs(side), side)) for rel in m.sources]
-    lefts = itertools.product(*[[x for x, _ in pairs] for pairs in per_source])
-    rights = itertools.product(*[[y for _, y in pairs] for pairs in per_source])
-    f = m.function
-    verdicts = map(m.target_eq, itertools.starmap(f, lefts), itertools.starmap(f, rights))
-    checked = 0
-    for ok in itertools.islice(verdicts, budget):
-        checked += 1
-        if not ok:
-            # The failing case, recovered by its row-major position.
-            case = next(itertools.islice(itertools.product(*per_source), checked - 1, None))
-            return CongruenceReport(Verdict.REFUTED, checked, case[0] if n == 1 else case, map=m)
+    columns = [_columns(rel, side) for rel in m.sources]
+    checked, failed = _scan(m.function, m.function, m.target_eq, [xs for xs, _ in columns],
+                            [ys for _, ys in columns], budget)
+    if failed is not None:
+        case = next(itertools.islice(itertools.product(*(zip(*c) for c in columns)), failed, None))
+        return CongruenceReport(Verdict.REFUTED, checked, case[0] if n == 1 else case, map=m)
     if checked == 0:
         return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
     return CongruenceReport(Verdict.CERTIFIED, checked, map=m)
+
+
+def _columns(rel: EquivRelation[T], budget: int) -> tuple[Sequence[T], Sequence[T]]:
+    """The first `budget` related pairs of `rel` as two columns."""
+    if isinstance(rel.related_pairs, PairStream):
+        return rel.related_pairs.columns(budget)
+    return tuple(zip(*itertools.islice(rel.related_pairs(budget), budget))) or ((), ())
+
+
+def _scan(f_left: Callable, f_right: Callable, eq: Callable, lefts: list, rights: list,
+          limit: int) -> tuple[int, int | None]:
+    """Test `eq(f_left(*xs), f_right(*ys))` on the first `limit` cases of the
+    row-major product of the per-argument columns `lefts`, and of `rights`
+    at the same positions; return how many ran and the position of the
+    first that failed, or None.  Each case asks `f_left`, `f_right`, then
+    `eq`, except that a row (the last column under fixed leading arguments)
+    whose leading arguments come back within the limit keeps its images
+    for the later rows, so those ask only the other side and `eq`."""
+    if not lefts:  # no arguments: the one empty case
+        return 1, None if eq(f_left(), f_right()) else 0
+    width = len(lefts[-1])
+    total = min(limit, width * math.prod(map(len, lefts[:-1])))
+    height = -(-total // width) if total else 0  # the rows within the limit
+    sides = []
+    for f, cols in ((f_left, lefts), (f_right, rights)):
+        leads = list(itertools.islice(itertools.product(*cols[:-1]), height))
+        try:
+            kept = dict.fromkeys(lead for lead, k in Counter(leads).items() if k > 1)
+        except TypeError:  # unhashable arguments: every row streams
+            kept = ()
+        sides.append(map(partial(_row, f, cols[-1], kept), leads))
+    verdicts = itertools.chain.from_iterable(map(partial(map, eq), *sides))
+    failed = next(itertools.compress(itertools.count(),
+                                     map(operator.not_, itertools.islice(verdicts, total))), None)
+    return (total, None) if failed is None else (failed + 1, failed)
+
+
+def _row(f: Callable, col: Sequence, kept: dict, lead: tuple) -> Iterable:
+    """The images of `f(*lead, x)` for x in `col`, streamed; for leading
+    arguments in `kept`, asked as the first such row streams and kept."""
+    if lead not in kept:
+        return map(f, *map(itertools.repeat, lead), col)
+    images, kept[lead] = itertools.tee(kept[lead] or map(f, *map(itertools.repeat, lead), col))
+    return images
 
 
 check_respects2 = check_respects  # kept: bench/ calls or patches this name
@@ -534,30 +588,31 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
         )
     f = m.function
     side = int(budget ** 0.5) + 1
-    pairs = list(itertools.islice(rel.related_pairs(side), side))
+    xs, ys = _columns(rel, side)
     sample = rel._sample or _Sample()
     with sample.lock:
-        elems = sample.view(rel, pairs)[0]
+        elems = sample.view(rel, list(zip(xs, ys)))[0]
     if not elems:
         return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
 
-    checked = 0
-    swaps = itertools.islice(itertools.product(elems, repeat=2), max(1, budget // 2))
-    for checked, (a, b) in enumerate(swaps, 1):
-        if not m.target_eq(f(a, b), f(b, a)):
-            rest = budget - checked
-            full = check_respects(m, rest) if rest else CongruenceReport(Verdict.NO_SAMPLES, 0)
-            note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
-            return CongruenceReport(full.verdict, checked + full.checked, full.counterexample,
-                                    note, m)
+    k = len(elems)
+    checked, failed = _scan(f, lambda a, b: f(b, a), m.target_eq, [elems, elems], [elems, elems],
+                            max(1, budget // 2))
+    if failed is not None:
+        a, b = elems[failed // k], elems[failed % k]
+        rest = budget - checked
+        full = check_respects(m, rest) if rest else CongruenceReport(Verdict.NO_SAMPLES, 0)
+        note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
+        return CongruenceReport(full.verdict, checked + full.checked, full.counterexample,
+                                note, m)
 
-    firsts = itertools.islice(((x, y, c) for x, y in pairs for c in elems), budget - checked)
-    for checked, (x, y, c) in enumerate(firsts, checked + 1):
-        if not m.target_eq(f(x, c), f(y, c)):
-            return CongruenceReport(Verdict.REFUTED, checked, ((x, y), (c, c)), map=m)
-    return CongruenceReport(
-        Verdict.CERTIFIED, checked, note="via commutativity and single-argument respect", map=m
-    )
+    firsts, failed = _scan(f, f, m.target_eq, [xs, elems], [ys, elems], budget - checked)
+    if failed is not None:
+        c = elems[failed % k]
+        return CongruenceReport(Verdict.REFUTED, checked + firsts,
+                                ((xs[failed // k], ys[failed // k]), (c, c)), map=m)
+    return CongruenceReport(Verdict.CERTIFIED, checked + firsts,
+                            note="via commutativity and single-argument respect", map=m)
 
 
 def operation(m: RespectMap[D], kind: type | None = None) -> Callable:

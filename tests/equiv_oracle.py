@@ -1,11 +1,12 @@
-"""Reference equivalence and commutativity checks the checker tests compare
-against.
+"""Reference equivalence, congruence and commutativity checks the checker
+tests compare against.
 
 `check_equivalence` tests each law in its own loop, with its own counters
-and its own refutation report; `respects2_via_commutativity` bounds its two
-loops with hand-kept counters.  Both return the same reports (verdict,
-count, law or counterexample, witness or note) as the functions of the same
-names in `quotients.equiv`.
+and its own refutation report; `check_respects` scans the row-major product
+case by case; `respects2_via_commutativity` bounds its two loops with
+hand-kept counters and falls back on this module's `check_respects`.  All
+three return the same reports (verdict, count, law or counterexample,
+witness or note) as the functions of the same names in `quotients.equiv`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from quotients.equiv import (
     EquivRelation,
     RespectMap,
     Verdict,
-    check_respects,
 )
 from quotients.errors import RelationMismatchError
 
@@ -121,6 +121,30 @@ def check_equivalence(rel: EquivRelation, budget: int) -> EquivalenceReport:
                 return EquivalenceReport(Verdict.REFUTED, checked, "canonical-agreement", (x, y))
 
     return EquivalenceReport(Verdict.CERTIFIED, checked)
+
+
+def check_respects(m: RespectMap, budget: int) -> CongruenceReport:
+    """Check `target_eq(f(x1, ..., xn), f(y1, ..., yn))` over related pairs:
+    the first `budget` cases of the row-major product of each source's
+    first `budget` pairs (one argument) or `int(budget ** (1/n)) + 1` pairs
+    (n arguments).  For each case `f` is asked on the lefts, then on the
+    rights, then `target_eq` on the two images.
+    """
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    n = len(m.sources)
+    side = budget if n <= 1 else int(budget ** (1 / n)) + 1
+    per_source = [list(itertools.islice(rel.related_pairs(side), side)) for rel in m.sources]
+    checked = 0
+    for case in itertools.islice(itertools.product(*per_source), budget):
+        checked += 1
+        left = m.function(*[x for x, _ in case])
+        right = m.function(*[y for _, y in case])
+        if not m.target_eq(left, right):
+            return CongruenceReport(Verdict.REFUTED, checked, case[0] if n == 1 else case)
+    if checked == 0:
+        return CongruenceReport(Verdict.NO_SAMPLES, 0)
+    return CongruenceReport(Verdict.CERTIFIED, checked)
 
 
 def respects2_via_commutativity(m: RespectMap, budget: int) -> CongruenceReport:

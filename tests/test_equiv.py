@@ -381,6 +381,37 @@ class TestCheckRespectsNAry:
         with pytest.raises(TypeError):
             g(class_of(intrel, IntPair(1, 0)))
 
+    def test_repeated_rows_are_asked_once(self):
+        # 142 pairs per argument at budget 20,000: the scan reaches 141 rows,
+        # whose leading lefts and rights repeat, so each distinct one's row
+        # of 142 images is asked once per side; the row-major scan asks
+        # f twice per case, 40,000 times.
+        calls = []
+        counted = RespectMap(lambda p, q: calls.append(1) or add_pair(p, q), ADD_MAP.sources,
+                             ADD_MAP.target_eq, ADD_MAP.name)
+        report = check_respects(counted, 20000)
+        assert report.verdict is Verdict.CERTIFIED and report.checked == 20000
+        lefts, rights = intrel.related_pairs.columns(142)
+        leads = len(set(lefts[:141])) + len(set(rights[:141]))
+        assert len(calls) <= leads * 142 < 40000
+
+    @pytest.mark.parametrize("f, target_eq, checked", [
+        (neg_pair, intrel_holds, 500),
+        (lambda p: (p[0] - p[1]) + (p[0] > 3), plain_eq, 14),
+    ], ids=["certified", "refuted"])
+    def test_one_argument_map_is_asked_twice_per_case(self, f, target_eq, checked):
+        calls = []
+        counted = RespectMap(lambda p: calls.append(p) or f(p), (intrel,), target_eq)
+        assert check_respects(counted, 500).checked == checked
+        assert len(calls) == 2 * checked
+
+    def test_unhashable_arguments_match_oracle(self):
+        pairs = [([0], [0]), ([0], [1]), ([1], [0])]
+        rel = EquivRelation("lists", operator.eq, lambda x: True, lambda budget: pairs)
+        m = RespectMap(lambda p, q: p[0] + q[0], (rel, rel), plain_eq)
+        assert _outcome(check_respects, m, 9) == _outcome(equiv_oracle.check_respects, m, 9) \
+            == (Verdict.REFUTED, 2, (([0], [0]), ([0], [1])), None)
+
     def test_nullary_map_is_its_one_empty_case(self):
         calls = []
         m0 = RespectMap(lambda: calls.append(1) or 7, (), plain_eq, name="seven")
@@ -561,12 +592,16 @@ class _OutsideCarrier(Exception):
     pass
 
 
+class _NoImage(Exception):
+    """What a table map raises on an argument tuple it has no entry for."""
+
+
 def _outcome(check, *args):
     """A report as a comparable tuple, or the exception it raised."""
     try:
         r = check(*args)
-    except _OutsideCarrier as exc:
-        return "raised", str(exc)
+    except (_OutsideCarrier, _NoImage) as exc:
+        return "raised", type(exc).__name__, str(exc)
     if hasattr(r, "law"):
         return r.verdict, r.checked, r.law, r.witness
     return r.verdict, r.checked, r.counterexample, r.note
@@ -705,29 +740,108 @@ def test_form_placed_later_is_appended_to_a_smaller_sample():
 
 
 @st.composite
-def _function_tables(draw):
-    """A map on range(6)² over one random partition with 0-40 generated
-    pairs: a random table, a commutative one, or one that respects the
-    partition."""
+def _partitions(draw):
+    """A random partition of range(6), as its labels and a relation with
+    0-40 generated pairs, all related or any."""
     labels = draw(st.lists(st.integers(0, 5), min_size=6, max_size=6))
+    related = [(x, y) for x in _R for y in _R if labels[x] == labels[y]]
+    pool = draw(st.sampled_from([related, list(itertools.product(_R, repeat=2))]))
+    pairs = draw(_pair_lists(pool))
     rel = EquivRelation(
         name="partition",
         decider=lambda x, y: labels[x] == labels[y],
         carrier=lambda x: x in _R,
         related_pairs=lambda budget: pairs,
     )
-    related = [(x, y) for x in _R for y in _R if labels[x] == labels[y]]
-    pool = draw(st.sampled_from([related, list(itertools.product(_R, repeat=2))]))
-    pairs = draw(_pair_lists(pool))
-    table = draw(st.lists(st.integers(0, 5), min_size=36, max_size=36))
+    return labels, rel
+
+
+def _table_map(draw, key: Callable[[tuple], int], size: int) -> Callable:
+    """A function whose image of `args` is entry `key(args)` of a random
+    table of `size` entries; up to three drawn keys have no entry, and
+    their arguments raise `_NoImage`."""
+    table = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
+    holes = draw(st.sets(st.integers(0, size - 1), max_size=3))
+
+    def f(*args):
+        k = key(args)
+        if k in holes:
+            raise _NoImage(f"f{args}")
+        return table[k]
+
+    return f
+
+
+@st.composite
+def _function_tables(draw):
+    """A map on range(6)² over one random partition with 0-40 generated
+    pairs: a random table, a commutative one, or one that respects the
+    partition; it may raise on some argument tuples."""
+    labels, rel = draw(_partitions())
     kind = draw(st.sampled_from(["any", "commutative", "respecting"]))
     if kind == "any":
-        f = lambda a, b: table[6 * a + b]
+        key = lambda args: 6 * args[0] + args[1]
     elif kind == "commutative":
-        f = lambda a, b: table[6 * min(a, b) + max(a, b)]
+        key = lambda args: 6 * min(args) + max(args)
     else:
-        f = lambda a, b: table[6 * min(labels[a], labels[b]) + max(labels[a], labels[b])]
-    return RespectMap(f, (rel, rel), operator.eq, kind)
+        key = lambda args: 6 * min(labels[a] for a in args) + max(labels[a] for a in args)
+    return RespectMap(_table_map(draw, key, 36), (rel, rel), operator.eq, kind)
+
+
+@st.composite
+def _maps(draw):
+    """A map of 0-3 arguments, each over its own random partition: a
+    random table on the arguments, or one on their classes, which respects
+    the partitions; it may raise on some argument tuples."""
+    sources = [draw(_partitions()) for _ in range(draw(st.integers(0, 3)))]
+    kind = draw(st.sampled_from(["any", "respecting"]))
+
+    def key(args):
+        k = 0
+        for (labels, _), a in zip(sources, args):
+            k = 6 * k + (a if kind == "any" else labels[a])
+        return k
+
+    f = _table_map(draw, key, 6 ** len(sources))
+    return RespectMap(f, tuple(rel for _, rel in sources), operator.eq, kind)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_maps(), st.integers(1, 100))
+def test_check_respects_matches_oracle(m, budget):
+    asked = []
+    counted = RespectMap(lambda *args: asked.append(args) or m.function(*args), m.sources,
+                         m.target_eq, m.name)
+    assert _outcome(check_respects, counted, budget) == \
+        _outcome(equiv_oracle.check_respects, m, budget)
+    # f is asked no argument tuple that no case inside the budget uses.
+    n = len(m.sources)
+    side = budget if n <= 1 else int(budget ** (1 / n)) + 1
+    per_source = [rel.related_pairs(side)[:side] for rel in m.sources]
+    cases = itertools.islice(itertools.product(*per_source), budget)
+    used = {tuple(pair[i] for pair in case) for case in cases for i in (0, 1)}
+    assert set(asked) <= used
+
+
+@pytest.mark.parametrize("images, outcome", [
+    ({(1, 2): 1}, (Verdict.REFUTED, 2, ((0, 1), (0, 2)), None)),
+    ({}, ("raised", "_NoImage", "f(0, 3)")),
+], ids=["refuted-first", "raises"])
+def test_kept_row_fails_or_raises_in_row_major_order(images, outcome):
+    # Row 0's leading left argument 0 comes back in row 1, so row 0 keeps
+    # its left images.  The row fails at column 1 where the images differ,
+    # before its left side raises at column 2, on (0, 3); else it raises
+    # there, as the row-major scan does.
+    pairs = [(0, 1), (0, 2), (3, 3)]
+    rel = EquivRelation("listed", operator.eq, _R.__contains__, lambda budget: pairs)
+
+    def f(p, q):
+        if (p, q) == (0, 3):
+            raise _NoImage(f"f{(p, q)}")
+        return images.get((p, q), 0)
+
+    m = RespectMap(f, (rel, rel), operator.eq)
+    assert _outcome(check_respects, m, 9) == _outcome(equiv_oracle.check_respects, m, 9) == outcome
 
 
 @settings(max_examples=300, deadline=None)
@@ -741,9 +855,11 @@ def test_respects2_via_commutativity_matches_oracle(m, budget):
 @given(_function_tables(), st.sampled_from([operator.eq, operator.ne]), st.integers(1, 100))
 def test_respects2_via_commutativity_stays_in_budget(m, target_eq, budget):
     # operator.ne is not reflexive, so the probe can fail on its first case
-    # and leave no budget for the full check.
+    # and leave no budget for the full check.  A map that raises reports
+    # nothing.
     m = RespectMap(m.function, m.sources, target_eq, m.name)
-    assert respects2_via_commutativity(m, budget).checked <= budget
+    outcome = _outcome(respects2_via_commutativity, m, budget)
+    assert outcome[0] == "raised" or outcome[1] <= budget
 
 
 # (relation, its tier source, the reference generator of its pairs)
