@@ -166,21 +166,18 @@ def _parse_domain(text: str, what: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Expression evaluation (shared prefix syntax for the two number algebras)
 
-# (kind, literal constructor, value type, {operator: (arity, function)})
-_INT_ALGEBRA = ("integer", integers.from_native, integers.QInt, {
-    "+": (2, integers.add),
-    "-": (2, lambda a, b: integers.add(a, integers.neg(b))),
-    "*": (2, integers.mul),
-    "neg": (1, integers.neg),
-    "nat": (1, integers.to_nat),
-    "le": (2, integers.le),
-})
-_RAT_ALGEBRA = ("rational", rationals.rat_from_native, rationals.QRat, {
-    "+": (2, rationals.rat_add),
-    "*": (2, rationals.rat_mul),
-    "neg": (1, rationals.rat_neg),
-    "inv": (1, rationals.rat_inv),
-})
+def _algebra(kind: str, literal, value_type, maps: dict) -> tuple:
+    """(kind, literal constructor, value type, {operator: (map, function)}): a
+    map into its relation lifts to the value type, any other to a plain value."""
+    return kind, literal, value_type, {
+        op: (m, operation(m, value_type if m.target_eq is m.sources[0].decider else None))
+        for op, m in maps.items()
+    }
+
+
+_INT_ALGEBRA = _algebra("integer", integers.from_native, integers.QInt, integers.OPERATIONS)
+_RAT_ALGEBRA = _algebra("rational", rationals.rat_from_native, rationals.QRat,
+                        {**rationals.OPERATIONS, **rationals.PARTIAL})
 
 
 def _evaluate(node: SNode, algebra):
@@ -197,7 +194,8 @@ def _evaluate(node: SNode, algebra):
             op = head.value
             if op not in ops:
                 raise ParseError(f"unknown {kind} operator {op!r}", head.offset)
-            arity, fn = ops[op]
+            m, fn = ops[op]
+            arity = len(m.sources)
             if len(args) != arity:
                 plural = "s" if arity != 1 else ""
                 raise ParseError(f"{op} takes {arity} argument{plural}, got {len(args)}", node.close_offset)
@@ -241,16 +239,8 @@ def _cmd_msg_eq(args):
     return OK if equal else REFUTED, payload, 0
 
 
-_MSG_FNS = {
-    "nonces": messages.FREENONCES_MAP,
-    "left": messages.FREELEFT_MAP,
-    "right": messages.FREERIGHT_MAP,
-    "discrim": messages.FREEDISCRIM_MAP,
-}
-
-
 def _cmd_msg_fn(args):
-    rmap = _MSG_FNS[args.function]
+    rmap = messages.FREE_MAPS[args.function]
     term = parse_term(args.term)
     cert = check_respects(rmap, args.budget) if args.strict else None
     lifted = lift(cert) if args.strict else operation(rmap)
@@ -279,28 +269,18 @@ def _suite(args) -> list[tuple]:
     per call so that checks patched into this module (bench/spans.py) run."""
     if args.suite == "int-equivalence":
         return [(check_equivalence, integers.intrel, "intrel")]
-    if args.suite == "int-congruence":
-        return [
-            (check_respects, integers.NEG_MAP, "neg"),
-            (check_respects, integers.NAT_MAP, "nat"),
-            (check_respects, integers.ADD_MAP, "add"),
-            (check_respects, integers.MUL_MAP, "mul"),
-            (respects2_via_commutativity, integers.ADD_MAP, "add/commutative"),
-            (respects2_via_commutativity, integers.MUL_MAP, "mul/commutative"),
-        ]
-    if args.suite == "rat-congruence":
-        return [
-            (check_respects, rationals.RAT_NEG_MAP, "rat_neg"),
-            (check_respects, rationals.RAT_ADD_MAP, "rat_add"),
-            (check_respects, rationals.RAT_MUL_MAP, "rat_mul"),
-        ]
+    if args.suite in ("int-congruence", "rat-congruence"):
+        module = integers if args.suite == "int-congruence" else rationals
+        commutative = [module.OPERATIONS[op] for op in module.COMMUTATIVE]
+        return ([(check_respects, m, m.name) for m in module.OPERATIONS.values()]
+                + [(respects2_via_commutativity, m, f"{m.name}/commutative") for m in commutative])
     rel = messages.msg_relation(args.bound, args.keys, args.nonces)
     if args.suite == "msg-equivalence":
         return [(check_equivalence, rel, rel.name)]
-    maps = messages.free_maps(rel)
-    if not args.truncated_discrim:
-        del maps["freediscrim_truncated"]
-    return [(check_respects, rmap, name) for name, rmap in maps.items()]
+    maps = list(messages.free_maps(rel).values())
+    if args.truncated_discrim:
+        maps.append(messages.truncated_discrim_map(rel))
+    return [(check_respects, rmap, rmap.name) for rmap in maps]
 
 
 def _cmd_check(args):
@@ -368,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_msg_eq)
 
     p = subs.add_parser("msg-fn", help="apply a lifted message function")
-    p.add_argument("function", choices=sorted(_MSG_FNS))
+    p.add_argument("function", choices=sorted(messages.FREE_MAPS))
     p.add_argument("term")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help=f"congruence-check budget (default {DEFAULT_BUDGET})")

@@ -142,9 +142,9 @@ class PairStream(Record, Generic[T]):
     their left and of their right elements, so no pair tuple is built until
     a request asks for it.  A call returns a new list of the first `budget`
     pairs; `columns(budget)` returns them as two new column lists, which
-    the congruence checks read.  The columns of the tiers reached so far
-    are kept, and a request extends them under a lock only through the
-    tier its budget ends in, so a request within them generates nothing.
+    the checks read.  The columns of the tiers reached so far are kept, and
+    a request extends them under a lock only through the tier its budget
+    ends in, so a request within them generates nothing.
     Nothing is dropped: memory is bounded by the largest budget asked.  A
     copy or pickle gives the same pairs, with nothing kept.  An
     `EquivRelation` over a stream keeps its sample of the pairs as well,
@@ -218,18 +218,18 @@ class _Sample:
         self.agree = bytearray()
         self.late: dict = {}
 
-    def verify(self, rel: EquivRelation, pairs: list) -> tuple | None:
-        """The generator-contract cases of `check_equivalence`, in order:
-        each pair's carrier test, then its decider.  Returns the first
-        failure as (checked, law, witness), else None.  The carrier is asked
-        once per element, at the first pair that draws it; a pair verified
-        before pays only for its decider."""
+    def verify(self, rel: EquivRelation, xs: Sequence, ys: Sequence) -> tuple | None:
+        """The generator-contract cases of `check_equivalence` on the pairs of
+        `xs` and `ys`, in order: each pair's carrier test, then its decider.
+        Returns the first failure as (checked, law, witness), else None.  The
+        carrier is asked once per element, at the first pair that draws it;
+        a pair verified before pays only for its decider."""
         related, carrier, index, inside = rel.decider, rel.carrier, self.index, self.inside
-        kept = min(self.verified, len(pairs))
-        for checked, (x, y) in enumerate(itertools.islice(pairs, kept), 1):
+        kept = min(self.verified, len(xs))
+        for checked, (x, y) in enumerate(zip(itertools.islice(xs, kept), ys), 1):
             if not related(x, y):
                 return checked, "pair-generator-decider", (x, y)
-        self.place(pairs)
+        self.place(xs, ys)
 
         def carried(x) -> int:
             i = index[x]
@@ -237,8 +237,8 @@ class _Sample:
                 inside[i] = bool(carrier(x))
             return inside[i]
 
-        for k in range(kept, len(pairs)):
-            x, y = pairs[k]
+        for k in range(kept, len(xs)):
+            x, y = xs[k], ys[k]
             if not (carried(x) and carried(y)):
                 law = "pair-generator-carrier"
             elif not related(x, y):
@@ -247,39 +247,39 @@ class _Sample:
                 continue
             self.verified = k
             return k + 1, law, (x, y)
-        self.verified = max(self.verified, len(pairs))
+        self.verified = max(self.verified, len(xs))
         return None
 
-    def place(self, pairs: list) -> int:
-        """Place the elements of `pairs` not placed yet; return how many
-        distinct elements `pairs` draw."""
+    def place(self, xs: Sequence, ys: Sequence) -> int:
+        """Place the elements of the pairs of `xs` and `ys` not placed yet;
+        return how many distinct elements those pairs draw."""
         index, elems, inside, new = self.index, self.elems, self.inside, self.new
-        for k in range(len(new), len(pairs)):
+        for k in range(len(new), len(xs)):
             before = len(elems)
-            for x in pairs[k]:
+            for x in (xs[k], ys[k]):
                 if x not in index:
                     index[x] = len(elems)
                     elems.append(x)
                     inside.append(_UNASKED)
             new.append(len(elems) - before)
-        # sum(new[:len(pairs)]), counted in C: a pair draws at most two.
-        return new.count(1, 0, len(pairs)) + 2 * new.count(2, 0, len(pairs))
+        # sum(new[:len(xs)]), counted in C: a pair draws at most two.
+        return new.count(1, 0, len(xs)) + 2 * new.count(2, 0, len(xs))
 
-    def view(self, rel: EquivRelation, pairs: list):
-        """The sample `pairs` draw, as the checks read it: the distinct
-        elements then the late forms they need, in first-seen order; with a
-        canonicalizer, an iterator over those elements' forms (a late form's
-        own form is asked as it is reached) and the agreement byte of each
-        pair, else None for both.  Each element is canonicalized once, in
-        first-seen order, when a view first reaches it."""
-        drawn = self.place(pairs)
+    def view(self, rel: EquivRelation, xs: Sequence, ys: Sequence):
+        """The sample the pairs of `xs` and `ys` draw, as the checks read it:
+        the distinct elements then the late forms they need, in first-seen
+        order; with a canonicalizer, an iterator over those elements' forms
+        (a late form's own form is asked as it is reached) and the agreement
+        byte of each pair, else None for both.  Each element is canonicalized
+        once, in first-seen order, when a view first reaches it."""
+        drawn = self.place(xs, ys)
         elems = self.elems[:drawn]
         canon = rel.canonicalize
         if canon is None:
             return elems, None, None
         index, forms, agree = self.index, self.forms, self.agree
-        for k in range(len(agree), len(pairs)):
-            x, y = pairs[k]
+        for k in range(len(agree), len(xs)):
+            x, y = xs[k], ys[k]
             i, j = index[x], index[y]
             if i == len(forms):
                 forms.append(self._held(canon(x), i))
@@ -290,7 +290,7 @@ class _Sample:
                 if entry[1] < drawn and index.get(entry[0], drawn) >= drawn]
         own = map(partial(self._own_form, canon), late)
         return (elems + [entry[0] for entry in late], itertools.chain(forms[:drawn], own),
-                agree[:len(pairs)])
+                agree[:len(xs)])
 
     def _held(self, c, p: int):
         """`c`, the form of element `p`, as the object kept for it."""
@@ -409,23 +409,23 @@ class EquivalenceReport(Record, Generic[T]):
         return self.verdict is Verdict.CERTIFIED
 
 
-def _law_cases(rel: EquivRelation[T], pairs: list[tuple[T, T]], budget: int, elems: list,
-               forms, agree):
+def _law_cases(rel: EquivRelation[T], xs: Sequence[T], ys: Sequence[T], budget: int,
+               elems: list, forms, agree):
     """The cases `check_equivalence` tests once the generator's contract
-    holds on `pairs`, in order: None for a case that holds, else the
-    violated law and its witness.  `elems`, `forms` and `agree` are the
-    sample's view of `pairs` (`_Sample.view`)."""
+    holds on the pairs of `xs` and `ys`, in order: None for a case that
+    holds, else the violated law and its witness.  `elems`, `forms` and
+    `agree` are the sample's view of those pairs (`_Sample.view`)."""
     related = rel.decider
     for x in elems:
         yield None if related(x, x) else ("reflexivity", (x, x))
-    for x, y in pairs:
+    for x, y in zip(xs, ys):
         yield None if related(y, x) else ("symmetry", (x, y))
 
     # Chain generated pairs through shared midpoints for transitivity.
     by_first: dict = {}
-    for x, y in pairs:
+    for x, y in zip(xs, ys):
         by_first.setdefault(x, []).append(y)
-    chains = ((x, y, z) for x, y in pairs for z in by_first.get(y, ()))
+    chains = ((x, y, z) for x, y in zip(xs, ys) for z in by_first.get(y, ()))
     for x, y, z in itertools.islice(chains, budget):
         yield None if related(x, z) else ("transitivity", (x, y, z))
 
@@ -442,14 +442,14 @@ def _law_cases(rel: EquivRelation[T], pairs: list[tuple[T, T]], budget: int, ele
     if forms is not None:
         for x, c in zip(elems, forms):
             yield None if related(x, c) else ("canonical-related", (x, c))
-        for (x, y), same in zip(pairs, agree):
+        for x, y, same in zip(xs, ys, agree):
             yield None if same else ("canonical-agreement", (x, y))
 
 
 def check_equivalence(rel: EquivRelation[T], budget: int) -> EquivalenceReport[T]:
     """Test reflexivity, symmetry, and transitivity on sampled elements.
 
-    Samples come from `rel.related_pairs(budget)`; the generator's own
+    Samples are the first `budget` related pairs of `rel`; the generator's own
     contract (emitted pairs are related and lie in the carrier) is checked
     first.  When a canonicalizer is present its laws are checked as well.
     Returns the first violation found, a no-samples verdict for a generator
@@ -457,17 +457,17 @@ def check_equivalence(rel: EquivRelation[T], budget: int) -> EquivalenceReport[T
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    pairs = list(itertools.islice(rel.related_pairs(budget), budget))
-    if not pairs:
+    xs, ys = _columns(rel, budget)
+    if not xs:
         return EquivalenceReport(Verdict.NO_SAMPLES, 0)
     sample = rel._sample or _Sample()
     with sample.lock:
-        failure = sample.verify(rel, pairs)
+        failure = sample.verify(rel, xs, ys)
         if failure is not None:
             return EquivalenceReport(Verdict.REFUTED, *failure)
-        elems, forms, agree = sample.view(rel, pairs)
-    checked = len(pairs)
-    for checked, violation in enumerate(_law_cases(rel, pairs, budget, elems, forms, agree),
+        elems, forms, agree = sample.view(rel, xs, ys)
+    checked = len(xs)
+    for checked, violation in enumerate(_law_cases(rel, xs, ys, budget, elems, forms, agree),
                                         checked + 1):
         if violation is not None:
             return EquivalenceReport(Verdict.REFUTED, checked, *violation)
@@ -591,7 +591,7 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     xs, ys = _columns(rel, side)
     sample = rel._sample or _Sample()
     with sample.lock:
-        elems = sample.view(rel, list(zip(xs, ys)))[0]
+        elems = sample.view(rel, xs, ys)[0]
     if not elems:
         return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
 

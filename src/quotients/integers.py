@@ -127,6 +127,10 @@ def add_pair(p, q) -> tuple[int, int]:
     return p[0] + q[0], p[1] + q[1]
 
 
+def sub_pair(p, q) -> tuple[int, int]:
+    return p[0] + q[1], p[1] + q[0]
+
+
 def mul_pair(p, q) -> tuple[int, int]:
     x, y, u, v = p[0], p[1], q[0], q[1]
     return x * u + y * v, x * v + y * u
@@ -146,9 +150,17 @@ NAT_MAP = RespectMap(nat_pair, (intrel,), operator.eq, name="nat")
 ADD_MAP = RespectMap(add_pair, (intrel, intrel), intrel_holds, name="add")
 MUL_MAP = RespectMap(mul_pair, (intrel, intrel), intrel_holds, name="mul")
 LE_MAP = RespectMap(le_pair, (intrel, intrel), operator.eq, name="le")
+SUB_MAP = RespectMap(sub_pair, (intrel, intrel), intrel_holds, name="sub")
+
+# The integer operations, declared once: eval symbol to map in `check
+# int-congruence` order, and the symbols it also certifies by commutativity.
+OPERATIONS = {"neg": NEG_MAP, "nat": NAT_MAP, "+": ADD_MAP, "*": MUL_MAP, "le": LE_MAP,
+              "-": SUB_MAP}
+COMMUTATIVE = ("+", "*")
 
 neg = operation(NEG_MAP, QInt)
 add = operation(ADD_MAP, QInt)
+sub = operation(SUB_MAP, QInt)
 mul = operation(MUL_MAP, QInt)
 le = operation(LE_MAP)
 to_nat = operation(NAT_MAP)

@@ -544,24 +544,27 @@ msgrel: EquivRelation[FreeMsg] = msg_relation()
 
 
 def free_maps(rel: EquivRelation[FreeMsg]) -> dict[str, RespectMap]:
-    """Respect maps for the free functions over `rel`, keyed by name, ready
-    for the congruence checker; `freediscrim_truncated` is the negative
-    test."""
+    """The one declaration of the message functions: their respect maps over
+    `rel`, keyed by `msg-fn` name, in `check msg-congruence` order."""
     return {
-        name: RespectMap(fn, (rel,), target_eq, name=name)
+        name: RespectMap(fn, (rel,), target_eq, name=fn.__name__)
         for name, fn, target_eq in (
-            ("freenonces", freenonces, operator.eq),
-            ("freeleft", freeleft, msg_eq),
-            ("freeright", freeright, msg_eq),
-            ("freediscrim", freediscrim, operator.eq),
-            ("freediscrim_truncated", freediscrim_truncated, operator.eq),
+            ("nonces", freenonces, operator.eq),
+            ("left", freeleft, msg_eq),
+            ("right", freeright, msg_eq),
+            ("discrim", freediscrim, operator.eq),
         )
     }
 
 
-FREENONCES_MAP, FREELEFT_MAP, FREERIGHT_MAP, FREEDISCRIM_MAP, FREEDISCRIM_TRUNCATED_MAP = (
-    free_maps(msgrel).values()
-)
+def truncated_discrim_map(rel: EquivRelation[FreeMsg]) -> RespectMap:
+    """The negative test: `freediscrim_truncated` does not respect `rel`."""
+    return RespectMap(freediscrim_truncated, (rel,), operator.eq, name="freediscrim_truncated")
+
+
+FREE_MAPS = free_maps(msgrel)
+FREENONCES_MAP, FREELEFT_MAP, FREERIGHT_MAP, FREEDISCRIM_MAP = FREE_MAPS.values()
+FREEDISCRIM_TRUNCATED_MAP = truncated_discrim_map(msgrel)
 
 
 MPAIR_MAP = RespectMap(MPair, (msgrel, msgrel), msg_eq, name="MPAIR")

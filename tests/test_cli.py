@@ -16,7 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from quotients import cli
+from quotients import cli, integers, messages, rationals
 from quotients.equiv import EquivalenceReport, Verdict
 from quotients.integers import IntPair, qint
 
@@ -92,8 +92,8 @@ def test_repeat_invocations_are_byte_identical(golden, argv, code, capsys):
 # The bytes CI pins for these suites at --budget 20000.
 WARM_PINS = {
     "int-equivalence": '{"budget_used":86020,"elapsed_ms":0,"payload":{"results":[{"checked":86020,"law":null,"name":"intrel","verdict":"certified","witness":null}],"suite":"int-equivalence"},"status":"ok"}',
-    "int-congruence": '{"budget_used":119216,"elapsed_ms":0,"payload":{"results":[{"checked":20000,"counterexample":null,"name":"neg","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"nat","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"add","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"mul","note":null,"verdict":"certified"},{"checked":19608,"counterexample":null,"name":"add/commutative","note":"via commutativity and single-argument respect","verdict":"certified"},{"checked":19608,"counterexample":null,"name":"mul/commutative","note":"via commutativity and single-argument respect","verdict":"certified"}],"suite":"int-congruence"},"status":"ok"}',
-    "rat-congruence": '{"budget_used":60000,"elapsed_ms":0,"payload":{"results":[{"checked":20000,"counterexample":null,"name":"rat_neg","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"rat_add","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"rat_mul","note":null,"verdict":"certified"}],"suite":"rat-congruence"},"status":"ok"}',
+    "int-congruence": '{"budget_used":159216,"elapsed_ms":0,"payload":{"results":[{"checked":20000,"counterexample":null,"name":"neg","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"nat","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"add","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"mul","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"le","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"sub","note":null,"verdict":"certified"},{"checked":19608,"counterexample":null,"name":"add/commutative","note":"via commutativity and single-argument respect","verdict":"certified"},{"checked":19608,"counterexample":null,"name":"mul/commutative","note":"via commutativity and single-argument respect","verdict":"certified"}],"suite":"int-congruence"},"status":"ok"}',
+    "rat-congruence": '{"budget_used":100000,"elapsed_ms":0,"payload":{"results":[{"checked":20000,"counterexample":null,"name":"rat_neg","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"rat_add","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"rat_mul","note":null,"verdict":"certified"},{"checked":20000,"counterexample":null,"name":"rat_add/commutative","note":"via commutativity and single-argument respect","verdict":"certified"},{"checked":20000,"counterexample":null,"name":"rat_mul/commutative","note":"via commutativity and single-argument respect","verdict":"certified"}],"suite":"rat-congruence"},"status":"ok"}',
 }
 
 
@@ -405,6 +405,48 @@ def test_unknown_operator_is_an_error(capsys):
     assert rc == 2
     assert doc["status"] == "error"
     assert "xor" in doc["payload"]["error"]
+
+
+def _same_map(a, b) -> bool:
+    # Other tests clear the message relation cache, so the suite's default
+    # universe may be a new relation object, the same relation as msgrel.
+    return (a.function is b.function and a.target_eq is b.target_eq
+            and len(a.sources) == len(b.sources)
+            and all(r.same_as(s) for r, s in zip(a.sources, b.sources)))
+
+
+def test_every_cli_operation_is_certified_by_its_suite(monkeypatch):
+    # Every int-eval and rat-eval symbol and every msg-fn choice has its map
+    # among those its construction's check suite runs, unless the module
+    # declares it partial.
+    monkeypatch.delenv(cli.CONFIG_ENV, raising=False)
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    msg_fns = next(a for a in commands["msg-fn"]._actions if a.dest == "function").choices
+    tables = [
+        ("int-congruence", {op: m for op, (m, _) in cli._INT_ALGEBRA[3].items()}, {}),
+        ("rat-congruence", {op: m for op, (m, _) in cli._RAT_ALGEBRA[3].items()},
+         rationals.PARTIAL),
+        ("msg-congruence", {fn: messages.FREE_MAPS[fn] for fn in msg_fns}, {}),
+    ]
+    for suite, table, partial in tables:
+        args = cli.build_parser().parse_args(["check", suite])
+        cli._resolve_config(args)
+        checked = [subject for _, subject, _ in cli._suite(args)]
+        assert [op for op, m in table.items()
+                if not any(_same_map(m, c) for c in checked) and partial.get(op) is not m] == []
+    assert sorted(rationals.PARTIAL) == ["inv"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-10**30 + 1, 10**30 - 1), st.integers(-10**30 + 1, 10**30 - 1))
+def test_subtraction_matches_native(a, b):
+    assert integers.to_native(integers.sub(integers.from_native(a), integers.from_native(b))) == a - b
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["int-eval", "--json", "--deterministic", "--", f"(- {a} {b})"])
+    assert rc == 0
+    assert json.loads(out.getvalue())["payload"]["value"] == a - b
 
 
 # The evaluator checks a list's head, operator and arity on entering it, and
