@@ -298,11 +298,12 @@ def _cmd_check(args):
 
 
 def _cmd_oracle_msgrel(args):
-    sizes = messages.class_sizes(args.bound, args.keys, args.nonces)
+    keys, nonces = messages._domains(args.keys, args.nonces)  # as counted
+    sizes = messages.class_sizes(args.bound, keys, nonces)
     payload = {
         "bound": args.bound,
-        "keys": list(args.keys),
-        "nonces": list(args.nonces),
+        "keys": list(keys),
+        "nonces": list(nonces),
         "universe": sum(sizes),
         "classes": len(sizes),
         "pairs": sum(n * n for n in sizes),

@@ -13,21 +13,21 @@ Two independent routes decide that equivalence:
   normal forms are unique and `msg_eq` compares them structurally.
   Each term's constructor stores its normal form in a private slot, `_nf`
   (see below), so `normalize` only reads it.
-* `_partition` computes the least fixpoint of the eight rules over a
+* `_universe` computes the least fixpoint of the eight rules over a
   bounded term universe, never consulting the rewriter, as each term's
   class root.  The universe is a list of shapes (constructor, key or
   value, child indices), and the closure works on those shapes alone: it
   builds and hashes no term, and its cancellation seeds are shape tests.
-  It closes one size at a time, in one pass per size, the least fixpoint.
+  It lists and closes one size per step, in one pass, as its caller asks.
 
 Tests drive the two against each other: `msg_relation`, one kept relation
 per universe, decides by rewriting and draws the congruence checker's
 related pairs from the partition, smallest first, in size layers.  A
-request closes and groups the universe only up to the sizes its layers
-reach, sorts each layer as it reaches it, and builds only the terms of the
-pairs it emits, with their subterms.  A `Msg` is a class of the relation
-decided by rewriting, and its operations are the free functions' respect
-maps applied to classes by `equiv.operation`.
+request lists, closes and groups the universe only up to the sizes its
+layers reach, sorts each layer as it reaches it, and builds only the terms
+of the pairs it emits, with their subterms.  A `Msg` is a class of the
+relation decided by rewriting, and its operations are the free functions'
+respect maps applied to classes by `equiv.operation`.
 
 A node's normal form is its children's normal forms under one root check,
 so each constructor sets `_nf` from its parts' slots: `True` if the node
@@ -45,7 +45,7 @@ from __future__ import annotations
 import bisect
 import operator
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .equiv import EquivClass, EquivRelation, PairStream, Record, RespectMap, class_of, operation
 from .errors import UniverseTooLargeError
@@ -300,6 +300,7 @@ DEFAULT_KEYS = (0, 1)
 DEFAULT_NONCES = (0, 1)
 MAX_TERMS = 500_000
 SAMPLING_BOUND = 5  # universe bound backing the default msgrel pair generator
+_DEFAULT_UNIVERSE = (SAMPLING_BOUND, DEFAULT_KEYS, DEFAULT_NONCES)  # msgrel's
 
 
 def _domains(keys, nonces) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -329,23 +330,23 @@ def _check_universe(bound: int, keys, nonces) -> None:
         raise UniverseTooLargeError(total, MAX_TERMS)
 
 
-def _enumerate(bound: int, keys, nonces) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The universe of terms of size <= bound as shapes, size by size; no
-    term is built.  `shapes[i]` is term i's constructor: `(tag, key, body)`
-    with tag 0 for crypt and 1 for decrypt, `(2, left, right)` for mpair or
-    `(3, value)` for nonce, children by index, each before its parent.
-    Terms of size s are the indices `starts[s - 1]:starts[s]`."""
-    _check_universe(bound, keys, nonces)
-    shapes: list[tuple[int, ...]] = [(3, n) for n in nonces]
-    starts = [0, len(shapes)]
-    for s in range(2, bound + 1):
+def _enumerate(shapes: list[tuple[int, ...]], starts: list[int], keys, nonces) -> None:
+    """Append the universe's next size to `shapes`, as shapes, and its end
+    to `starts`, which begins as [0]; no term is built.  `shapes[i]` is
+    term i's constructor: `(tag, key, body)` with tag 0 for crypt and 1 for
+    decrypt, `(2, left, right)` for mpair or `(3, value)` for nonce,
+    children by index, each before its parent.  Terms of size s are the
+    indices `starts[s - 1]:starts[s]`."""
+    s = len(starts)
+    if s == 1:
+        shapes += [(3, n) for n in nonces]
+    else:
         for i in range(1, s - 1):
             shapes += [(2, l, r) for l in range(starts[i - 1], starts[i])
                        for r in range(starts[s - 2 - i], starts[s - 1 - i])]
         for tag in (0, 1):
             shapes += [(tag, k, b) for k in keys for b in range(starts[s - 2], starts[s - 1])]
-        starts.append(len(shapes))
-    return shapes, starts
+    starts.append(len(shapes))
 
 
 def _build(shapes, terms: list, indices) -> None:
@@ -408,93 +409,87 @@ def _closure(shapes, parent: list[int], seen: dict, stop: int) -> None:
         parent.append(root)
 
 
-def _partition(bound: int, keys, nonces) -> tuple[list[tuple[int, ...]], list[int]]:
-    """The universe's shapes and, by index, the root of each term's class."""
-    shapes, _ = _enumerate(bound, *_domains(keys, nonces))
-    parent: list[int] = []
-    _closure(shapes, parent, {}, len(shapes))
-    return shapes, parent
+def _universe(bound: int, keys, nonces):
+    """The universe of terms of size <= bound and its closure, one size per
+    step: `_enumerate` lists it, `_closure` closes it, and the step yields
+    `(shapes, starts, parent)`, lists that grow in place.  A bad bound or a
+    universe over MAX_TERMS raises at the first step."""
+    _check_universe(bound, keys, nonces)
+    shapes, starts, parent, seen = [], [0], [], {}
+    for _ in range(bound):
+        _enumerate(shapes, starts, keys, nonces)
+        _closure(shapes, parent, seen, starts[-1])
+        yield shapes, starts, parent
 
 
 def class_sizes(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> list[int]:
     """The sizes of the closure's classes, in the order of their first
     members, read off its roots without building a term."""
-    return list(Counter(_partition(bound, keys, nonces)[1]).values())
+    for _, _, parent in _universe(bound, *_domains(keys, nonces)):
+        pass
+    return list(Counter(parent).values())
 
 
-class _PairLayers:
-    """A universe's related pairs, smallest first: by total size, then by
-    the sort key of each side.  A term's sort key is its shape with each
-    child index replaced by the child's sort key, so terms order by tag
-    (crypt, decrypt, mpair, nonce), then key or value, then parts.
+def _layers(bound: int, keys, nonces):
+    """The tier source of a universe's `PairStream`: its related pairs,
+    smallest first, by total size, then by the sort key of each side.  A
+    term's sort key is its shape with each child index replaced by the
+    child's sort key, so terms order by tag (crypt, decrypt, mpair, nonce),
+    then key or value, then parts.
 
-    `_layers`, the tier source of the universe's `PairStream`, lists the
-    shapes at the first request and yields the size layers `_sorted_pairs`
-    makes.  Layer s pairs terms of size at most s - 1, so it first closes
-    size c = s - 1, builds its sort keys and files what it adds to later
-    layers: a term alone in its class, its reflexive pair to layer 2c; a
-    class's members `new` of size c, the blocks (us, new) and (new, us) to
-    layer a + c for each older size group (a, us) of the class, and (new,
-    new) to layer 2c.  Sizes no request reaches are never closed, and only
-    the sides of emitted pairs and their subterms are built, each once.  A
-    copy or pickle is the same universe with nothing kept."""
-
-    def __init__(self, bound: int, keys, nonces) -> None:
-        _check_universe(bound, keys, nonces)
-        self._universe = bound, keys, nonces
-        self._parent: list[int] = []  # class roots of the closed terms
-        self._seen: dict = {}  # _closure's signatures
-        self._sort_keys: list[tuple] = []
-        self._groups: dict[int, list] = {}  # root -> its (size, members) groups, if not alone
-        self._reflexive: dict[int, list[int]] = {}  # layer -> terms alone in their class
-        self._blocks: dict[int, list] = {}  # layer -> (us, vs) blocks
-
-    def __reduce__(self):
-        return _PairLayers, self._universe
-
-    def _close(self, c: int) -> None:
-        shapes, starts, parent, sort_keys = self._shapes, self._starts, self._parent, self._sort_keys
-        lo, hi = starts[c - 1], starts[c]
-        _closure(shapes, parent, self._seen, hi)
-        for shape in shapes[lo:hi]:
-            tag, a = shape[0], shape[1]
-            if tag == 3:
-                sort_keys.append(shape)
-            elif tag == 2:
-                sort_keys.append((tag, sort_keys[a], sort_keys[shape[2]]))
-            else:
-                sort_keys.append((tag, a, sort_keys[shape[2]]))
-        joined: dict[int, list[int]] = {}
-        for i in range(lo, hi):
-            if parent[i] != i:
-                joined.setdefault(parent[i], []).append(i)
-        self._reflexive[2 * c] = [i for i in range(lo, hi) if parent[i] == i and i not in joined]
-        for root, new in joined.items():
-            if root >= lo:
-                new.insert(0, root)
-                old = []
-            else:
-                old = self._groups.get(root) or [(bisect.bisect_right(starts, root), [root])]
-            for a, us in old:
-                self._blocks.setdefault(a + c, []).extend(((us, new), (new, us)))
-            self._blocks.setdefault(2 * c, []).append((new, new))
-            self._groups[root] = [*old, (c, new)]
-
-    def _layers(self):
-        self._shapes, self._starts = _enumerate(*self._universe)
-        self._terms = [None] * len(self._shapes)
-        for s in range(2, 2 * self._universe[0] + 1):
-            yield _sorted_pairs(self, s)
+    Layer s pairs terms of size at most s - 1, so it first draws size
+    c = s - 1 from `_universe`, listed and closed, builds its sort keys and
+    files what it adds to later layers: a term alone in its class, its
+    reflexive pair to layer 2c; a class's members `new` of size c, the
+    blocks (us, new) and (new, us) to layer a + c for each older size group
+    (a, us) of the class, and (new, new) to layer 2c.  Sizes no request
+    reaches are never listed or closed, and only the sides of emitted pairs
+    and their subterms are built, each once."""
+    universe = _universe(bound, keys, nonces)
+    terms: list = []  # by index, None until built
+    sort_keys: list[tuple] = []
+    groups: dict[int, list] = {}  # root -> its (size, members) groups, if not alone
+    reflexive: dict[int, list[int]] = {}  # layer -> terms alone in their class
+    blocks: dict[int, list] = {}  # layer -> (us, vs) blocks
+    for s in range(2, 2 * bound + 1):
+        c = s - 1
+        if c <= bound:
+            shapes, starts, parent = next(universe)
+            lo, hi = starts[c - 1], starts[c]
+            terms += [None] * (hi - lo)
+            for shape in shapes[lo:hi]:
+                tag, a = shape[0], shape[1]
+                if tag == 3:
+                    sort_keys.append(shape)
+                elif tag == 2:
+                    sort_keys.append((tag, sort_keys[a], sort_keys[shape[2]]))
+                else:
+                    sort_keys.append((tag, a, sort_keys[shape[2]]))
+            joined: dict[int, list[int]] = {}
+            for i in range(lo, hi):
+                if parent[i] != i:
+                    joined.setdefault(parent[i], []).append(i)
+            reflexive[2 * c] = [i for i in range(lo, hi) if parent[i] == i and i not in joined]
+            for root, new in joined.items():
+                if root >= lo:
+                    new.insert(0, root)
+                    old = []
+                else:
+                    old = groups.get(root) or [(bisect.bisect_right(starts, root), [root])]
+                for a, us in old:
+                    blocks.setdefault(a + c, []).extend(((us, new), (new, us)))
+                blocks.setdefault(2 * c, []).append((new, new))
+                groups[root] = [*old, (c, new)]
+        yield _sorted_pairs(shapes, terms, sort_keys, reflexive.pop(s, ()), blocks.pop(s, ()))
 
 
-def _sorted_pairs(layers: _PairLayers, s: int) -> tuple[list[FreeMsg], list[FreeMsg]]:
-    """Layer s of `layers` as its two columns, after closing size s - 1: a
-    module function, looked up per layer, so that a tracer can wrap it."""
-    shapes, terms, sort_keys = layers._shapes, layers._terms, layers._sort_keys
-    if s - 1 <= layers._universe[0]:
-        layers._close(s - 1)
-    layer = [(i, i) for i in layers._reflexive.pop(s, ())]
-    layer += [(u, v) for us, vs in layers._blocks.pop(s, ()) for u in us for v in vs]
+def _sorted_pairs(shapes, terms: list, sort_keys: list, reflexive, blocks) -> tuple[list, list]:
+    """A layer as its two columns: the pairs (i, i) of `reflexive` and those
+    of each (us, vs) block of `blocks`, sorted by their sides' sort keys,
+    with the unbuilt sides and subterms built into `terms`.  A module
+    function, looked up per layer, so that a tracer can wrap it."""
+    layer = [(i, i) for i in reflexive]
+    layer += [(u, v) for us, vs in blocks for u in us for v in vs]
     layer.sort(key=lambda p: (sort_keys[p[0]], sort_keys[p[1]]))
     new, stack = set(), [i for pair in layer for i in pair]
     while stack:  # the unbuilt sides and subterms
@@ -520,27 +515,30 @@ def msg_relation(
     checker.  Pairs come smallest first, by total size and then by each
     side's constructor (crypt, decrypt, mpair, nonce), key or value, and
     parts, from a `PairStream` whose tiers are size layers, each paid once.
-    The last eight universes are cached, domains normalized first, so
-    `msg_relation(6, [1, 0, 1])` is `msg_relation(6)`; a bad bound or a
-    universe over `MAX_TERMS` raises here, before anything is listed."""
-    return _msg_relation(bound, *_domains(keys, nonces))
+    Domains are normalized first, so `msg_relation(6, [1, 0, 1])` is
+    `msg_relation(6)`; the default universe is always `msgrel`, and the
+    last eight others are cached.  A bad bound or a universe over
+    `MAX_TERMS` raises here, before anything is listed."""
+    universe = (bound, *_domains(keys, nonces))
+    return msgrel if universe == _DEFAULT_UNIVERSE else _msg_relation(*universe)
 
 
 @lru_cache(maxsize=8)
 def _msg_relation(bound: int, keys, nonces) -> EquivRelation[FreeMsg]:
-    # The stream holds the layers, not the reverse: no cycle keeps an evicted universe.
-    default = bound == SAMPLING_BOUND and keys == DEFAULT_KEYS and nonces == DEFAULT_NONCES
+    # Nothing the stream's layers hold refers back to it: no cycle keeps an evicted universe.
+    _check_universe(bound, keys, nonces)
+    default = (bound, keys, nonces) == _DEFAULT_UNIVERSE
     name = "msgrel" if default else f"msgrel[bound={bound},keys={keys},nonces={nonces}]"
     return EquivRelation(
         name=name,
         decider=msg_eq,
         carrier=well_formed,
-        related_pairs=PairStream(_PairLayers(bound, keys, nonces)._layers),
+        related_pairs=PairStream(partial(_layers, bound, keys, nonces)),
         canonicalize=normalize,
     )
 
 
-msgrel: EquivRelation[FreeMsg] = msg_relation()
+msgrel: EquivRelation[FreeMsg] = _msg_relation.__wrapped__(*_DEFAULT_UNIVERSE)
 
 
 def free_maps(rel: EquivRelation[FreeMsg]) -> dict[str, RespectMap]:

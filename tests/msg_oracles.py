@@ -6,8 +6,8 @@ round-by-round rule closure, the closure as an explicit pair set, and an
 eager sort of every related pair on a recursive term key, each independent
 of the engine it checks in `quotients.messages`.  The whole universe as
 terms, its partition as classes of terms and its size by recurrence are
-built here over the engine's shapes, closure and builder, since only the
-tests need every term of a universe.
+built here over the engine's universe generator and builder, since only
+the tests need every term of a universe.
 """
 
 from __future__ import annotations
@@ -24,10 +24,17 @@ from quotients.messages import (
     Nonce,
     _build,
     _domains,
-    _enumerate,
-    _partition,
     _running_sizes,
+    _universe,
 )
+
+
+def listed_universe(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES):
+    """The engine's universe with every size listed and closed: its
+    `(shapes, starts, parent)`."""
+    for universe in _universe(bound, *_domains(keys, nonces)):
+        pass
+    return universe
 
 
 def universe_size(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> int:
@@ -39,7 +46,7 @@ def enumerate_terms(bound: int, keys=DEFAULT_KEYS, nonces=DEFAULT_NONCES) -> lis
     """All terms of size <= bound over the given key/nonce domains, graded
     by size.  Raises UniverseTooLargeError before enumerating anything that
     would blow the cap."""
-    shapes, _ = _enumerate(bound, *_domains(keys, nonces))
+    shapes, _, _ = listed_universe(bound, keys, nonces)
     terms: list = [None] * len(shapes)
     _build(shapes, terms, range(len(shapes)))
     return terms
@@ -50,7 +57,7 @@ def closure_classes(bound: int, keys=DEFAULT_KEYS,
     """The universe's partition under the rule closure: two terms are
     related exactly when they share a class.  Members keep universe order,
     and classes come in the order of their first members."""
-    shapes, parent = _partition(bound, keys, nonces)
+    shapes, _, parent = listed_universe(bound, keys, nonces)
     terms: list = [None] * len(shapes)
     _build(shapes, terms, range(len(shapes)))
     classes: dict[int, list[FreeMsg]] = {}

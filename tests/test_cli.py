@@ -562,6 +562,17 @@ def test_round_trip_print_parse(capsys):
     assert doc["payload"]["normal_form"] == term  # already normal
 
 
+def test_oracle_msgrel_reports_the_domains_it_counted(capsys):
+    # Repeated or unordered values name the universe `check` names: the
+    # domains sorted, each value once.
+    rc = cli.main(["oracle-msgrel", "--bound", "3", "--keys", "1,0,1", "--nonces", "1,0",
+                   "--json", "--deterministic"])
+    doc = json.loads(capsys.readouterr().out)
+    cli.main(["oracle-msgrel", "--bound", "3", "--json", "--deterministic"])
+    assert rc == 0 and doc == json.loads(capsys.readouterr().out)
+    assert doc["payload"]["keys"] == doc["payload"]["nonces"] == [0, 1]
+
+
 class TestConfigFile:
     def test_config_supplies_defaults(self, tmp_path, monkeypatch, capsys):
         cfg = tmp_path / "config.json"

@@ -1,5 +1,6 @@
 """The message algebra: rewriting, the closure oracle, and the quotient."""
 
+import copy
 import gc
 import hashlib
 import sys
@@ -18,6 +19,7 @@ from msg_oracles import (
     enumerate_terms,
     hash_recursive,
     is_normal,
+    listed_universe,
     normalize_outermost,
     repr_recursive,
     rule_instances,
@@ -198,7 +200,7 @@ class TestUniverse:
                              ids=["default-domains", "one-key-three-nonces"])
     @pytest.mark.parametrize("bound", range(1, 7))
     def test_shapes_and_size_starts(self, bound, keys, nonces):
-        shapes, starts = messages._enumerate(bound, keys, nonces)
+        shapes, starts, _ = listed_universe(bound, keys, nonces)
         terms = enumerate_terms(bound, keys, nonces)
         assert len(shapes) == len(terms)
         rebuild = {
@@ -385,7 +387,7 @@ class TestClosureOracle:
         # older classes, which one pass cannot finish, so the closure raises
         # rather than return a partition that may not be closed.
         keys, nonces = (0,), (0,)
-        shapes, _ = messages._enumerate(5, keys, nonces)
+        shapes, _, _ = listed_universe(5, keys, nonces)
         index = {t: i for i, t in enumerate(enumerate_terms(5, keys, nonces))}
 
         def children(shape):
@@ -532,6 +534,12 @@ class TestCongruence:
         )
 
 
+def fresh_stream(bound, keys=(0, 1), nonces=(0, 1)):
+    """A new stream over the universe with nothing kept: a copy of its
+    relation's, whatever that relation has generated already."""
+    return copy.copy(msg_relation(bound, keys, nonces).related_pairs)
+
+
 class TestPairStream:
     @pytest.mark.parametrize("keys, nonces", [((0, 1), (0, 1)), ((0,), (0, 1, 2))],
                              ids=["default-domains", "one-key-three-nonces"])
@@ -543,22 +551,26 @@ class TestPairStream:
         # pair of the layer before it.
         firsts = [i for i in range(1, len(naive)) if totals[i] != totals[i - 1]]
         budgets = sorted({1, *firsts, *(i + 1 for i in firsts), len(naive), len(naive) + 7})
-        messages._msg_relation.cache_clear()  # extend a fresh stream layer by layer
-        rel = msg_relation(bound, keys, nonces)
+        stream = fresh_stream(bound, keys, nonces)  # extended layer by layer
         for budget in budgets:
-            assert rel.related_pairs(budget) == naive[:budget]
+            assert stream(budget) == naive[:budget]
 
-    def test_stream_builds_only_the_terms_it_reaches(self):
+    def test_stream_builds_only_the_terms_it_reaches(self, monkeypatch):
         # The terms built are exactly the sides of the kept pairs and their
         # subterms, each built once: a later request returns the same term
         # objects (in new pair tuples).
-        messages._msg_relation.cache_clear()
-        rel = msg_relation(7)
-        stream = rel.related_pairs
-        layers = stream.tiers.__self__
+        calls = []  # the terms list and the indices of each build
+        build = messages._build
+        monkeypatch.setattr(messages, "_build", lambda shapes, terms, indices: (
+            calls.append((terms, list(indices))) or build(shapes, terms, indices)))
+        stream = fresh_stream(7)
 
         def built():
-            return {id(t) for t in layers._terms if t is not None}
+            terms = calls[0][0]
+            indices = [i for _, batch in calls for i in batch]
+            assert all(t is terms for t, _ in calls) and len(indices) == len(set(indices))
+            assert {i for i, t in enumerate(terms) if t is not None} == set(indices)
+            return {id(terms[i]) for i in indices}
 
         def reached():
             found, stack = {}, stream._lefts + stream._rights
@@ -569,22 +581,25 @@ class TestPairStream:
                     stack += (t.left, t.right) if type(t) is M else () if type(t) is N else (t.body,)
             return found.keys()
 
-        first = rel.related_pairs(200)  # layers up to total size 6
-        before = list(layers._terms)
+        first = stream(200)  # layers up to total size 6
+        before = list(calls[0][0])
         assert built() == reached() and len(built()) == 158
-        second = rel.related_pairs(2000)  # layers up to total size 8
+        second = stream(2000)  # layers up to total size 8
         assert built() == reached() and len(built()) == 1494
-        assert all(t is None or t is u for t, u in zip(before, layers._terms, strict=True))
+        assert all(t is None or t is u for t, u in zip(before, calls[0][0]))
         assert all(p[0] is q[0] and p[1] is q[1] for p, q in zip(first, second[:200], strict=True))
 
-    def test_stream_closes_only_the_sizes_it_reaches(self):
+    def test_stream_closes_only_the_sizes_it_reaches(self, monkeypatch):
         # Layers up to total size 8 pair terms of size at most 7, so a
-        # bound-8 stream asked for 2000 pairs closes no size-8 shape.
-        messages._msg_relation.cache_clear()
-        pairs = msg_relation(8).related_pairs(2000)
-        layers = msg_relation(8).related_pairs.tiers.__self__
+        # bound-8 stream asked for 2000 pairs closes no size-8 shape; a
+        # `_closure` call's last argument is the end of the size it closes.
+        stops = []
+        closure = messages._closure
+        monkeypatch.setattr(messages, "_closure", lambda *args: stops.append(args[-1]) or closure(*args))
+        pairs = fresh_stream(8)(2000)
         assert len(pairs) == 2000 and max(size(u) + size(v) for u, v in pairs) == 8
-        assert len(layers._parent) == len(layers._sort_keys) == universe_size(7) < universe_size(8)
+        assert stops == list(messages._running_sizes(7, (0, 1), (0, 1)))
+        assert stops[-1] == universe_size(7) < universe_size(8)
 
     def test_evicted_universe_is_freed_at_once(self):
         # No reference cycle holds a universe the cache has let go.
@@ -592,23 +607,22 @@ class TestPairStream:
         msg_relation(6).related_pairs(2000)
         gc.disable()
         try:
-            layers = weakref.ref(msg_relation(6).related_pairs.tiers.__self__)
+            layers = weakref.ref(msg_relation(6).related_pairs._tiers)
             messages._msg_relation.cache_clear()
             assert layers() is None
         finally:
             gc.enable()
 
     def test_concurrent_requests_share_one_stream(self):
-        # Requests from many threads grow one stream's term and pair lists;
-        # each must still get the exact prefix of the eager sort.
+        # Requests from many threads grow one fresh stream's term and pair
+        # lists; each must still get the exact prefix of the eager sort.
         naive = sorted_pairs_naive(5)
         budgets = [1, 10, 100, 1000, 4000, len(naive)] * 2
-        messages._msg_relation.cache_clear()
-        rel = msg_relation(5)
+        stream = fresh_stream(5)
         results = [None] * len(budgets)
 
         def request(i):
-            results[i] = rel.related_pairs(budgets[i])
+            results[i] = stream(budgets[i])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -638,16 +652,25 @@ class TestPairStream:
         finally:
             messages._msg_relation.cache_clear()
 
-    def test_shapes_are_listed_at_the_first_request(self, monkeypatch):
-        calls = []
+    def test_shapes_are_listed_as_the_closure_reaches_them(self, monkeypatch):
+        # Making the relation lists nothing.  2000 pairs of the bound-8
+        # universe reach layer 8, which pairs terms of size at most 7: sizes
+        # 1 to 7 are listed, each once, and no size-8 shape, however often
+        # the budget is asked again.
+        calls = []  # the shapes list and the size listed, per call
         enumerate_ = messages._enumerate
-        monkeypatch.setattr(messages, "_enumerate", lambda *args: calls.append(args) or enumerate_(*args))
+        monkeypatch.setattr(messages, "_enumerate", lambda shapes, starts, *domains: (
+            calls.append((shapes, len(starts))) or enumerate_(shapes, starts, *domains)))
         messages._msg_relation.cache_clear()
         rel = msg_relation(8)
         assert calls == []
-        rel.related_pairs(10)
         rel.related_pairs(2000)
-        assert calls == [(8, (0, 1), (0, 1))]
+        assert [s for _, s in calls] == list(range(1, 8))
+        shapes = calls[0][0]
+        assert all(listed is shapes for listed, _ in calls) and len(shapes) == universe_size(7)
+        rel.related_pairs(2000)
+        rel.related_pairs(10)
+        assert len(calls) == 7 and len(shapes) == universe_size(7)
 
     def test_bad_universes_raise_when_made(self):
         # Every time, since nothing is cached for them.
@@ -661,6 +684,14 @@ class TestPairStream:
         assert msg_relation(6, (1, 0), (0, 1, 1)) is msg_relation(6)
         assert msg_relation(6, [1, 0, 1]) is msg_relation(6) is not msg_relation(6, (0,))
         assert msg_relation() is msg_relation(5, (0, 1), (0, 1))
+
+    def test_default_universe_is_always_msgrel(self):
+        # Also once the cache has let every universe go.
+        messages._msg_relation.cache_clear()
+        assert msg_relation() is msg_relation(5, [1, 0, 1], (1, 0)) is msgrel
+        for k in range(9):
+            msg_relation(3, (k,))  # evicts every cached universe
+        assert msg_relation() is msgrel
 
     def test_closure_runs_once_per_universe(self, monkeypatch):
         # One pass per size of the universe, each once across both rounds;
