@@ -11,15 +11,18 @@ fixed invocation and config produce byte-identical output (pass
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import time
+from types import ModuleType
+from typing import Callable, Iterable
 
-from . import integers, messages, rationals
 from .equiv import (
     CongruenceReport,
     EquivalenceReport,
+    Record,
     Verdict,
     check_equivalence,
     check_respects,
@@ -29,11 +32,43 @@ from .equiv import (
 )
 from .equiv import check_respects2  # kept: bench/ calls or patches this name
 from .errors import ParseError, QuotientError
-from .messages import FreeMsg, normalize
-from .messages import msg_eq  # kept: bench/ calls or patches this name
 from .sexpr import SAtom, SList, SNode, parse_sexpr, parse_term, print_term
 
 lift1 = lift  # kept: bench/ calls or patches this name
+
+# A command imports only the construction it runs on.  The constructions,
+# and the functions this module takes from them, are bound here on first
+# use: by `_load` when a command needs them, or by `__getattr__` when they
+# are read from outside (bench/ reads and patches them).
+integers: ModuleType
+rationals: ModuleType
+messages: ModuleType
+normalize: Callable
+msg_eq: Callable  # kept: bench/ calls or patches this name
+_TAKEN = {"normalize": "messages", "msg_eq": "messages"}  # name: its construction
+_CONSTRUCTIONS = ("integers", "rationals", "messages")
+
+
+def _load(construction: str) -> ModuleType:
+    """Import `construction` and bind it here, with the names this module
+    takes from it; a name already bound (say, patched) is kept."""
+    # An import statement's machinery, unlike importlib's, shows in -X importtime.
+    module = __import__(f"{__package__}.{construction}", fromlist=["*"])
+    scope = globals()
+    scope.setdefault(construction, module)
+    for name, source in _TAKEN.items():
+        if source == construction:
+            scope.setdefault(name, getattr(module, name))
+    return module
+
+
+def __getattr__(name: str):
+    construction = _TAKEN.get(name, name)
+    if construction not in _CONSTRUCTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(construction)
+    return globals()[name]
+
 
 OK, REFUTED, ERROR = "ok", "refuted", "error"
 _EXIT = {OK: 0, REFUTED: 1, ERROR: 2}
@@ -74,22 +109,32 @@ def _config_positive(value, what: str) -> int:
     return value
 
 
+# The suites of `check`, each with the construction it runs on.
+SUITES = {"int-equivalence": "integers", "int-congruence": "integers",
+          "rat-congruence": "rationals", "msg-equivalence": "messages",
+          "msg-congruence": "messages"}
+
+
 def _resolve_config(args) -> None:
     cfg = _load_config()
-    for name, default, check in (
-        ("budget", DEFAULT_BUDGET, _config_positive),
-        ("bound", messages.SAMPLING_BOUND, _config_positive),
-        ("keys", list(messages.DEFAULT_KEYS), _config_nat_list),
-        ("nonces", list(messages.DEFAULT_NONCES), _config_nat_list),
-    ):
-        if getattr(args, name, ...) is None:
-            setattr(args, name, check(cfg.get(name, default), name))
+    defaults = {"budget": DEFAULT_BUDGET}
+    # Only a command that builds a message universe reads its defaults.
+    if args.command == "oracle-msgrel" or SUITES.get(getattr(args, "suite", None)) == "messages":
+        messages = _load("messages")
+        defaults.update(bound=messages.SAMPLING_BOUND, keys=list(messages.DEFAULT_KEYS),
+                        nonces=list(messages.DEFAULT_NONCES))
+    for name, check in (("budget", _config_positive), ("bound", _config_positive),
+                        ("keys", _config_nat_list), ("nonces", _config_nat_list)):
+        # A config value is checked for every command with the option; an
+        # option without one stays unset where the command does not read it.
+        if getattr(args, name, ...) is None and (name in cfg or name in defaults):
+            setattr(args, name, check(cfg[name] if name in cfg else defaults[name], name))
     if getattr(args, "budget", 0) > MAX_BUDGET:
         raise QuotientError(f"budget must be at most {MAX_BUDGET}, got {args.budget}")
 
 
 def _jsonable(x):
-    if isinstance(x, FreeMsg):
+    if isinstance(x, Record):  # a message term: the one record a payload holds
         return print_term(x)
     if isinstance(x, frozenset):
         return sorted(x)
@@ -114,16 +159,19 @@ def _report_dict(r: CongruenceReport | EquivalenceReport, name: str) -> dict:
 def _emit(args, status: str, payload: dict, budget_used: int, started: float) -> int:
     elapsed_ms = 0 if args.deterministic else int((time.perf_counter() - started) * 1000)
     payload = _jsonable(payload)
-    if args.json:
-        doc = {
-            "status": status,
-            "payload": payload,
-            "budget_used": budget_used,
-            "elapsed_ms": elapsed_ms,
-        }
-        sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
-    else:
-        _print_text(status, payload)
+    try:
+        if args.json:
+            doc = {
+                "status": status,
+                "payload": payload,
+                "budget_used": budget_used,
+                "elapsed_ms": elapsed_ms,
+            }
+            sys.stdout.write(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
+        else:
+            _print_text(status, payload)
+    except ValueError:  # an int past the int-to-text digit limit, met before anything is written
+        raise QuotientError(f"result has more than {sys.get_int_max_str_digits()} digits") from None
     return _EXIT[status]
 
 
@@ -175,9 +223,17 @@ def _algebra(kind: str, literal, value_type, maps: dict) -> tuple:
     }
 
 
-_INT_ALGEBRA = _algebra("integer", integers.from_native, integers.QInt, integers.OPERATIONS)
-_RAT_ALGEBRA = _algebra("rational", rationals.rat_from_native, rationals.QRat,
-                        {**rationals.OPERATIONS, **rationals.PARTIAL})
+@functools.cache
+def _int_algebra() -> tuple:
+    integers = _load("integers")
+    return _algebra("integer", integers.from_native, integers.QInt, integers.OPERATIONS)
+
+
+@functools.cache
+def _rat_algebra() -> tuple:
+    rationals = _load("rationals")
+    return _algebra("rational", rationals.rat_from_native, rationals.QRat,
+                    {**rationals.OPERATIONS, **rationals.PARTIAL})
 
 
 def _evaluate(node: SNode, algebra):
@@ -223,15 +279,18 @@ def _evaluate(node: SNode, algebra):
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: each returns (status, payload, budget used)
+# Subcommand handlers: each returns (status, payload, budget used), and
+# loads the construction it runs on.
 
 def _cmd_msg_nf(args):
+    _load("messages")
     term = parse_term(args.term)
     nf = normalize(term)
     return OK, {"normal_form": print_term(nf)}, 0
 
 
 def _cmd_msg_eq(args):
+    _load("messages")
     lhs, rhs = parse_term(args.lhs), parse_term(args.rhs)
     lnf, rnf = normalize(lhs), normalize(rhs)
     equal = lnf == rnf
@@ -240,6 +299,7 @@ def _cmd_msg_eq(args):
 
 
 def _cmd_msg_fn(args):
+    messages = _load("messages")
     rmap = messages.FREE_MAPS[args.function]
     term = parse_term(args.term)
     cert = check_respects(rmap, args.budget) if args.strict else None
@@ -253,33 +313,34 @@ def _cmd_msg_fn(args):
 
 
 def _cmd_int_eval(args):
-    value = _evaluate(parse_sexpr(args.expr), _INT_ALGEBRA)
+    integers = _load("integers")
+    value = _evaluate(parse_sexpr(args.expr), _int_algebra())
     if isinstance(value, integers.QInt):
         return OK, {"value": integers.to_native(value), "pair": list(value.pair)}, 0
     return REFUTED if value is False else OK, {"value": value}, 0  # le's bool or nat's int
 
 
 def _cmd_rat_eval(args):
-    value = _evaluate(parse_sexpr(args.expr), _RAT_ALGEBRA)
+    value = _evaluate(parse_sexpr(args.expr), _rat_algebra())
     return OK, {"num": value.num, "den": value.den}, 0
 
 
 def _suite(args) -> list[tuple]:
     """(check, relation or map, report name) per check of the suite, built
     per call so that checks patched into this module (bench/spans.py) run."""
+    module = _load(SUITES[args.suite])
     if args.suite == "int-equivalence":
-        return [(check_equivalence, integers.intrel, "intrel")]
+        return [(check_equivalence, module.intrel, "intrel")]
     if args.suite in ("int-congruence", "rat-congruence"):
-        module = integers if args.suite == "int-congruence" else rationals
         commutative = [module.OPERATIONS[op] for op in module.COMMUTATIVE]
         return ([(check_respects, m, m.name) for m in module.OPERATIONS.values()]
                 + [(respects2_via_commutativity, m, f"{m.name}/commutative") for m in commutative])
-    rel = messages.msg_relation(args.bound, args.keys, args.nonces)
+    rel = module.msg_relation(args.bound, args.keys, args.nonces)
     if args.suite == "msg-equivalence":
         return [(check_equivalence, rel, rel.name)]
-    maps = list(messages.free_maps(rel).values())
+    maps = list(module.free_maps(rel).values())
     if args.truncated_discrim:
-        maps.append(messages.truncated_discrim_map(rel))
+        maps.append(module.truncated_discrim_map(rel))
     return [(check_respects, rmap, rmap.name) for rmap in maps]
 
 
@@ -298,6 +359,7 @@ def _cmd_check(args):
 
 
 def _cmd_oracle_msgrel(args):
+    messages = _load("messages")
     keys, nonces = messages._domains(args.keys, args.nonces)  # as counted
     sizes = messages.class_sizes(args.bound, keys, nonces)
     payload = {
@@ -312,44 +374,19 @@ def _cmd_oracle_msgrel(args):
 
 
 # ---------------------------------------------------------------------------
+# Arguments, per command
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", action="store_true", help="emit a JSON report")
-    sub.add_argument("--deterministic", action="store_true",
-                     help="pin elapsed_ms to 0 for byte-stable output")
-
-
-def _add_domains(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--bound", type=_positive_int, default=None,
-                     help="term-size bound for the message universe "
-                          f"(default {messages.SAMPLING_BOUND})")
-    sub.add_argument("--keys", type=lambda s: _parse_domain(s, "--keys"),
-                     default=None, help="key domain, e.g. 0,1 (the default)")
-    sub.add_argument("--nonces", type=lambda s: _parse_domain(s, "--nonces"),
-                     default=None, help="nonce domain, e.g. 0,1 (the default)")
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="quotients",
-        description="Quotient constructions: normalize terms, evaluate quotient "
-                    "arithmetic, and run bounded equivalence/congruence checks.",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("msg-nf", help="normalize a message term")
+def _args_msg_nf(p: argparse.ArgumentParser) -> None:
     p.add_argument("term")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_msg_nf)
 
-    p = subs.add_parser("msg-eq", help="decide equality of two message terms")
+
+def _args_msg_eq(p: argparse.ArgumentParser) -> None:
     p.add_argument("lhs")
     p.add_argument("rhs")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_msg_eq)
 
-    p = subs.add_parser("msg-fn", help="apply a lifted message function")
-    p.add_argument("function", choices=sorted(messages.FREE_MAPS))
+
+def _args_msg_fn(p: argparse.ArgumentParser) -> None:
+    p.add_argument("function", choices=sorted(_load("messages").FREE_MAPS))
     p.add_argument("term")
     p.add_argument("--budget", type=_positive_int, default=None,
                    help=f"congruence-check budget (default {DEFAULT_BUDGET})")
@@ -357,44 +394,84 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require a certified congruence check before lifting (default)")
     p.add_argument("--unchecked", dest="strict", action="store_false",
                    help="lift without a certificate; the report flags it")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_msg_fn)
 
-    p = subs.add_parser("int-eval", help="evaluate a prefix integer expression")
+
+def _args_eval(p: argparse.ArgumentParser) -> None:
     p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_int_eval)
 
-    p = subs.add_parser("rat-eval", help="evaluate a prefix rational expression")
-    p.add_argument("expr")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_rat_eval)
 
-    p = subs.add_parser("check", help="run a bounded equivalence/congruence suite")
-    p.add_argument("suite", choices=[
-        "int-equivalence", "int-congruence", "rat-congruence",
-        "msg-equivalence", "msg-congruence",
-    ])
+def _args_check(p: argparse.ArgumentParser) -> None:
+    p.add_argument("suite", choices=list(SUITES))
     p.add_argument("--budget", type=_positive_int, default=None,
                    help=f"check budget (default {DEFAULT_BUDGET})")
     p.add_argument("--truncated-discrim", action="store_true",
                    help="include the truncated discriminator negative test "
                         "in msg-congruence")
-    _add_domains(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_check)
+    _args_domains(p)
 
-    p = subs.add_parser("oracle-msgrel", help="summarize the rule-closure oracle")
-    _add_domains(p)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_oracle_msgrel)
 
+def _args_domains(p: argparse.ArgumentParser) -> None:
+    # --bound's help gets its default from _HelpFormatter.
+    p.add_argument("--bound", type=_positive_int, default=None,
+                   help="term-size bound for the message universe")
+    p.add_argument("--keys", type=lambda s: _parse_domain(s, "--keys"),
+                   default=None, help="key domain, e.g. 0,1 (the default)")
+    p.add_argument("--nonces", type=lambda s: _parse_domain(s, "--nonces"),
+                   default=None, help="nonce domain, e.g. 0,1 (the default)")
+
+
+class _HelpFormatter(argparse.HelpFormatter):
+    """Reads the message universe's default bound into --bound's help only
+    when help is printed, so that building a parser does not import
+    `messages`."""
+
+    def _get_help_string(self, action: argparse.Action) -> str:
+        if action.dest == "bound":
+            return f"{action.help} (default {_load('messages').SAMPLING_BOUND})"
+        return action.help
+
+
+# Per command: its help, what adds its arguments, and its handler.
+COMMANDS = {
+    "msg-nf": ("normalize a message term", _args_msg_nf, _cmd_msg_nf),
+    "msg-eq": ("decide equality of two message terms", _args_msg_eq, _cmd_msg_eq),
+    "msg-fn": ("apply a lifted message function", _args_msg_fn, _cmd_msg_fn),
+    "int-eval": ("evaluate a prefix integer expression", _args_eval, _cmd_int_eval),
+    "rat-eval": ("evaluate a prefix rational expression", _args_eval, _cmd_rat_eval),
+    "check": ("run a bounded equivalence/congruence suite", _args_check, _cmd_check),
+    "oracle-msgrel": ("summarize the rule-closure oracle", _args_domains, _cmd_oracle_msgrel),
+}
+
+
+def build_parser(commands: Iterable[str] | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Every command is listed, so the top-level
+    usage, help and errors do not depend on `commands`; only the commands
+    named in `commands` (by default all) get their arguments, so a parser
+    built for one command imports nothing that another needs."""
+    parser = argparse.ArgumentParser(
+        prog="quotients",
+        description="Quotient constructions: normalize terms, evaluate quotient "
+                    "arithmetic, and run bounded equivalence/congruence checks.",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_arguments, handler) in COMMANDS.items():
+        p = subs.add_parser(name, help=summary, formatter_class=_HelpFormatter)
+        if commands is None or name in commands:
+            add_arguments(p)
+            p.add_argument("--json", action="store_true", help="emit a JSON report")
+            p.add_argument("--deterministic", action="store_true",
+                           help="pin elapsed_ms to 0 for byte-stable output")
+            p.set_defaults(handler=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # argparse runs the first positional argument as the command, and no
+    # command name starts with "-": so the command it runs, if any, is the
+    # first argument that names one.
+    parser = build_parser([next((a for a in argv if a in COMMANDS), None)])
     args = parser.parse_args(argv)
     # argparse can take "--budget=--" as an empty list of values without
     # calling the option's type function.
@@ -404,9 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _resolve_config(args)
         return _emit(args, *args.handler(args), started)
-    # A stray ValueError (a number past the int-to-text digit limit, met
-    # when the report is written, hence inside the try) is unhandled input,
-    # not refutation.
+    # A stray ValueError is unhandled input, not refutation.
     except (QuotientError, ValueError) as exc:
         payload = {"error": str(exc)}
         if isinstance(exc, ParseError):

@@ -146,14 +146,18 @@ class PairStream(Record, Generic[T]):
     a request extends them under a lock only through the tier its budget
     ends in, so a request within them generates nothing.
     Nothing is dropped: memory is bounded by the largest budget asked.  A
-    copy or pickle gives the same pairs, with nothing kept.  An
+    tier source that raises ends the stream: the request that met the
+    exception raises it, and every later request past the kept pairs
+    raises a `RuntimeError` chained from it, so a failed source never reads
+    as an exhausted one.  A copy or pickle gives the same pairs, with
+    nothing kept.  An
     `EquivRelation` over a stream keeps its sample of the pairs as well,
     since a budget's pairs are a prefix of any larger budget's; like the
     relation's `carrier` and `canonicalize`, a `RespectMap.function` checked
     over them is assumed deterministic.
     """
 
-    __slots__ = ("tiers", "_tiers", "_lefts", "_rights", "_lock")
+    __slots__ = ("tiers", "_tiers", "_lefts", "_rights", "_lock", "_failure")
 
     def __init__(self, tiers: Callable[[], Iterable[tuple[Sequence[T], Sequence[T]]]]) -> None:
         _set(self, "tiers", tiers)
@@ -161,6 +165,7 @@ class PairStream(Record, Generic[T]):
         _set(self, "_lefts", [])
         _set(self, "_rights", [])
         _set(self, "_lock", threading.Lock())
+        _set(self, "_failure", None)  # what the tier source raised, if it did
 
     def __call__(self, budget: int) -> list[tuple[T, T]]:
         return list(zip(*self.columns(budget)))
@@ -173,11 +178,19 @@ class PairStream(Record, Generic[T]):
         lefts, rights = self._lefts, self._rights
         with self._lock:
             if len(lefts) < budget:
-                for xs, ys in self._tiers:
-                    lefts += xs
-                    rights += ys
-                    if len(lefts) >= budget:
-                        break
+                if self._failure is not None:
+                    raise RuntimeError(f"the tier source failed after {len(lefts)} pairs"
+                                       ) from self._failure
+                try:
+                    for xs, ys in self._tiers:
+                        lefts += xs
+                        rights += ys
+                        if len(lefts) >= budget:
+                            break
+                except BaseException as exc:
+                    del lefts[len(rights):]  # a tier cut between its two columns
+                    _set(self, "_failure", exc)
+                    raise
             return lefts[:budget], rights[:budget]
 
 
@@ -510,7 +523,7 @@ def check_respects(m: RespectMap[D], budget: int) -> CongruenceReport:
     n = len(m.sources)
     side = budget if n <= 1 else int(budget ** (1 / n)) + 1
     columns = [_columns(rel, side) for rel in m.sources]
-    checked, failed = _scan(m.function, m.function, m.target_eq, [xs for xs, _ in columns],
+    checked, failed = _scan(m.function, m.target_eq, [xs for xs, _ in columns],
                             [ys for _, ys in columns], budget)
     if failed is not None:
         case = next(itertools.islice(itertools.product(*(zip(*c) for c in columns)), failed, None))
@@ -527,41 +540,49 @@ def _columns(rel: EquivRelation[T], budget: int) -> tuple[Sequence[T], Sequence[
     return tuple(zip(*itertools.islice(rel.related_pairs(budget), budget))) or ((), ())
 
 
-def _scan(f_left: Callable, f_right: Callable, eq: Callable, lefts: list, rights: list,
-          limit: int) -> tuple[int, int | None]:
-    """Test `eq(f_left(*xs), f_right(*ys))` on the first `limit` cases of the
-    row-major product of the per-argument columns `lefts`, and of `rights`
-    at the same positions; return how many ran and the position of the
-    first that failed, or None.  Each case asks `f_left`, `f_right`, then
-    `eq`, except that a row (the last column under fixed leading arguments)
-    whose leading arguments come back within the limit keeps its images
-    for the later rows, so those ask only the other side and `eq`."""
+def _scan(f: Callable, eq: Callable, lefts: list, rights: list, limit: int,
+          swapped: bool = False) -> tuple[int, int | None]:
+    """Test `eq(f(*xs), f(*ys))` on the first `limit` cases of the row-major
+    product of the per-argument columns `lefts`, and of `rights` at the
+    same positions; return how many ran and the position of the first that
+    failed, or None.  With `swapped`, the right side's last argument comes
+    first: its images are `f(y, *lead)` for the row's leading arguments.
+    Each case asks the left side, the right side, then `eq`, except that a
+    row (the last column under fixed leading arguments) whose leading
+    arguments come back within the limit keeps its images for the later
+    rows, so those ask only the other side and `eq`."""
     if not lefts:  # no arguments: the one empty case
-        return 1, None if eq(f_left(), f_right()) else 0
+        return 1, None if eq(f(), f()) else 0
     width = len(lefts[-1])
     total = min(limit, width * math.prod(map(len, lefts[:-1])))
     height = -(-total // width) if total else 0  # the rows within the limit
     sides = []
-    for f, cols in ((f_left, lefts), (f_right, rights)):
+    for cols, swap in ((lefts, False), (rights, swapped)):
         leads = list(itertools.islice(itertools.product(*cols[:-1]), height))
         try:
             kept = dict.fromkeys(lead for lead, k in Counter(leads).items() if k > 1)
         except TypeError:  # unhashable arguments: every row streams
             kept = ()
-        sides.append(map(partial(_row, f, cols[-1], kept), leads))
+        sides.append(map(partial(_row, f, cols[-1], swap, kept), leads))
     verdicts = itertools.chain.from_iterable(map(partial(map, eq), *sides))
     failed = next(itertools.compress(itertools.count(),
                                      map(operator.not_, itertools.islice(verdicts, total))), None)
     return (total, None) if failed is None else (failed + 1, failed)
 
 
-def _row(f: Callable, col: Sequence, kept: dict, lead: tuple) -> Iterable:
-    """The images of `f(*lead, x)` for x in `col`, streamed; for leading
-    arguments in `kept`, asked as the first such row streams and kept."""
+def _row(f: Callable, col: Sequence, swapped: bool, kept: dict, lead: tuple) -> Iterable:
+    """The images of `f(*lead, x)`, or of `f(x, *lead)` when `swapped`,
+    for x in `col`, streamed; for leading arguments in `kept`, asked as the
+    first such row streams and kept."""
     if lead not in kept:
-        return map(f, *map(itertools.repeat, lead), col)
-    images, kept[lead] = itertools.tee(kept[lead] or map(f, *map(itertools.repeat, lead), col))
+        return _images(f, col, swapped, lead)
+    images, kept[lead] = itertools.tee(kept[lead] or _images(f, col, swapped, lead))
     return images
+
+
+def _images(f: Callable, col: Sequence, swapped: bool, lead: tuple) -> Iterable:
+    repeats = map(itertools.repeat, lead)
+    return map(f, col, *repeats) if swapped else map(f, *repeats, col)
 
 
 check_respects2 = check_respects  # kept: bench/ calls or patches this name
@@ -596,8 +617,8 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
         return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
 
     k = len(elems)
-    checked, failed = _scan(f, lambda a, b: f(b, a), m.target_eq, [elems, elems], [elems, elems],
-                            max(1, budget // 2))
+    checked, failed = _scan(f, m.target_eq, [elems, elems], [elems, elems], max(1, budget // 2),
+                            swapped=True)
     if failed is not None:
         a, b = elems[failed // k], elems[failed % k]
         rest = budget - checked
@@ -606,7 +627,7 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
         return CongruenceReport(full.verdict, checked + full.checked, full.counterexample,
                                 note, m)
 
-    firsts, failed = _scan(f, f, m.target_eq, [xs, elems], [ys, elems], budget - checked)
+    firsts, failed = _scan(f, m.target_eq, [xs, elems], [ys, elems], budget - checked)
     if failed is not None:
         c = elems[failed % k]
         return CongruenceReport(Verdict.REFUTED, checked + firsts,

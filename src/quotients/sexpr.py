@@ -13,15 +13,22 @@ by recursion.
 
 Offsets are 0-based character offsets into the input (for the ASCII
 grammar these coincide with byte offsets).
+
+Only term reading and printing need the message constructors; they are
+bound on the first call of `parse_term` or `print_term`, so reading a
+prefix expression never imports `messages`.
 """
 
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
 from .equiv import Record
 from .errors import ParseError
-from .messages import Crypt, Decrypt, FreeMsg, MPair, Nonce
+
+if TYPE_CHECKING:
+    from .messages import FreeMsg
 
 
 _set = object.__setattr__  # how a Record's __init__ sets its fields
@@ -96,6 +103,14 @@ def parse_sexpr(text: str) -> SNode:
 # Message terms.
 
 _TERM_ARITY = {"nonce": 1, "mpair": 2, "crypt": 2, "decrypt": 2}
+
+# The message constructors, None until `_bind_terms` imports them.
+Nonce = MPair = Crypt = Decrypt = None
+
+
+def _bind_terms() -> None:
+    global Nonce, MPair, Crypt, Decrypt
+    from .messages import Crypt, Decrypt, MPair, Nonce
 
 
 def _nat(node: SNode, what: str) -> int:
@@ -196,6 +211,8 @@ def _lexeme_term(text: str) -> FreeMsg | None:
 def parse_term(text: str) -> FreeMsg:
     """Parse a message term: (nonce N) | (mpair T T) | (crypt K T) |
     (decrypt K T), whitespace-insensitive."""
+    if Nonce is None:
+        _bind_terms()
     term = _lexeme_term(text)
     return term if term is not None else _term_of(parse_sexpr(text))
 
@@ -205,6 +222,8 @@ def print_term(t: FreeMsg) -> str:
     text is emitted in pre-order from an explicit stack, which also holds
     the separators and closing parentheses still to come, so term depth is
     not bounded by recursion; the pieces are joined once."""
+    if Nonce is None:
+        _bind_terms()
     out, stack = [], [t]
     while stack:
         t = stack.pop()

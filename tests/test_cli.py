@@ -252,6 +252,22 @@ def test_unhandled_input_is_an_error_report(argv, capsys):
     assert doc["status"] == "error"
 
 
+@pytest.mark.parametrize("command", ["int-eval", "rat-eval"])
+@pytest.mark.parametrize("json_flag", [["--json"], []], ids=["json", "text"])
+def test_result_past_the_digit_limit_is_worded_for_the_cli(command, json_flag, capsys):
+    nines = "9" * 3000
+    rc = cli.main([command, f"(* {nines} {nines})", "--deterministic", *json_flag])
+    out = capsys.readouterr().out
+    assert rc == 2
+    limit = sys.get_int_max_str_digits()
+    if json_flag:
+        assert json.loads(out) == {"status": "error", "budget_used": 0, "elapsed_ms": 0,
+                                   "payload": {"error": f"result has more than {limit} digits"}}
+    else:
+        assert out == f"error: error=result has more than {limit} digits\n"
+    assert "set_int_max_str_digits" not in out
+
+
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_budget_above_limit_is_an_error_report(source, tmp_path, monkeypatch, capsys):
     argv = ["check", "int-congruence", "--json"]
@@ -424,8 +440,8 @@ def test_every_cli_operation_is_certified_by_its_suite(monkeypatch):
                     if isinstance(a, argparse._SubParsersAction)).choices
     msg_fns = next(a for a in commands["msg-fn"]._actions if a.dest == "function").choices
     tables = [
-        ("int-congruence", {op: m for op, (m, _) in cli._INT_ALGEBRA[3].items()}, {}),
-        ("rat-congruence", {op: m for op, (m, _) in cli._RAT_ALGEBRA[3].items()},
+        ("int-congruence", {op: m for op, (m, _) in cli._int_algebra()[3].items()}, {}),
+        ("rat-congruence", {op: m for op, (m, _) in cli._rat_algebra()[3].items()},
          rationals.PARTIAL),
         ("msg-congruence", {fn: messages.FREE_MAPS[fn] for fn in msg_fns}, {}),
     ]
@@ -545,6 +561,74 @@ def test_cold_start_skips_introspection_modules():
     assert result["rcs"] == [0, 0]
     assert [json.loads(line)["status"] for line in proc.stdout.splitlines()] == ["ok", "ok"]
     assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(result["modules"])
+
+
+HELP = json.loads((GOLDEN / "help_usage.json").read_text())
+
+
+def _usage(run, argv) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+@pytest.mark.parametrize("case", HELP["cases"],
+                         ids=[" ".join(c["argv"]) or "no-arguments" for c in HELP["cases"]])
+def test_help_and_usage_bytes(case, monkeypatch):
+    # The parser main builds for one command prints what the parser of
+    # every command prints.  argparse's wording differs between Python
+    # versions, so the golden pins the bytes of the version it was taken on.
+    monkeypatch.setenv("COLUMNS", str(HELP["columns"]))
+    got = _usage(cli.main, case["argv"])
+    assert got == _usage(lambda argv: cli.build_parser().parse_args(argv), case["argv"])
+    if "%d.%d" % sys.version_info[:2] == HELP["python"]:
+        assert got == case
+
+
+_COMMAND_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from quotients import cli
+try:
+    rc = cli.main(sys.argv[2:])
+except SystemExit as exc:
+    rc = exc.code
+sys.stderr.write(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+# (argv, its exit code, the constructions a fresh interpreter running it loads)
+COMMAND_LOADS = [
+    (["int-eval", "(nat (* 2 -3))"], 0, {"integers"}),
+    (["rat-eval", "(+ 1 (inv 2))"], 0, {"rationals"}),
+    (["msg-nf", "(crypt 1 (decrypt 1 (nonce 0)))"], 0, {"messages"}),
+    (["msg-eq", "(nonce 0)", "(nonce 1)"], 1, {"messages"}),
+    (["msg-fn", "left", "(mpair (nonce 0) (nonce 1))"], 0, {"messages"}),
+    (["check", "msg-equivalence", "--bound", "3"], 0, {"messages"}),
+    (["check", "msg-congruence", "--bound", "3"], 0, {"messages"}),
+    (["check", "int-equivalence", "--budget", "20"], 0, {"integers"}),
+    (["check", "int-congruence", "--budget", "20"], 0, {"integers"}),
+    (["check", "rat-congruence", "--budget", "20"], 0, {"rationals"}),
+    (["oracle-msgrel", "--bound", "3"], 0, {"messages"}),
+    (["int-eval", "--help"], 0, set()),
+    (["check", "--help"], 0, {"messages"}),  # --bound's help names its default
+    (["bogus"], 2, set()),
+]
+
+
+@pytest.mark.parametrize("argv,code,constructions", COMMAND_LOADS,
+                         ids=[" ".join(argv[:2]) for argv, _, _ in COMMAND_LOADS])
+def test_each_command_loads_only_its_construction(argv, code, constructions):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-I", "-S", "-c", _COMMAND_PROBE, src, *argv],
+                          capture_output=True, text=True, timeout=60)
+    result = json.loads(proc.stderr.splitlines()[-1])
+    assert result["rc"] == code
+    loaded = {m.removeprefix("quotients.") for m in result["modules"] if m.startswith("quotients.")}
+    assert loaded == {"cli", "equiv", "errors", "sexpr"} | constructions
 
 
 def test_domain_error_exit_code(capsys):

@@ -988,3 +988,22 @@ class TestPairStream:
         stream = PairStream(lambda: [([1], [1]), ([], []), ([2, 3], [3, 2])])
         assert stream(2) == [(1, 1), (2, 3)]
         assert stream(10) == stream(3) == [(1, 1), (2, 3), (3, 2)]
+
+    @pytest.mark.parametrize("failure", [MemoryError, KeyboardInterrupt])
+    def test_a_failed_source_fails_every_request_past_the_kept_pairs(self, failure):
+        def source():
+            yield [1], [1]
+            raise failure
+
+        stream = PairStream(source)
+        rel = EquivRelation("failing", operator.eq, lambda x: isinstance(x, int), stream)
+        rmap = RespectMap(lambda x: x, (rel,), operator.eq, name="identity")
+        with pytest.raises(failure):
+            stream(5)
+        for request in (partial(stream, 5), partial(stream.columns, 2),
+                        partial(check_equivalence, rel, 5), partial(check_respects, rmap, 5)):
+            with pytest.raises(RuntimeError) as exc:
+                request()
+            assert isinstance(exc.value.__cause__, failure)
+        assert stream(1) == [(1, 1)]  # the kept pairs
+        assert stream.columns(0) == ([], [])
