@@ -11,7 +11,6 @@ fixed invocation and config produce byte-identical output (pass
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -214,33 +213,11 @@ def _parse_domain(text: str, what: str) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Expression evaluation (shared prefix syntax for the two number algebras)
 
-def _algebra(kind: str, literal, value_type, maps: dict) -> tuple:
-    """(kind, literal constructor, value type, {operator: (map, function)}): a
-    map into its relation lifts to the value type, any other to a plain value."""
-    return kind, literal, value_type, {
-        op: (m, operation(m, value_type if m.target_eq is m.sources[0].decider else None))
-        for op, m in maps.items()
-    }
-
-
-@functools.cache
-def _int_algebra() -> tuple:
-    integers = _load("integers")
-    return _algebra("integer", integers.from_native, integers.QInt, integers.OPERATIONS)
-
-
-@functools.cache
-def _rat_algebra() -> tuple:
-    rationals = _load("rationals")
-    return _algebra("rational", rationals.rat_from_native, rationals.QRat,
-                    {**rationals.OPERATIONS, **rationals.PARTIAL})
-
-
-def _evaluate(node: SNode, algebra):
-    """The value of a prefix expression, kept on an explicit stack of open
+def _evaluate(node: SNode, ops: dict, literal: Callable, value_type: type, kind: str):
+    """The value of a prefix expression over a construction's lifted
+    operations `ops` (symbol: operation), kept on an explicit stack of open
     lists.  Entering a list checks its head, operator and arity; each
     argument's type is checked as soon as that argument has a value."""
-    kind, literal, value_type, ops = algebra
     stack = []  # per open list: (operator, function, arguments, their values so far)
     while True:
         if isinstance(node, SList):
@@ -250,8 +227,8 @@ def _evaluate(node: SNode, algebra):
             op = head.value
             if op not in ops:
                 raise ParseError(f"unknown {kind} operator {op!r}", head.offset)
-            m, fn = ops[op]
-            arity = len(m.sources)
+            fn = ops[op]
+            arity = len(fn.map.sources)
             if len(args) != arity:
                 plural = "s" if arity != 1 else ""
                 raise ParseError(f"{op} takes {arity} argument{plural}, got {len(args)}", node.close_offset)
@@ -314,14 +291,17 @@ def _cmd_msg_fn(args):
 
 def _cmd_int_eval(args):
     integers = _load("integers")
-    value = _evaluate(parse_sexpr(args.expr), _int_algebra())
+    value = _evaluate(parse_sexpr(args.expr), integers.OPERATIONS, integers.from_native,
+                      integers.QInt, "integer")
     if isinstance(value, integers.QInt):
         return OK, {"value": integers.to_native(value), "pair": list(value.pair)}, 0
     return REFUTED if value is False else OK, {"value": value}, 0  # le's bool or nat's int
 
 
 def _cmd_rat_eval(args):
-    value = _evaluate(parse_sexpr(args.expr), _rat_algebra())
+    rationals = _load("rationals")
+    value = _evaluate(parse_sexpr(args.expr), {**rationals.OPERATIONS, **rationals.PARTIAL},
+                      rationals.rat_from_native, rationals.QRat, "rational")
     return OK, {"num": value.num, "den": value.den}, 0
 
 
@@ -332,8 +312,8 @@ def _suite(args) -> list[tuple]:
     if args.suite == "int-equivalence":
         return [(check_equivalence, module.intrel, "intrel")]
     if args.suite in ("int-congruence", "rat-congruence"):
-        commutative = [module.OPERATIONS[op] for op in module.COMMUTATIVE]
-        return ([(check_respects, m, m.name) for m in module.OPERATIONS.values()]
+        commutative = [module.OPERATIONS[op].map for op in module.COMMUTATIVE]
+        return ([(check_respects, op.map, op.map.name) for op in module.OPERATIONS.values()]
                 + [(respects2_via_commutativity, m, f"{m.name}/commutative") for m in commutative])
     rel = module.msg_relation(args.bound, args.keys, args.nonces)
     if args.suite == "msg-equivalence":
@@ -411,24 +391,28 @@ def _args_check(p: argparse.ArgumentParser) -> None:
 
 
 def _args_domains(p: argparse.ArgumentParser) -> None:
-    # --bound's help gets its default from _HelpFormatter.
+    # Each help gets its default from _HelpFormatter.
     p.add_argument("--bound", type=_positive_int, default=None,
                    help="term-size bound for the message universe")
     p.add_argument("--keys", type=lambda s: _parse_domain(s, "--keys"),
-                   default=None, help="key domain, e.g. 0,1 (the default)")
+                   default=None, help="key domain")
     p.add_argument("--nonces", type=lambda s: _parse_domain(s, "--nonces"),
-                   default=None, help="nonce domain, e.g. 0,1 (the default)")
+                   default=None, help="nonce domain")
 
 
 class _HelpFormatter(argparse.HelpFormatter):
-    """Reads the message universe's default bound into --bound's help only
-    when help is printed, so that building a parser does not import
-    `messages`."""
+    """Reads the message universe's defaults into the help of --bound,
+    --keys and --nonces only when help is printed, so that building a
+    parser does not import `messages`."""
 
     def _get_help_string(self, action: argparse.Action) -> str:
+        if action.dest not in ("bound", "keys", "nonces"):
+            return action.help
+        messages = _load("messages")
         if action.dest == "bound":
-            return f"{action.help} (default {_load('messages').SAMPLING_BOUND})"
-        return action.help
+            return f"{action.help} (default {messages.SAMPLING_BOUND})"
+        domain = messages.DEFAULT_KEYS if action.dest == "keys" else messages.DEFAULT_NONCES
+        return f"{action.help}, e.g. {','.join(map(str, domain))} (the default)"
 
 
 # Per command: its help, what adds its arguments, and its handler.

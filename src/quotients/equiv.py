@@ -594,9 +594,10 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     When `f` is commutative (up to the target equality) and respects the
     relation in its first argument, it respects it in both.  If the
     commutativity probe fails, this falls back to the full two-argument
-    check on the rest of the budget and says so in the report's note.
-    Requires a two-argument map whose source relations are the same
-    relation.
+    check on the rest of the budget and says so in the report's note.  The
+    probe takes at most half the budget, so a budget of 1, which leaves no
+    respect case, runs the full check.  Requires a two-argument map whose
+    source relations are the same relation.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -607,6 +608,10 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
         raise RelationMismatchError(
             f"commutativity shortcut needs one relation, got {rel.name} and {other.name}"
         )
+    if budget < 2:
+        full = check_respects(m, budget)
+        note = "budget too small for the shortcut; ran the full two-argument check"
+        return CongruenceReport(full.verdict, full.checked, full.counterexample, note, m)
     f = m.function
     side = int(budget ** 0.5) + 1
     xs, ys = _columns(rel, side)
@@ -617,12 +622,11 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
         return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
 
     k = len(elems)
-    checked, failed = _scan(f, m.target_eq, [elems, elems], [elems, elems], max(1, budget // 2),
+    checked, failed = _scan(f, m.target_eq, [elems, elems], [elems, elems], budget // 2,
                             swapped=True)
     if failed is not None:
         a, b = elems[failed // k], elems[failed % k]
-        rest = budget - checked
-        full = check_respects(m, rest) if rest else CongruenceReport(Verdict.NO_SAMPLES, 0)
+        full = check_respects(m, budget - checked)
         note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
         return CongruenceReport(full.verdict, checked + full.checked, full.counterexample,
                                 note, m)
@@ -643,9 +647,9 @@ def operation(m: RespectMap[D], kind: type | None = None) -> Callable:
     The result checks its arity and each argument's relation against
     `m.sources`, then applies `m.function` to the stored representatives.
     With `kind`, it returns the image as a `kind` class of the first source
-    relation.  No certificate is consulted: `operation(m)` is the unchecked
-    lift, and `lift(report)` returns `operation(report.map)` for a certified
-    report.
+    relation.  The result names the map it applies as its `map` attribute.
+    No certificate is consulted: `operation(m)` is the unchecked lift, and
+    `lift(report)` returns `operation(report.map)` for a certified report.
     """
     f, sources, n = m.function, m.sources, len(m.sources)
 
@@ -660,12 +664,13 @@ def operation(m: RespectMap[D], kind: type | None = None) -> Callable:
         out = f(*reps)
         return out if kind is None else class_of(sources[0], out, kind)
 
+    apply.map = m
     return apply
 
 
 def lift(cert: CongruenceReport) -> Callable:
     """The map a certified report checked, on class values:
-    `operation(cert.map)`.
+    `operation(cert.map)`, so its `map` is the report's.
 
     Raises `UncertifiedLiftError`, carrying `cert`, when `cert` is not a
     `CongruenceReport` (None included), is not certified, or names no map.

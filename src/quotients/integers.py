@@ -152,18 +152,18 @@ MUL_MAP = RespectMap(mul_pair, (intrel, intrel), intrel_holds, name="mul")
 LE_MAP = RespectMap(le_pair, (intrel, intrel), operator.eq, name="le")
 SUB_MAP = RespectMap(sub_pair, (intrel, intrel), intrel_holds, name="sub")
 
-# The integer operations, declared once: eval symbol to map in `check
-# int-congruence` order, and the symbols it also certifies by commutativity.
-OPERATIONS = {"neg": NEG_MAP, "nat": NAT_MAP, "+": ADD_MAP, "*": MUL_MAP, "le": LE_MAP,
-              "-": SUB_MAP}
-COMMUTATIVE = ("+", "*")
-
 neg = operation(NEG_MAP, QInt)
 add = operation(ADD_MAP, QInt)
 sub = operation(SUB_MAP, QInt)
 mul = operation(MUL_MAP, QInt)
 le = operation(LE_MAP)
 to_nat = operation(NAT_MAP)
+
+# The integer operations, declared once: eval symbol to lifted operation
+# (each names its map) in `check int-congruence` order, and the symbols it
+# also certifies by commutativity.
+OPERATIONS = {"neg": neg, "nat": to_nat, "+": add, "*": mul, "le": le, "-": sub}
+COMMUTATIVE = ("+", "*")
 
 
 def from_native(i: int) -> QInt:

@@ -147,16 +147,16 @@ RAT_MUL_MAP = RespectMap(mul_pair, (ratrel, ratrel), ratrel_holds, name="rat_mul
 RAT_NEG_MAP = RespectMap(neg_pair, (ratrel,), ratrel_holds, name="rat_neg")
 RAT_INV_MAP = RespectMap(inv_pair, (ratrel,), ratrel_holds, name="rat_inv")
 
-# Declared as in `integers`.  `inv` is partial: inv_pair raises DomainError
-# on the zero class, which holds the first related pair, so no suite runs it.
-OPERATIONS = {"neg": RAT_NEG_MAP, "+": RAT_ADD_MAP, "*": RAT_MUL_MAP}
-COMMUTATIVE = ("+", "*")
-PARTIAL = {"inv": RAT_INV_MAP}
-
 rat_add = operation(RAT_ADD_MAP, QRat)
 rat_mul = operation(RAT_MUL_MAP, QRat)
 rat_neg = operation(RAT_NEG_MAP, QRat)
 rat_inv = operation(RAT_INV_MAP, QRat)
+
+# Declared as in `integers`.  `inv` is partial: inv_pair raises DomainError
+# on the zero class, which holds the first related pair, so no suite runs it.
+OPERATIONS = {"neg": rat_neg, "+": rat_add, "*": rat_mul}
+COMMUTATIVE = ("+", "*")
+PARTIAL = {"inv": rat_inv}
 
 
 def rat_zero() -> QRat:

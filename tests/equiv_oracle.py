@@ -153,7 +153,8 @@ def respects2_via_commutativity(m: RespectMap, budget: int) -> CongruenceReport:
     When `f` is commutative (up to the target equality) and respects the
     relation in its first argument, it respects it in both.  If the
     commutativity probe fails, this falls back to the full two-argument
-    check and says so in the report's note.  Requires a two-argument map
+    check and says so in the report's note.  A budget of 1, which the
+    probe would use up, runs the full check.  Requires a two-argument map
     whose source relations are the same relation.
     """
     if budget < 1:
@@ -163,6 +164,10 @@ def respects2_via_commutativity(m: RespectMap, budget: int) -> CongruenceReport:
         raise RelationMismatchError(
             f"commutativity shortcut needs one relation, got {rel.name} and {other.name}"
         )
+    if budget < 2:
+        full = check_respects(m, budget)
+        note = "budget too small for the shortcut; ran the full two-argument check"
+        return CongruenceReport(full.verdict, full.checked, full.counterexample, note)
     f = m.function
     side = max(1, int(budget ** 0.5) + 1)
     pairs = list(itertools.islice(rel.related_pairs(side), side))
@@ -171,7 +176,7 @@ def respects2_via_commutativity(m: RespectMap, budget: int) -> CongruenceReport:
         return CongruenceReport(Verdict.NO_SAMPLES, 0)
 
     checked = 0
-    half = max(1, budget // 2)
+    half = budget // 2
     for a, b in itertools.product(elems, repeat=2):
         if checked >= half:
             break

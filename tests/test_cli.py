@@ -439,10 +439,14 @@ def test_every_cli_operation_is_certified_by_its_suite(monkeypatch):
     commands = next(a for a in cli.build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
     msg_fns = next(a for a in commands["msg-fn"]._actions if a.dest == "function").choices
+
+    def maps(table):
+        return {op: fn.map for op, fn in table.items()}
+
     tables = [
-        ("int-congruence", {op: m for op, (m, _) in cli._int_algebra()[3].items()}, {}),
-        ("rat-congruence", {op: m for op, (m, _) in cli._rat_algebra()[3].items()},
-         rationals.PARTIAL),
+        ("int-congruence", maps(integers.OPERATIONS), {}),
+        ("rat-congruence", maps({**rationals.OPERATIONS, **rationals.PARTIAL}),
+         maps(rationals.PARTIAL)),
         ("msg-congruence", {fn: messages.FREE_MAPS[fn] for fn in msg_fns}, {}),
     ]
     for suite, table, partial in tables:
@@ -452,6 +456,26 @@ def test_every_cli_operation_is_certified_by_its_suite(monkeypatch):
         assert [op for op, m in table.items()
                 if not any(_same_map(m, c) for c in checked) and partial.get(op) is not m] == []
     assert sorted(rationals.PARTIAL) == ["inv"]
+
+
+@pytest.mark.parametrize("module, table, symbol, argv", [
+    (integers, "OPERATIONS", "+", ["int-eval", "(+ 1 (+ 2 3))"]),
+    (rationals, "PARTIAL", "inv", ["rat-eval", "(inv (inv 2))"]),
+], ids=["int-eval", "rat-eval"])
+def test_eval_applies_its_construction_table(module, table, symbol, argv, capsys):
+    # The eval commands apply the entries of the construction's own table,
+    # reading arity from the map each entry names.
+    lifted = getattr(module, table)[symbol]
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return lifted(*args)
+
+    spy.map = lifted.map
+    with mock.patch.dict(getattr(module, table), {symbol: spy}):
+        assert cli.main(argv + ["--json", "--deterministic"]) == 0
+    assert len(calls) == 2
 
 
 @settings(max_examples=150, deadline=None)

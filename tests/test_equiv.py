@@ -455,6 +455,19 @@ class TestRespects2ViaCommutativity:
         with pytest.raises(RelationMismatchError):
             respects2_via_commutativity(m2, 10)
 
+    def test_budget_one_rests_on_a_respect_case(self):
+        # The probe would spend the whole budget of 1 on commutativity and
+        # certify on no respect case; the full check runs instead.
+        m = RespectMap(lambda p, q: (p[0] + q[0], 0), (intrel, intrel), intrel_holds)
+        report = respects2_via_commutativity(m, 1)
+        full = check_respects(m, 1)
+        assert report.verdict is full.verdict is Verdict.REFUTED
+        assert report.checked == full.checked == 1
+        assert report.counterexample == full.counterexample
+        assert report.note == "budget too small for the shortcut; ran the full two-argument check"
+        assert report.map is m and revalidate_counterexample(report)
+        assert respects2_via_commutativity(ADD_MAP, 1).note == report.note
+
     @pytest.mark.parametrize("m2", [ADD_MAP, MUL_MAP], ids=["add", "mul"])
     def test_agrees_with_full_check(self, m2):
         shortcut = respects2_via_commutativity(m2, 300)
@@ -464,6 +477,26 @@ class TestRespects2ViaCommutativity:
 
 
 class TestLifting:
+    def test_lifted_operations_name_their_maps(self):
+        # One lift per operation: each eval table entry is its module's
+        # public operation, and every lifted operation names the map it
+        # applies.
+        assert integers.OPERATIONS["+"] is integers.add
+        declared = [
+            (integers.OPERATIONS, {"neg": NEG_MAP, "nat": integers.NAT_MAP, "+": ADD_MAP,
+                                   "*": MUL_MAP, "le": LE_MAP, "-": integers.SUB_MAP}),
+            (rationals.OPERATIONS, {"neg": rationals.RAT_NEG_MAP, "+": rationals.RAT_ADD_MAP,
+                                    "*": rationals.RAT_MUL_MAP}),
+            (rationals.PARTIAL, {"inv": rationals.RAT_INV_MAP}),
+        ]
+        for table, maps in declared:
+            assert list(table) == list(maps)
+            assert all(table[op].map is m for op, m in maps.items())
+        assert operation(ADD_MAP).map is ADD_MAP
+        assert operation(ADD_MAP, QInt).map is ADD_MAP
+        report = check_respects(NEG_MAP, 50)
+        assert lift(report).map is report.map is NEG_MAP
+
     def test_lift1_negation_characteristic_equation(self):
         g = lift(check_respects(NEG_MAP, 100))
         out = g(class_of(intrel, IntPair(3, 1)))
