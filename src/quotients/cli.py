@@ -86,7 +86,8 @@ def _load_config() -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or not JSON
+    # ValueError: not UTF-8, or not JSON; RecursionError: nested too deep
+    except (OSError, ValueError, RecursionError) as exc:
         raise QuotientError(f"cannot read config file {path!r}: {exc}")
     if not isinstance(cfg, dict):
         raise QuotientError(f"config file {path!r} must hold a JSON object")

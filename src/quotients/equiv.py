@@ -29,12 +29,7 @@ assigning or deleting it raises like any field.
 from __future__ import annotations
 
 import enum
-import itertools
-import math
-import operator
 import threading
-from collections import Counter
-from functools import partial
 from typing import Callable, Generic, Iterable, Sequence, TypeVar
 
 from .errors import DomainError, RelationMismatchError, UncertifiedLiftError
@@ -102,16 +97,19 @@ class EquivRelation(Record, Generic[T]):
     the bounded checks; any callable will do.  `canonicalize`, when present,
     maps every element to the distinguished representative of its class.
     `carrier` and `canonicalize` are assumed deterministic: the checks ask
-    each of them once per distinct sampled element.  So is a
-    `RespectMap.function`, which `check_respects` asks once per row of
-    images whose leading arguments repeat.
+    each of them once per distinct sampled element.  So are the `decider`,
+    which `check_equivalence` asks once per cell of its cube of sampled
+    elements, and a `RespectMap.function`, which the congruence checks ask
+    once per distinct argument tuple of their cases (arguments that are
+    equal, as dict keys, count as one).
     The built-in relations' pairs come from a `PairStream`, kept per relation:
     `related_pairs(b)` is a prefix of `related_pairs(b')` for b <= b', and
     memory is bounded by the largest budget asked.  A relation whose
     `related_pairs` is a `PairStream` also keeps its sample of those pairs
-    (an underscore cache, `_sample`): the distinct elements in first-seen
-    order, each one's carrier verdict and canonical form, and whether each
-    pair's two forms agree, so a repeated check pays only for its decider.
+    (an underscore cache, `_sample`, made by its first check): the distinct
+    elements in first-seen order, each pair's positions among them, each
+    element's carrier verdict and canonical form, and whether each pair's
+    two forms agree, so a repeated check pays only for its decider and maps.
     Any other relation samples afresh on every call.
     """
 
@@ -125,7 +123,7 @@ class EquivRelation(Record, Generic[T]):
         _set(self, "carrier", carrier)
         _set(self, "related_pairs", related_pairs)
         _set(self, "canonicalize", canonicalize)
-        _set(self, "_sample", _Sample() if isinstance(related_pairs, PairStream) else None)
+        _set(self, "_sample", None)  # see runner.sample_of
 
     def __repr__(self) -> str:
         return f"EquivRelation({self.name!r})"
@@ -154,7 +152,8 @@ class PairStream(Record, Generic[T]):
     `EquivRelation` over a stream keeps its sample of the pairs as well,
     since a budget's pairs are a prefix of any larger budget's; like the
     relation's `carrier` and `canonicalize`, a `RespectMap.function` checked
-    over them is assumed deterministic.
+    over them is assumed deterministic, and asked once per distinct
+    argument tuple.
     """
 
     __slots__ = ("tiers", "_tiers", "_lefts", "_rights", "_lock", "_failure")
@@ -173,6 +172,13 @@ class PairStream(Record, Generic[T]):
     def columns(self, budget: int) -> tuple[list[T], list[T]]:
         """The first `budget` pairs as two new lists, of their left and of
         their right elements."""
+        lefts, rights, n = self._kept(budget)
+        return lefts[:n], rights[:n]
+
+    def _kept(self, budget: int) -> tuple[list[T], list[T], int]:
+        """The kept columns themselves, extended as far as the first `budget`
+        pairs, and how many pairs those are.  The caller reads only that
+        many of each and changes neither."""
         if budget < 0:
             raise ValueError("budget must be >= 0")
         lefts, rights = self._lefts, self._rights
@@ -191,137 +197,7 @@ class PairStream(Record, Generic[T]):
                     del lefts[len(rights):]  # a tier cut between its two columns
                     _set(self, "_failure", exc)
                     raise
-            return lefts[:budget], rights[:budget]
-
-
-_UNASKED = 2  # an element's carrier verdict until a check asks for it
-_NO_FORM = object()  # a late form's own canonical form until a check asks for it
-
-
-class _Sample:
-    """What the checks draw from a relation's related pairs, grown with
-    them.  A relation whose pairs come from a `PairStream` keeps one, as
-    `EquivRelation._sample`; for any other relation each check builds one.
-
-    `elems` are the distinct elements of the pairs placed so far, in
-    first-seen order; `index` maps each to its position, and `inside` holds
-    each one's carrier verdict (0, 1, or `_UNASKED`).  `new` has a byte per
-    placed pair: how many elements it drew first.  Both sides of the first
-    `verified` pairs lie in the carrier.  With a canonicalizer, `forms` are
-    the canonical forms of the first elements and `agree` has one byte per
-    pair: whether its two forms agree.  A form is held as the equal element
-    where one is placed at or before the element it is the form of; any
-    other is a late form, kept in `late` as [form, position of the first
-    element with that form, the form's own form or `_NO_FORM`].
-    Everything only grows, by appending, and under `lock`, so a smaller
-    budget reads a prefix.
-    """
-
-    __slots__ = ("lock", "index", "elems", "inside", "new", "verified", "forms", "agree",
-                 "late")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.index: dict = {}
-        self.elems: list = []
-        self.inside = bytearray()
-        self.new = bytearray()
-        self.verified = 0
-        self.forms: list = []
-        self.agree = bytearray()
-        self.late: dict = {}
-
-    def verify(self, rel: EquivRelation, xs: Sequence, ys: Sequence) -> tuple | None:
-        """The generator-contract cases of `check_equivalence` on the pairs of
-        `xs` and `ys`, in order: each pair's carrier test, then its decider.
-        Returns the first failure as (checked, law, witness), else None.  The
-        carrier is asked once per element, at the first pair that draws it;
-        a pair verified before pays only for its decider."""
-        related, carrier, index, inside = rel.decider, rel.carrier, self.index, self.inside
-        kept = min(self.verified, len(xs))
-        for checked, (x, y) in enumerate(zip(itertools.islice(xs, kept), ys), 1):
-            if not related(x, y):
-                return checked, "pair-generator-decider", (x, y)
-        self.place(xs, ys)
-
-        def carried(x) -> int:
-            i = index[x]
-            if inside[i] == _UNASKED:
-                inside[i] = bool(carrier(x))
-            return inside[i]
-
-        for k in range(kept, len(xs)):
-            x, y = xs[k], ys[k]
-            if not (carried(x) and carried(y)):
-                law = "pair-generator-carrier"
-            elif not related(x, y):
-                law = "pair-generator-decider"
-            else:
-                continue
-            self.verified = k
-            return k + 1, law, (x, y)
-        self.verified = max(self.verified, len(xs))
-        return None
-
-    def place(self, xs: Sequence, ys: Sequence) -> int:
-        """Place the elements of the pairs of `xs` and `ys` not placed yet;
-        return how many distinct elements those pairs draw."""
-        index, elems, inside, new = self.index, self.elems, self.inside, self.new
-        for k in range(len(new), len(xs)):
-            before = len(elems)
-            for x in (xs[k], ys[k]):
-                if x not in index:
-                    index[x] = len(elems)
-                    elems.append(x)
-                    inside.append(_UNASKED)
-            new.append(len(elems) - before)
-        # sum(new[:len(xs)]), counted in C: a pair draws at most two.
-        return new.count(1, 0, len(xs)) + 2 * new.count(2, 0, len(xs))
-
-    def view(self, rel: EquivRelation, xs: Sequence, ys: Sequence):
-        """The sample the pairs of `xs` and `ys` draw, as the checks read it:
-        the distinct elements then the late forms they need, in first-seen
-        order; with a canonicalizer, an iterator over those elements' forms
-        (a late form's own form is asked as it is reached) and the agreement
-        byte of each pair, else None for both.  Each element is canonicalized
-        once, in first-seen order, when a view first reaches it."""
-        drawn = self.place(xs, ys)
-        elems = self.elems[:drawn]
-        canon = rel.canonicalize
-        if canon is None:
-            return elems, None, None
-        index, forms, agree = self.index, self.forms, self.agree
-        for k in range(len(agree), len(xs)):
-            x, y = xs[k], ys[k]
-            i, j = index[x], index[y]
-            if i == len(forms):
-                forms.append(self._held(canon(x), i))
-            if j == len(forms):
-                forms.append(self._held(canon(y), j))
-            agree.append(1 if forms[i] == forms[j] else 0)
-        late = [entry for entry in self.late.values()
-                if entry[1] < drawn and index.get(entry[0], drawn) >= drawn]
-        own = map(partial(self._own_form, canon), late)
-        return (elems + [entry[0] for entry in late], itertools.chain(forms[:drawn], own),
-                agree[:len(xs)])
-
-    def _held(self, c, p: int):
-        """`c`, the form of element `p`, as the object kept for it."""
-        k = self.index.get(c)
-        if k is not None and k <= p:
-            return self.elems[k]
-        entry = self.late.get(c)
-        if entry is None:
-            entry = self.late[c] = [c if k is None else self.elems[k], p, _NO_FORM]
-        return entry[0]
-
-    def _own_form(self, canon: Callable, entry: list):
-        if entry[2] is _NO_FORM:
-            with self.lock:
-                if entry[2] is _NO_FORM:
-                    entry[2] = canon(entry[0])
-        return entry[2]
-
+            return lefts, rights, min(budget, len(rights))
 
 
 class EquivClass(Record, Generic[T]):
@@ -422,43 +298,6 @@ class EquivalenceReport(Record, Generic[T]):
         return self.verdict is Verdict.CERTIFIED
 
 
-def _law_cases(rel: EquivRelation[T], xs: Sequence[T], ys: Sequence[T], budget: int,
-               elems: list, forms, agree):
-    """The cases `check_equivalence` tests once the generator's contract
-    holds on the pairs of `xs` and `ys`, in order: None for a case that
-    holds, else the violated law and its witness.  `elems`, `forms` and
-    `agree` are the sample's view of those pairs (`_Sample.view`)."""
-    related = rel.decider
-    for x in elems:
-        yield None if related(x, x) else ("reflexivity", (x, x))
-    for x, y in zip(xs, ys):
-        yield None if related(y, x) else ("symmetry", (x, y))
-
-    # Chain generated pairs through shared midpoints for transitivity.
-    by_first: dict = {}
-    for x, y in zip(xs, ys):
-        by_first.setdefault(x, []).append(y)
-    chains = ((x, y, z) for x, y in zip(xs, ys) for z in by_first.get(y, ()))
-    for x, y, z in itertools.islice(chains, budget):
-        yield None if related(x, z) else ("transitivity", (x, y, z))
-
-    # Cross-sample a bounded cube of elements for laws the generator's own
-    # pairs cannot expose (e.g. unrelated elements turning out related).
-    # Only triples whose premises hold count as transitivity cases.
-    cube = elems[: round(budget ** (1 / 3)) + 2]
-    for a, b in itertools.islice(itertools.product(cube, repeat=2), budget):
-        yield None if not related(a, b) or related(b, a) else ("symmetry", (a, b))
-    for a, b, c in itertools.islice(itertools.product(cube, repeat=3), budget):
-        if related(a, b) and related(b, c):
-            yield None if related(a, c) else ("transitivity", (a, b, c))
-
-    if forms is not None:
-        for x, c in zip(elems, forms):
-            yield None if related(x, c) else ("canonical-related", (x, c))
-        for x, y, same in zip(xs, ys, agree):
-            yield None if same else ("canonical-agreement", (x, y))
-
-
 def check_equivalence(rel: EquivRelation[T], budget: int) -> EquivalenceReport[T]:
     """Test reflexivity, symmetry, and transitivity on sampled elements.
 
@@ -470,20 +309,13 @@ def check_equivalence(rel: EquivRelation[T], budget: int) -> EquivalenceReport[T
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    xs, ys = _columns(rel, budget)
-    if not xs:
+    from . import runner
+
+    checked, violation = runner.equivalence(rel, budget)
+    if violation is not None:
+        return EquivalenceReport(Verdict.REFUTED, checked, *violation)
+    if checked == 0:
         return EquivalenceReport(Verdict.NO_SAMPLES, 0)
-    sample = rel._sample or _Sample()
-    with sample.lock:
-        failure = sample.verify(rel, xs, ys)
-        if failure is not None:
-            return EquivalenceReport(Verdict.REFUTED, *failure)
-        elems, forms, agree = sample.view(rel, xs, ys)
-    checked = len(xs)
-    for checked, violation in enumerate(_law_cases(rel, xs, ys, budget, elems, forms, agree),
-                                        checked + 1):
-        if violation is not None:
-            return EquivalenceReport(Verdict.REFUTED, checked, *violation)
     return EquivalenceReport(Verdict.CERTIFIED, checked)
 
 
@@ -515,74 +347,20 @@ def check_respects(m: RespectMap[D], budget: int) -> CongruenceReport:
     counterexample is the pair (x, y) for one argument and the tuple of
     per-argument pairs ((x1, y1), ..., (xn, yn)) otherwise.
 
-    `m.function` is assumed deterministic: a row of cases whose leading
-    arguments come back in a later row is asked once and its images reused.
+    `m.function` is assumed deterministic: it is asked once per distinct
+    argument tuple of the cases (a map of no arguments twice, for its one
+    case), and `target_eq` once per case, in order.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    n = len(m.sources)
-    side = budget if n <= 1 else int(budget ** (1 / n)) + 1
-    columns = [_columns(rel, side) for rel in m.sources]
-    checked, failed = _scan(m.function, m.target_eq, [xs for xs, _ in columns],
-                            [ys for _, ys in columns], budget)
-    if failed is not None:
-        case = next(itertools.islice(itertools.product(*(zip(*c) for c in columns)), failed, None))
-        return CongruenceReport(Verdict.REFUTED, checked, case[0] if n == 1 else case, map=m)
+    from . import runner
+
+    checked, counterexample = runner.respects(m.function, m.target_eq, m.sources, budget)
+    if counterexample is not None:
+        return CongruenceReport(Verdict.REFUTED, checked, counterexample, map=m)
     if checked == 0:
         return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
     return CongruenceReport(Verdict.CERTIFIED, checked, map=m)
-
-
-def _columns(rel: EquivRelation[T], budget: int) -> tuple[Sequence[T], Sequence[T]]:
-    """The first `budget` related pairs of `rel` as two columns."""
-    if isinstance(rel.related_pairs, PairStream):
-        return rel.related_pairs.columns(budget)
-    return tuple(zip(*itertools.islice(rel.related_pairs(budget), budget))) or ((), ())
-
-
-def _scan(f: Callable, eq: Callable, lefts: list, rights: list, limit: int,
-          swapped: bool = False) -> tuple[int, int | None]:
-    """Test `eq(f(*xs), f(*ys))` on the first `limit` cases of the row-major
-    product of the per-argument columns `lefts`, and of `rights` at the
-    same positions; return how many ran and the position of the first that
-    failed, or None.  With `swapped`, the right side's last argument comes
-    first: its images are `f(y, *lead)` for the row's leading arguments.
-    Each case asks the left side, the right side, then `eq`, except that a
-    row (the last column under fixed leading arguments) whose leading
-    arguments come back within the limit keeps its images for the later
-    rows, so those ask only the other side and `eq`."""
-    if not lefts:  # no arguments: the one empty case
-        return 1, None if eq(f(), f()) else 0
-    width = len(lefts[-1])
-    total = min(limit, width * math.prod(map(len, lefts[:-1])))
-    height = -(-total // width) if total else 0  # the rows within the limit
-    sides = []
-    for cols, swap in ((lefts, False), (rights, swapped)):
-        leads = list(itertools.islice(itertools.product(*cols[:-1]), height))
-        try:
-            kept = dict.fromkeys(lead for lead, k in Counter(leads).items() if k > 1)
-        except TypeError:  # unhashable arguments: every row streams
-            kept = ()
-        sides.append(map(partial(_row, f, cols[-1], swap, kept), leads))
-    verdicts = itertools.chain.from_iterable(map(partial(map, eq), *sides))
-    failed = next(itertools.compress(itertools.count(),
-                                     map(operator.not_, itertools.islice(verdicts, total))), None)
-    return (total, None) if failed is None else (failed + 1, failed)
-
-
-def _row(f: Callable, col: Sequence, swapped: bool, kept: dict, lead: tuple) -> Iterable:
-    """The images of `f(*lead, x)`, or of `f(x, *lead)` when `swapped`,
-    for x in `col`, streamed; for leading arguments in `kept`, asked as the
-    first such row streams and kept."""
-    if lead not in kept:
-        return _images(f, col, swapped, lead)
-    images, kept[lead] = itertools.tee(kept[lead] or _images(f, col, swapped, lead))
-    return images
-
-
-def _images(f: Callable, col: Sequence, swapped: bool, lead: tuple) -> Iterable:
-    repeats = map(itertools.repeat, lead)
-    return map(f, col, *repeats) if swapped else map(f, *repeats, col)
 
 
 check_respects2 = check_respects  # kept: bench/ calls or patches this name
@@ -598,6 +376,11 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
     probe takes at most half the budget, so a budget of 1, which leaves no
     respect case, runs the full check.  Requires a two-argument map whose
     source relations are the same relation.
+
+    Like `check_respects`, this asks `m.function` once per distinct
+    argument tuple: the probe and the first-argument cases read one table
+    of f(a, b) over the sampled elements, in which the probe's f(a, b) and
+    f(b, a) are two cells.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -612,31 +395,21 @@ def respects2_via_commutativity(m: RespectMap[D], budget: int) -> CongruenceRepo
         full = check_respects(m, budget)
         note = "budget too small for the shortcut; ran the full two-argument check"
         return CongruenceReport(full.verdict, full.checked, full.counterexample, note, m)
-    f = m.function
-    side = int(budget ** 0.5) + 1
-    xs, ys = _columns(rel, side)
-    sample = rel._sample or _Sample()
-    with sample.lock:
-        elems = sample.view(rel, xs, ys)[0]
-    if not elems:
-        return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
+    from . import runner
 
-    k = len(elems)
-    checked, failed = _scan(f, m.target_eq, [elems, elems], [elems, elems], budget // 2,
-                            swapped=True)
-    if failed is not None:
-        a, b = elems[failed // k], elems[failed % k]
+    checked, probe_failure, counterexample = runner.commutativity(m.function, m.target_eq, rel,
+                                                                  budget)
+    if checked == 0:
+        return CongruenceReport(Verdict.NO_SAMPLES, 0, map=m)
+    if probe_failure is not None:
+        a, b = probe_failure
         full = check_respects(m, budget - checked)
         note = f"not commutative at ({a!r}, {b!r}); ran the full two-argument check"
         return CongruenceReport(full.verdict, checked + full.checked, full.counterexample,
                                 note, m)
-
-    firsts, failed = _scan(f, m.target_eq, [xs, elems], [ys, elems], budget - checked)
-    if failed is not None:
-        c = elems[failed % k]
-        return CongruenceReport(Verdict.REFUTED, checked + firsts,
-                                ((xs[failed // k], ys[failed // k]), (c, c)), map=m)
-    return CongruenceReport(Verdict.CERTIFIED, checked + firsts,
+    if counterexample is not None:
+        return CongruenceReport(Verdict.REFUTED, checked, counterexample, map=m)
+    return CongruenceReport(Verdict.CERTIFIED, checked,
                             note="via commutativity and single-argument respect", map=m)
 
 

@@ -393,6 +393,7 @@ _CONFIG = st.one_of(
 @given(_INVOCATION, _CONFIG)
 @example((["check", "msg-congruence", "--truncated-discrim"], {"--budget": "--"}), None)
 @example((["oracle-msgrel"], {"--keys": "--"}), None)
+@example((["int-eval", "1"], {}), "[" * 100000 + "]" * 100000)  # past the recursion limit
 def test_exit_code_contract_for_options_and_config(invocation, config):
     command, flags = invocation
     argv = command + [f"{flag}={value}" for flag, value in flags.items()] + ["--json"]
@@ -624,18 +625,19 @@ except SystemExit as exc:
 sys.stderr.write(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
 """
 
-# (argv, its exit code, the constructions a fresh interpreter running it loads)
+# (argv, its exit code, the constructions a fresh interpreter running it
+# loads, and `runner` where it runs a check)
 COMMAND_LOADS = [
     (["int-eval", "(nat (* 2 -3))"], 0, {"integers"}),
     (["rat-eval", "(+ 1 (inv 2))"], 0, {"rationals"}),
     (["msg-nf", "(crypt 1 (decrypt 1 (nonce 0)))"], 0, {"messages"}),
     (["msg-eq", "(nonce 0)", "(nonce 1)"], 1, {"messages"}),
-    (["msg-fn", "left", "(mpair (nonce 0) (nonce 1))"], 0, {"messages"}),
-    (["check", "msg-equivalence", "--bound", "3"], 0, {"messages"}),
-    (["check", "msg-congruence", "--bound", "3"], 0, {"messages"}),
-    (["check", "int-equivalence", "--budget", "20"], 0, {"integers"}),
-    (["check", "int-congruence", "--budget", "20"], 0, {"integers"}),
-    (["check", "rat-congruence", "--budget", "20"], 0, {"rationals"}),
+    (["msg-fn", "left", "(mpair (nonce 0) (nonce 1))"], 0, {"messages", "runner"}),
+    (["check", "msg-equivalence", "--bound", "3"], 0, {"messages", "runner"}),
+    (["check", "msg-congruence", "--bound", "3"], 0, {"messages", "runner"}),
+    (["check", "int-equivalence", "--budget", "20"], 0, {"integers", "runner"}),
+    (["check", "int-congruence", "--budget", "20"], 0, {"integers", "runner"}),
+    (["check", "rat-congruence", "--budget", "20"], 0, {"rationals", "runner"}),
     (["oracle-msgrel", "--bound", "3"], 0, {"messages"}),
     (["int-eval", "--help"], 0, set()),
     (["check", "--help"], 0, {"messages"}),  # --bound's help names its default

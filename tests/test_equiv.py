@@ -6,6 +6,7 @@ import operator
 import pickle
 import sys
 import threading
+import zlib
 from functools import partial
 from typing import Callable, Sequence, TypeVar
 
@@ -60,7 +61,7 @@ from quotients.messages import (
     msg_relation,
     msgrel,
 )
-from quotients.rationals import RatPair, qrat, rat_neg, ratrel
+from quotients.rationals import RAT_ADD_MAP, RatPair, qrat, rat_neg, ratrel
 
 
 T = TypeVar("T")
@@ -381,29 +382,52 @@ class TestCheckRespectsNAry:
         with pytest.raises(TypeError):
             g(class_of(intrel, IntPair(1, 0)))
 
-    def test_repeated_rows_are_asked_once(self):
-        # 142 pairs per argument at budget 20,000: the scan reaches 141 rows,
-        # whose leading lefts and rights repeat, so each distinct one's row
-        # of 142 images is asked once per side; the row-major scan asks
-        # f twice per case, 40,000 times.
+    def test_each_distinct_argument_is_asked_once(self):
+        # The first 20,000 intrel pairs draw 2,418 distinct elements; a scan
+        # without an image table asks neg_pair twice per case, 40,000 times.
         calls = []
-        counted = RespectMap(lambda p, q: calls.append(1) or add_pair(p, q), ADD_MAP.sources,
-                             ADD_MAP.target_eq, ADD_MAP.name)
+        counted = RespectMap(lambda p: calls.append(p) or neg_pair(p), (intrel,), intrel_holds)
         report = check_respects(counted, 20000)
         assert report.verdict is Verdict.CERTIFIED and report.checked == 20000
-        lefts, rights = intrel.related_pairs.columns(142)
-        leads = len(set(lefts[:141])) + len(set(rights[:141]))
-        assert len(calls) <= leads * 142 < 40000
+        assert len(calls) == len(set(calls)) == 2418
 
-    @pytest.mark.parametrize("f, target_eq, checked", [
-        (neg_pair, intrel_holds, 500),
-        (lambda p: (p[0] - p[1]) + (p[0] > 3), plain_eq, 14),
-    ], ids=["certified", "refuted"])
-    def test_one_argument_map_is_asked_twice_per_case(self, f, target_eq, checked):
+    def test_each_distinct_argument_tuple_is_asked_once(self):
+        # 142 pairs per argument at budget 20,000: the 20,000 cases of the
+        # 142 x 142 product have 40,000 argument tuples, few of them distinct.
         calls = []
-        counted = RespectMap(lambda p: calls.append(p) or f(p), (intrel,), target_eq)
-        assert check_respects(counted, 500).checked == checked
-        assert len(calls) == 2 * checked
+        counted = RespectMap(lambda p, q: calls.append((p, q)) or add_pair(p, q),
+                             ADD_MAP.sources, ADD_MAP.target_eq, ADD_MAP.name)
+        report = check_respects(counted, 20000)
+        assert report.verdict is Verdict.CERTIFIED and report.checked == 20000
+        pairs = intrel.related_pairs(142)
+        cases = itertools.islice(itertools.product(pairs, repeat=2), 20000)
+        distinct = {(p[i], q[i]) for p, q in cases for i in (0, 1)}
+        assert len(calls) == len(set(calls)) == len(distinct) < 40000
+
+    @pytest.mark.parametrize("m, checked, k", [(ADD_MAP, 19608, 86), (RAT_ADD_MAP, 20000, 153)],
+                             ids=["intrel", "ratrel"])
+    def test_commutativity_reads_one_table(self, m, checked, k):
+        # The first 142 pairs draw k distinct elements (86 of intrel's): the
+        # probe's f(a, b) and f(b, a) and the first-argument cases are cells
+        # of one k x k table, each asked once.  The probe reaches all of
+        # intrel's table, and about two thirds of ratrel's.
+        calls = []
+        counted = RespectMap(lambda p, q: calls.append((p, q)) or m.function(p, q),
+                             m.sources, m.target_eq, m.name)
+        report = respects2_via_commutativity(counted, 20000)
+        assert report.verdict is Verdict.CERTIFIED and report.checked == checked
+        assert len(calls) == len(set(calls)) <= k * k
+        assert len(calls) == 86 * 86 == 7396 or k > 86
+
+    def test_a_refutation_in_the_first_fill_asks_nothing_past_it(self):
+        # The first fill images the elements that the first 16 cases draw,
+        # in first-seen order; the map refutes at case 14, within them.
+        calls = []
+        f = lambda p: (p[0] - p[1]) + (p[0] > 3)
+        counted = RespectMap(lambda p: calls.append(p) or f(p), (intrel,), plain_eq)
+        assert check_respects(counted, 500).checked == 14
+        xs, ys = intrel.related_pairs.columns(16)
+        assert calls == list(dict.fromkeys(z for pair in zip(xs, ys) for z in pair))
 
     def test_unhashable_arguments_match_oracle(self):
         pairs = [([0], [0]), ([0], [1]), ([1], [0])]
@@ -839,21 +863,39 @@ def _maps(draw):
     return RespectMap(f, tuple(rel for _, rel in sources), operator.eq, kind)
 
 
+def _asking(m: RespectMap) -> tuple[RespectMap, list]:
+    """`m` with a function that lists each argument tuple it is asked,
+    and the list."""
+    asked = []
+    return RespectMap(lambda *args: asked.append(args) or m.function(*args), m.sources,
+                      m.target_eq, m.name), asked
+
+
 @settings(max_examples=400, deadline=None)
 @given(_maps(), st.integers(1, 100))
 def test_check_respects_matches_oracle(m, budget):
-    asked = []
-    counted = RespectMap(lambda *args: asked.append(args) or m.function(*args), m.sources,
-                         m.target_eq, m.name)
-    assert _outcome(check_respects, counted, budget) == \
-        _outcome(equiv_oracle.check_respects, m, budget)
-    # f is asked no argument tuple that no case inside the budget uses.
+    counted, asked = _asking(m)
+    outcome = _outcome(check_respects, counted, budget)
+    assert outcome == _outcome(equiv_oracle.check_respects, m, budget)
+    # f is asked no argument tuple that no case inside the budget uses, and
+    # none twice unless some tuple raised and its cases were asked again.
     n = len(m.sources)
     side = budget if n <= 1 else int(budget ** (1 / n)) + 1
     per_source = [rel.related_pairs(side)[:side] for rel in m.sources]
     cases = itertools.islice(itertools.product(*per_source), budget)
     used = {tuple(pair[i] for pair in case) for case in cases for i in (0, 1)}
     assert set(asked) <= used
+    if n and not _raises_on_any(m, asked):
+        assert len(asked) == len(set(asked))
+
+
+def _raises_on_any(m: RespectMap, asked: list) -> bool:
+    try:
+        for args in asked:
+            m.function(*args)
+    except _NoImage:
+        return True
+    return False
 
 
 @pytest.mark.parametrize("images, outcome", [
@@ -880,8 +922,13 @@ def test_kept_row_fails_or_raises_in_row_major_order(images, outcome):
 @settings(max_examples=300, deadline=None)
 @given(_function_tables(), st.integers(1, 100))
 def test_respects2_via_commutativity_matches_oracle(m, budget):
-    assert _outcome(respects2_via_commutativity, m, budget) == \
-        _outcome(equiv_oracle.respects2_via_commutativity, m, budget)
+    counted, asked = _asking(m)
+    outcome = _outcome(respects2_via_commutativity, counted, budget)
+    assert outcome == _outcome(equiv_oracle.respects2_via_commutativity, m, budget)
+    # The probe and the first-argument cases share one table; the full
+    # check they may fall back on asks afresh.
+    if not _raises_on_any(m, asked) and "not commutative" not in (outcome[3] or ""):
+        assert len(asked) == len(set(asked))
 
 
 @settings(max_examples=300, deadline=None)
@@ -893,6 +940,77 @@ def test_respects2_via_commutativity_stays_in_budget(m, target_eq, budget):
     m = RespectMap(m.function, m.sources, target_eq, m.name)
     outcome = _outcome(respects2_via_commutativity, m, budget)
     assert outcome[0] == "raised" or outcome[1] <= budget
+
+
+# The kept relations the image tables are filled over: their samples, and
+# so the tables' positions, carry over from one example to the next.
+_KEPT_RELATIONS = [intrel, ratrel, msg_relation(4)]
+
+
+def _early_elements(rel, n: int) -> list:
+    """The first `n` distinct elements of `rel`'s sample."""
+    return equiv_oracle._sample_elements(rel, rel.related_pairs(60))[:n]
+
+
+@st.composite
+def _kept_maps(draw):
+    """A map of 1-3 arguments, each over intrel, ratrel or the bound-4
+    message relation: a table on a checksum of its arguments' canonical
+    forms (it respects the relations) or of the arguments (it may refute),
+    which may raise on one chosen early element of one source."""
+    sources = tuple(draw(st.lists(st.sampled_from(_KEPT_RELATIONS), min_size=1, max_size=3)))
+    respecting = draw(st.booleans())
+    table = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+    poison = draw(st.none() | st.sampled_from(sources).flatmap(
+        lambda rel: st.sampled_from(_early_elements(rel, 20))))
+
+    def f(*args):
+        if poison is not None and poison in args:
+            raise _NoImage(f"f{args!r}")
+        key = tuple(map(lambda rel, a: rel.canonicalize(a), sources, args)) if respecting else args
+        return table[zlib.crc32(repr(key).encode()) % len(table)]
+
+    return RespectMap(f, sources, operator.eq, "respecting" if respecting else "any")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_kept_maps(), st.integers(1, 300))
+def test_kept_relation_maps_match_oracle(m, budget):
+    # The image tables change how often f is asked, never the report or
+    # the exception; a two-argument map over one relation also takes the
+    # commutativity shortcut.
+    assert _outcome(check_respects, m, budget) == _outcome(equiv_oracle.check_respects, m, budget)
+    if len(m.sources) == 2 and m.sources[0] is m.sources[1]:
+        assert _outcome(respects2_via_commutativity, m, budget) == \
+            _outcome(equiv_oracle.respects2_via_commutativity, m, budget)
+
+
+@st.composite
+def _tampered_relations(draw):
+    """intrel, ratrel or the bound-4 message relation over the same pair
+    stream, with a decider that also relates two chosen early elements,
+    both ways or one way, or raises on them; the cube of sampled elements
+    then meets a relation that need not be transitive or symmetric."""
+    base = draw(st.sampled_from(_KEPT_RELATIONS))
+    early = _early_elements(base, 10)
+    a, b = draw(st.sampled_from(early)), draw(st.sampled_from(early))
+    how = draw(st.sampled_from(["both", "one", "raise"]))
+
+    def decider(x, y):
+        if (x == a and y == b) or (how != "one" and x == b and y == a):
+            if how == "raise":
+                raise _OutsideCarrier(f"decider({x!r}, {y!r})")
+            return True
+        return base.decider(x, y)
+
+    return EquivRelation(base.name, decider, base.carrier, base.related_pairs, base.canonicalize)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_tampered_relations(), st.integers(1, 300))
+def test_tampered_decider_matches_oracle(rel, budget):
+    assert _outcome(check_equivalence, rel, budget) == \
+        _outcome(equiv_oracle.check_equivalence, rel, budget)
 
 
 # (relation, its tier source, the reference generator of its pairs)
@@ -973,24 +1091,36 @@ class TestPairStream:
         # Threads checking one fresh relation at different budgets grow
         # one kept sample, and each gets the single-threaded report.  The
         # pairs are generated first and the threads start together, so
-        # they race on the sample.
+        # they race on the sample; the congruence checks read its positions
+        # while the equivalence checks place and chain its pairs.
         budgets = [3000, 2999, 1000, 2]
-        expected = [check_equivalence(rel, budget) for budget in budgets]
+        one, two = {"intrel": (NEG_MAP, ADD_MAP),
+                    "ratrel": (rationals.RAT_NEG_MAP, RAT_ADD_MAP)}[rel.name]
+
+        def checks(r):
+            neg = RespectMap(one.function, (r,), one.target_eq)
+            add = RespectMap(two.function, (r, r), two.target_eq)
+            return [partial(check_equivalence, r, budget) for budget in budgets] + [
+                partial(check_respects, neg, 2500), partial(check_respects, add, 2999),
+                partial(respects2_via_commutativity, add, 3000)]
+
+        expected = [_outcome(check) for check in checks(rel)]
         for _ in range(10):
             fresh = EquivRelation(rel.name, rel.decider, rel.carrier, PairStream(source),
                                   rel.canonicalize)
             fresh.related_pairs(max(budgets))
-            results = [None] * len(budgets)
-            start = threading.Barrier(len(budgets))
+            jobs = checks(fresh)
+            results = [None] * len(jobs)
+            start = threading.Barrier(len(jobs))
 
             def check(i):
                 start.wait(timeout=60)
-                results[i] = check_equivalence(fresh, budgets[i])
+                results[i] = _outcome(jobs[i])
 
             interval = sys.getswitchinterval()
             sys.setswitchinterval(1e-6)
             try:
-                threads = [threading.Thread(target=check, args=(i,)) for i in range(len(budgets))]
+                threads = [threading.Thread(target=check, args=(i,)) for i in range(len(jobs))]
                 for t in threads:
                     t.start()
                 for t in threads:
@@ -999,7 +1129,7 @@ class TestPairStream:
             finally:
                 sys.setswitchinterval(interval)
             assert results == expected
-            assert [check_equivalence(fresh, budget) for budget in budgets] == expected
+            assert [_outcome(check) for check in jobs] == expected
 
     @pytest.mark.parametrize("rel", [intrel, ratrel, msg_relation(3)],
                              ids=["intrel", "ratrel", "msgrel-bound-3"])
