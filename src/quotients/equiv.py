@@ -471,6 +471,6 @@ def revalidate_counterexample(report: CongruenceReport) -> bool:
     if report.counterexample is None or m is None:
         return False
     pairs = (report.counterexample,) if len(m.sources) == 1 else report.counterexample
-    xs, ys = zip(*pairs)
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
     related = all(rel.decider(x, y) for rel, (x, y) in zip(m.sources, pairs))
     return related and not m.target_eq(m.function(*xs), m.function(*ys))

@@ -414,11 +414,12 @@ def _product_segments(f: Callable, sources: list, columns: list, limit: int,
     first-seen order; a segment images those its cases draw first,
     `_FIRST_FILL` cases and then twice as many each time.  More: one
     segment per row (the last argument under fixed leading ones), and a
-    table per tuple of leading positions, dropped after its last row.  It
-    holds the images at the last argument's positions in the order the
-    side (left or right) that first reads it meets them, then those the
-    other side adds, so a whole row's cells on either side are a prefix.
-    `tables` may hold some of them already."""
+    table per tuple of leading positions.  It holds the images at the last
+    argument's positions in the order the side (left or right) that first
+    reads it meets them, then those the other side adds, so a whole row's
+    cells on either side are a prefix.  `tables` may hold some of them
+    already.  A check keeps every image it asks for until it returns;
+    between checks only the relation's `Sample` is kept."""
     *lead, (elems, pos, new) = sources
     xs, ys, width = columns[-1]
     total = min(limit, width * math.prod(c[2] for c in columns[:-1]))
@@ -435,17 +436,12 @@ def _product_segments(f: Callable, sources: list, columns: list, limit: int,
         return
     if not total:
         return
-    rows = list(itertools.islice(zip(
+    rows = itertools.islice(zip(
         itertools.product(*(p[0:2 * c[2]:2] for (_, p, _), c in zip(lead, columns))),
         itertools.product(*(p[1:2 * c[2]:2] for (_, p, _), c in zip(lead, columns))),
         itertools.product(*(itertools.islice(c[0], c[2]) for c in columns[:-1])),
         itertools.product(*(itertools.islice(c[1], c[2]) for c in columns[:-1]))),
-        -(-total // width)))
-    first, last = {}, {}  # the side that first reads each table, and its last row
-    for r, (lt, rt, _, _) in enumerate(rows):
-        first.setdefault(lt, 0)
-        first.setdefault(rt, 1)
-        last[lt] = last[rt] = r
+        -(-total // width))
     cols = (pos[0:2 * width:2], pos[1:2 * width:2])
     layouts = []  # per first side: elements in table order, gathers and prefixes per side
     for side in (0, 1):
@@ -457,11 +453,12 @@ def _product_segments(f: Callable, sources: list, columns: list, limit: int,
                         prefixes))
     if tables is None:
         tables = {}  # leading positions -> images, in the layout of its first side
+    first: dict = {}  # leading positions -> the side (0 left, 1 right) that first reads them
     for r, (lt, rt, lx, rx) in enumerate(rows):
         w = min(width, total - r * width)
         work, reads = [], []
         for side, t in enumerate((lt, rt)):
-            items, gathers, prefixes = layouts[first[t]]
+            items, gathers, prefixes = layouts[first.setdefault(t, side)]
             table = tables.setdefault(t, [])
             gather = gathers[side] if w == width else gathers[side][:w]
             if w < width or len(table) < prefixes[side]:
@@ -470,9 +467,6 @@ def _product_segments(f: Callable, sources: list, columns: list, limit: int,
             reads.append(map(table.__getitem__, gather))
         yield (w, partial(_fill_rows, f, work), reads[0], reads[1],
                partial(_cases, lx, xs, rx, ys, 0, w))
-        for t in (lt, rt):
-            if last[t] == r:
-                tables.pop(t, None)
 
 
 def _fill_rows(f: Callable, work: list) -> None:
@@ -495,7 +489,9 @@ def commutativity(f: Callable, eq: Callable, rel: EquivRelation, budget: int):
     ran, the elements (a, b) at which the probe failed, or None, and the
     first-argument stage's counterexample, or None.  The probe and that
     stage read one table of f(a, b) over the sampled elements, in which the
-    probe's f(a, b) and f(b, a) are two cells."""
+    probe's f(a, b) and f(b, a) are two cells.  A check keeps every image
+    it asks for until it returns; between checks only the relation's
+    `Sample` is kept."""
     side = int(budget ** 0.5) + 1
     xs, ys, n = _columns(rel, side)
     xs, ys = xs[:n], ys[:n]
@@ -507,12 +503,8 @@ def commutativity(f: Callable, eq: Callable, rel: EquivRelation, budget: int):
         return 0, None, None
 
     k = len(elems)
-    probe = min(budget // 2, k * k)
-    # The first-argument cases read the rows of the elements their pairs
-    # draw, the first `reached` elements: the probe keeps those rows' cells.
-    reached = _drawn(sample.new, min(n, -(-(budget - probe) // k)))
     rows: list = [[] for _ in elems]  # rows[i][j] is f(elems[i], elems[j]); each a prefix
-    checked, failed = _scan(f, eq, _probe_segments(f, rows, elems, probe, reached))
+    checked, failed = _scan(f, eq, _probe_segments(f, rows, elems, min(budget // 2, k * k)))
     if failed is not None:
         return checked, (elems[failed // k], elems[failed % k]), None
 
@@ -521,7 +513,6 @@ def commutativity(f: Callable, eq: Callable, rel: EquivRelation, budget: int):
     diagonal = (elems, array("I", itertools.chain.from_iterable(zip(range(k), range(k)))),
                 bytearray(b"\1") * k)
     tables = {(i,): row for i, row in enumerate(rows)}
-    del rows  # the tables own the rows now, each dropped after its last read
     firsts, failed = _scan(f, eq, _product_segments(
         f, [(elems, pos, sample.new), diagonal], [(xs, ys, n), (elems, elems, k)],
         budget - checked, tables))
@@ -531,38 +522,26 @@ def commutativity(f: Callable, eq: Callable, rel: EquivRelation, budget: int):
     return checked + firsts, None, ((xs[failed // k], ys[failed // k]), (c, c))
 
 
-def _probe_segments(f: Callable, rows: list, elems: list, limit: int, reached: int):
+def _probe_segments(f: Callable, rows: list, elems: list, limit: int):
     """`_scan`'s segments for the commutativity probe: f(a, b) against
     f(b, a) for the first `limit` element pairs (a, b) in row-major order,
-    one segment per a, reading row a and column a of `rows`.  The table
-    keeps only the cells read again: those of the probe's own rows and
-    columns, and those of the first `reached` rows, which the
-    first-argument cases read; any other cell is read once, from the
-    segment's own lists.  The probe ends by dropping the rows past those."""
+    one segment per a, reading row a and column a of `rows`, where the
+    first-argument cases read them again.  A check keeps every image it
+    asks for until it returns; between checks only the relation's
+    `Sample` is kept."""
     k = len(elems)
-    h = -(-limit // k)  # the probe's rows
-    for i in range(h):
+    for i in range(-(-limit // k)):
         w = min(k, limit - i * k)
-        stop = w if i < reached or w <= h else h  # the cells row i keeps
-        tail: list = []  # f(a, b) past them
-        column: list = []  # f(b, a) for the b after a
-        a = elems[i]
-        yield (w, partial(_fill_probe_row, f, rows, elems, i, stop, w, max(h, reached), tail,
-                          column),
-               itertools.chain(itertools.islice(rows[i], stop), tail),
-               itertools.chain(map(operator.itemgetter(i), rows[:min(i + 1, w)]), column),
-               partial(_cases, (a,), elems, (a,), elems, 0, w, swapped=True))
-    del rows[reached:]
+        yield (w, partial(_fill_probe_row, f, rows, elems, i, w),
+               itertools.islice(rows[i], w), map(operator.itemgetter(i), rows[:w]),
+               partial(_cases, (elems[i],), elems, (elems[i],), elems, 0, w, swapped=True))
 
 
-def _fill_probe_row(f: Callable, rows: list, elems: list, i: int, stop: int, w: int,
-                    keep: int, tail: list, column: list) -> None:
-    """Image the first `w` cells of row i, keeping the first `stop` in the
-    row and the rest in `tail`, and the cells of column i below row i, in
-    `column` and in the first `keep` rows.  Every earlier probe row is done,
-    so each of those rows below row i holds its first i cells."""
+def _fill_probe_row(f: Callable, rows: list, elems: list, i: int, w: int) -> None:
+    """Image the first `w` cells of row i, and the cells of column i in
+    rows i + 1 to w - 1.  Every earlier probe row is done, so each row
+    below row i holds its first i cells."""
     a = elems[i]
-    _fill_rows(f, [(rows[i], (a,), elems, stop)])
-    tail += map(f, itertools.repeat(a), elems[stop:w])
-    column += map(f, elems[i + 1:w], itertools.repeat(a))
-    collections.deque(map(list.append, rows[i + 1:min(w, keep)], column), maxlen=0)
+    _fill_rows(f, [(rows[i], (a,), elems, w)])
+    collections.deque(map(list.append, rows[i + 1:w], map(f, elems[i + 1:w], itertools.repeat(a))),
+                      maxlen=0)

@@ -359,6 +359,9 @@ _FLAGS = {
 _COMMANDS = [
     (["check", "msg-congruence", "--truncated-discrim"], ["--budget", "--bound", "--keys", "--nonces"]),
     (["check", "msg-equivalence"], ["--budget", "--bound", "--keys", "--nonces"]),
+    (["check", "int-equivalence"], ["--budget", "--bound", "--keys", "--nonces"]),
+    (["check", "int-congruence"], ["--budget", "--bound", "--keys", "--nonces"]),
+    (["check", "rat-congruence"], ["--budget", "--bound", "--keys", "--nonces"]),
     (["oracle-msgrel"], ["--bound", "--keys", "--nonces"]),
     (["msg-fn", "discrim", "(crypt 0 (nonce 1))"], ["--budget"]),
 ]

@@ -1,11 +1,13 @@
 """Generic machinery: equivalence checks, congruence checks, lifting."""
 
 import copy
+import gc
 import itertools
 import operator
 import pickle
 import sys
 import threading
+import weakref
 import zlib
 from functools import partial
 from typing import Callable, Sequence, TypeVar
@@ -16,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 import equiv_oracle
 import pair_oracles
 
-from quotients import integers, rationals
+from quotients import integers, rationals, runner
 from quotients.equiv import (
     CongruenceReport,
     EquivClass,
@@ -444,6 +446,14 @@ class TestCheckRespectsNAry:
         assert report.counterexample is None and report.map is m0 and len(calls) == 2
         assert lift(report)() == 7
 
+    def test_refuted_nullary_map_revalidates(self):
+        # No pairs: the one case is f() against f(), and a map whose images
+        # differ each call is refuted there and revalidates as refuted.
+        m0 = RespectMap(lambda: object(), (), operator.eq)
+        report = check_respects(m0, 5)
+        assert report.verdict is Verdict.REFUTED and report.counterexample == ()
+        assert revalidate_counterexample(report)
+
 
 class TestRespects2ViaCommutativity:
     def test_addition_via_commutativity(self):
@@ -498,6 +508,49 @@ class TestRespects2ViaCommutativity:
         full = check_respects(m2, 300)
         assert shortcut.certified
         assert full.certified
+
+
+class _Image:
+    """A map's image that a weak reference can watch, compared by value."""
+
+    __slots__ = ("value", "__weakref__")
+
+    def __init__(self, value):
+        self.value = value
+
+
+def _int_value(p):
+    return p[0] - p[1]
+
+
+@pytest.mark.parametrize("check, function, verdict, note", [
+    (check_respects, lambda p: -_int_value(p), Verdict.CERTIFIED, None),
+    (check_respects, lambda p, q: _int_value(p) + _int_value(q), Verdict.CERTIFIED, None),
+    (respects2_via_commutativity, lambda p, q: _int_value(p) * _int_value(q),
+     Verdict.CERTIFIED, "via commutativity and single-argument respect"),
+    (respects2_via_commutativity, lambda p, q: _int_value(p) - _int_value(q),
+     Verdict.CERTIFIED, "not commutative"),
+    (check_respects, lambda p: p[0], Verdict.REFUTED, None),
+], ids=["one", "two", "commutativity", "probe-refuted", "refuted"])
+def test_images_are_released_when_a_check_returns(check, function, verdict, note):
+    # A check keeps every image it asks for until it returns; between checks
+    # the relation keeps only its sample of elements.
+    images = []
+
+    def image(*args):
+        out = _Image(function(*args))
+        images.append(weakref.ref(out))
+        return out
+
+    m = RespectMap(image, (intrel,) * function.__code__.co_argcount,
+                   lambda a, b: a.value == b.value)
+    report = check(m, 2000)
+    assert report.verdict is verdict and (note is None or note in report.note)
+    assert images
+    gc.collect()
+    assert [ref for ref in images if ref() is not None] == []
+    sample = runner.sample_of(intrel)
+    assert all(type(z) is IntPair for z in sample.elems + sample.forms)
 
 
 class TestLifting:
