@@ -109,8 +109,11 @@ class EquivRelation(Record, Generic[T]):
     (an underscore cache, `_sample`, made by its first check): the distinct
     elements in first-seen order, each pair's positions among them, each
     element's carrier verdict and canonical form, and whether each pair's
-    two forms agree, so a repeated check pays only for its decider and maps.
-    Any other relation samples afresh on every call.
+    two forms agree, so a repeated check pays only for its decider and maps;
+    and the transitivity cases of the last budget checked, which a check at
+    another budget replaces, so a repeated `check_equivalence` at the same
+    budget pays only for its decider.  Any other relation samples afresh on
+    every call.
     """
 
     __slots__ = ("name", "decider", "carrier", "related_pairs", "canonicalize", "_sample")

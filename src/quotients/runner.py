@@ -4,8 +4,8 @@
 only applies lifted operations never loads it.  A relation whose pairs come
 from a `PairStream` keeps a `Sample` of them; the congruence checks read
 each case's images from tables filled once per distinct argument tuple over
-the sample's positions, and `check_equivalence` reads its cube of sampled
-elements from one table of the decider.
+the sample's positions, and `check_equivalence` asks each law block as one
+verdict stream, reading its cube of sampled elements from one decider table.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .equiv import EquivRelation, PairStream, _set
 
 _UNASKED = 2  # an element's carrier verdict until a check asks for it
 _NO_FORM = object()  # a late form's own canonical form until a check asks for it
-_END = 0xFFFFFFFF  # no pair: where a chain of `Sample.follow` ends
 
 
 class Sample:
@@ -42,16 +41,16 @@ class Sample:
     pair: whether its two forms agree.  A form is held as the equal element
     where one is placed at or before the element it is the form of; any
     other is a late form, kept in `late` as [form, position of the first
-    element with that form, the form's own form or `_NO_FORM`].  The first
-    `len(follow)` pairs are chained by their left elements, for the
-    transitivity cases: `head[i]` is the first of them whose left is
-    element i, and `follow[m]` the next after pair m (`_END` for none).
+    element with that form, the form's own form or `_NO_FORM`].
     Everything only grows, by appending, and under `lock`, so a smaller
-    budget reads a prefix.
+    budget reads a prefix; except `chains`: a budget and its transitivity
+    cases as columns of pair positions k and m (`_chains`), for the last
+    budget a check asked, which a check at another budget replaces.  So a
+    repeated `check_equivalence` at the same budget asks only its decider.
     """
 
     __slots__ = ("lock", "index", "elems", "inside", "pos", "new", "verified", "forms",
-                 "agree", "late", "head", "follow")
+                 "agree", "late", "chains")
 
     def __init__(self) -> None:
         self.lock = threading.Lock()
@@ -64,8 +63,7 @@ class Sample:
         self.forms: list = []
         self.agree = bytearray()
         self.late: dict = {}
-        self.head = array("I")
-        self.follow = array("I")
+        self.chains: tuple = (0, array("I"), array("I"))
 
     def verify(self, rel: EquivRelation, xs: Sequence, ys: Sequence) -> tuple | None:
         """The generator-contract cases of `check_equivalence` on the pairs of
@@ -75,9 +73,9 @@ class Sample:
         a pair verified before pays only for its decider."""
         related, carrier, pos, inside = rel.decider, rel.carrier, self.pos, self.inside
         kept = min(self.verified, len(xs))
-        for checked, (x, y) in enumerate(zip(itertools.islice(xs, kept), ys), 1):
-            if not related(x, y):
-                return checked, "pair-generator-decider", (x, y)
+        k = _first_false(map(related, itertools.islice(xs, kept), ys))
+        if k < kept:
+            return k + 1, "pair-generator-decider", (xs[k], ys[k])
         self.place(xs, ys, len(xs))
 
         def carried(i: int, x) -> int:
@@ -116,30 +114,14 @@ class Sample:
             new.append(len(elems) - before)
         return _drawn(new, n)
 
-    def link(self, n: int) -> None:
-        """Chain the first `n` placed pairs by their left elements."""
-        pos, head, follow = self.pos, self.head, self.follow
-        linked = len(follow)
-        if n <= linked:
-            return
-        head.extend(itertools.repeat(_END, len(self.elems) - len(head)))
-        tail = dict(zip(pos[0:2 * linked:2], range(linked)))  # each left's last pair
-        for m in range(linked, n):
-            i = pos[2 * m]
-            if head[i] == _END:
-                head[i] = m
-            else:
-                follow[tail[i]] = m
-            tail[i] = m
-            follow.append(_END)
-
     def view(self, rel: EquivRelation, xs: Sequence, ys: Sequence):
         """The sample the pairs of `xs` and `ys` draw, as the checks read it:
         the distinct elements then the late forms they need, in first-seen
-        order; with a canonicalizer, an iterator over those elements' forms
-        (a late form's own form is asked as it is reached) and the agreement
-        byte of each pair, else None for both.  Each element is canonicalized
-        once, in first-seen order, when a view first reaches it."""
+        order; with a canonicalizer, a function giving an iterator over
+        those elements' forms (a late form's own form is asked when an
+        iterator first reaches it) and the agreement byte of each pair, else
+        None for both.  Each element is canonicalized once, in first-seen
+        order, when a view first reaches it."""
         drawn = self.place(xs, ys, len(xs))
         elems = self.elems[:drawn]
         canon = rel.canonicalize
@@ -156,9 +138,9 @@ class Sample:
             agree.append(1 if forms[i] == forms[j] else 0)
         late = [entry for entry in self.late.values()
                 if entry[1] < drawn and index.get(entry[0], drawn) >= drawn]
-        own = map(partial(self._own_form, canon), late)
-        return (elems + [entry[0] for entry in late], itertools.chain(forms[:drawn], own),
-                agree[:len(xs)])
+        held, own = forms[:drawn], partial(self._own_form, canon)
+        return (elems + [entry[0] for entry in late],
+                lambda: itertools.chain(held, map(own, late)), agree[:len(xs)])
 
     def _held(self, c, p: int):
         """`c`, the form of element `p`, as the object kept for it."""
@@ -205,57 +187,68 @@ def equivalence(rel: EquivRelation, budget: int) -> tuple[int, tuple | None]:
         if failure is not None:
             return failure[0], failure[1:]
         elems, forms, agree = sample.view(rel, xs, ys)
-        sample.link(len(xs))
-    checked = len(xs)
-    cases = _law_cases(rel, xs, ys, budget, sample, elems, forms, agree)
-    for checked, violation in enumerate(cases, checked + 1):
+        if sample.chains[0] != budget:
+            sample.chains = (budget, *_chains(sample.pos, n, budget))
+        _, ks, ms = sample.chains
+    checked = n
+    for ran, violation in _law_blocks(rel.decider, xs, ys, budget, elems, forms, agree, ks, ms):
+        checked += ran
         if violation is not None:
-            return checked, violation
-    return checked, None
+            break
+    return checked, violation
 
 
-def _law_cases(rel: EquivRelation, xs: Sequence, ys: Sequence, budget: int,
-               sample: Sample, elems: list, forms, agree):
-    """The cases `check_equivalence` tests once the generator's contract
-    holds on the pairs of `xs` and `ys`, in order: None for a case that
-    holds, else the violated law and its witness.  `elems`, `forms` and
-    `agree` are the sample's view of those pairs (`Sample.view`), whose
-    first `len(xs)` pairs `sample` has chained."""
-    related = rel.decider
-    for x in elems:
-        yield None if related(x, x) else ("reflexivity", (x, x))
-    for x, y in zip(xs, ys):
-        yield None if related(y, x) else ("symmetry", (x, y))
+def _law_blocks(related: Callable, xs: Sequence, ys: Sequence, budget: int, elems: list,
+                forms, agree, ks: array, ms: array):
+    """The law blocks `check_equivalence` runs once the generator's contract
+    holds on the pairs of `xs` and `ys`, in order, as `_block`s; one that
+    fails is the last.  `elems`, `forms` and `agree` are the sample's view
+    of the pairs (`Sample.view`); transitivity case t chains pair ks[t]
+    with pair ms[t].  Each block but the cube is one verdict stream of the
+    decider, asked in case order up to its first false verdict."""
+    yield _block(_first_false(map(related, elems, elems)), len(elems), "reflexivity",
+                 lambda i: (elems[i], elems[i]))
+    yield _block(_first_false(map(related, ys, xs)), len(xs), "symmetry",
+                 lambda k: (xs[k], ys[k]))
 
     # Chain generated pairs through shared midpoints for transitivity: each
     # pair (x, y), in order, with each pair (y, z).
-    chains = _chains(sample.pos, sample.head, sample.follow, len(xs))
-    for k, m in itertools.islice(chains, budget):
-        yield None if related(xs[k], ys[m]) else ("transitivity", (xs[k], ys[k], ys[m]))
+    chained = map(related, map(xs.__getitem__, ks), map(ys.__getitem__, ms))
+    yield _block(_first_false(chained), len(ks), "transitivity",
+                 lambda t: (xs[ks[t]], ys[ks[t]], ys[ms[t]]))
 
     # Cross-sample a bounded cube of elements for laws the generator's own
     # pairs cannot expose (e.g. unrelated elements turning out related).
-    yield from _cube_cases(related, elems[: round(budget ** (1 / 3)) + 2], budget)
+    yield _cube_cases(related, elems[: round(budget ** (1 / 3)) + 2], budget)
 
     if forms is not None:
-        for x, c in zip(elems, forms):
-            yield None if related(x, c) else ("canonical-related", (x, c))
-        for x, y, same in zip(xs, ys, agree):
-            yield None if same else ("canonical-agreement", (x, y))
+        yield _block(_first_false(map(related, elems, forms())), len(elems), "canonical-related",
+                     lambda i: (elems[i], next(itertools.islice(forms(), i, None))))
+        yield _block(agree.find(0), len(xs), "canonical-agreement", lambda k: (xs[k], ys[k]))
 
 
-def _chains(pos: array, head: array, follow: array, n: int) -> Iterable[tuple[int, int]]:
-    """(k, m) for each of the first `n` chained pairs k, in order, and each
-    of them m, in order, whose left element is pair k's right."""
-    for k in range(n):
-        m = head[pos[2 * k + 1]]
-        while m < n:
-            yield k, m
-            m = follow[m]
+def _block(failed: int, size: int, law: str, witness: Callable) -> tuple[int, tuple | None]:
+    """A block of `size` cases that first fails at `failed` (-1 or `size`
+    for none): how many ran, and the law with that case's witness, or None."""
+    return (failed + 1, (law, witness(failed))) if 0 <= failed < size else (size, None)
 
 
-def _cube_cases(related: Callable, cube: list, budget: int):
-    """The cube's cases of `_law_cases`: symmetry on the first `budget`
+def _chains(pos: array, n: int, limit: int) -> tuple[array, array]:
+    """Columns k and m of the first `limit` of these cases, read lazily in C:
+    each of the first `n` pairs k of `pos` (`Sample.pos`), in order, with
+    each of them m, in order, whose left element is pair k's right."""
+    starts = collections.defaultdict(partial(array, "I"))  # the pairs m whose left is each element
+    lefts, rights = (partial(itertools.islice, pos, side, 2 * n, 2) for side in (0, 1))
+    collections.deque(map(array.append, map(starts.__getitem__, lefts()), range(n)), maxlen=0)
+    groups, sizes = itertools.tee(filter(None, map(starts.get, rights())))  # each k's pairs m
+    ks = map(itertools.repeat, itertools.compress(range(n), map(starts.__contains__, rights())),
+             map(len, sizes))
+    return (array("I", itertools.islice(itertools.chain.from_iterable(ks), limit)),
+            array("I", itertools.islice(itertools.chain.from_iterable(groups), limit)))
+
+
+def _cube_cases(related: Callable, cube: list, budget: int) -> tuple[int, tuple | None]:
+    """The cube's block of `_law_blocks`: symmetry on the first `budget`
     pairs of `cube` elements, then transitivity on the first `budget`
     triples, of which only those whose premises hold count.  The decider
     is asked once per cell of the cube, and each case reads its premises
@@ -265,22 +258,20 @@ def _cube_cases(related: Callable, cube: list, budget: int):
     try:
         cells = [related(a, b) for a in cube for b in cube]
     except Exception:
-        yield from _cube_cases_one_by_one(related, cube, budget)
-        return
+        return _cube_cases_one_by_one(related, cube, budget)
     rows, cols = [0] * c, [0] * c  # bit b of rows[a] (of cols[b]): related(a, b)
     for k in itertools.compress(range(c * c), cells):
         a, b = divmod(k, c)
         rows[a] |= 1 << b
         cols[b] |= 1 << a
+    checked = 0
     for a in range(min(c, -(-budget // c))):
         width = (1 << min(c, budget - a * c)) - 1
         bad = rows[a] & ~cols[a] & width  # a ~ b but not b ~ a
         if bad:
             b = (bad & -bad).bit_length() - 1
-            yield from itertools.repeat(None, b)
-            yield "symmetry", (cube[a], cube[b])
-            return
-        yield from itertools.repeat(None, width.bit_length())
+            return checked + b + 1, ("symmetry", (cube[a], cube[b]))
+        checked += width.bit_length()
     for ab in range(min(c * c, -(-budget // c))):
         a, b = divmod(ab, c)
         if rows[a] >> b & 1:
@@ -288,19 +279,25 @@ def _cube_cases(related: Callable, cube: list, budget: int):
             bad = held & ~rows[a]
             if bad:
                 x = (bad & -bad).bit_length() - 1
-                yield from itertools.repeat(None, bin(held & (1 << x) - 1).count("1"))
-                yield "transitivity", (cube[a], cube[b], cube[x])
-                return
-            yield from itertools.repeat(None, bin(held).count("1"))
+                checked += bin(held & (1 << x) - 1).count("1") + 1
+                return checked, ("transitivity", (cube[a], cube[b], cube[x]))
+            checked += bin(held).count("1")
+    return checked, None
 
 
-def _cube_cases_one_by_one(related: Callable, cube: list, budget: int):
+def _cube_cases_one_by_one(related: Callable, cube: list, budget: int) -> tuple[int, tuple | None]:
     """`_cube_cases`, asking the decider as each case comes."""
+    checked = 0
     for a, b in itertools.islice(itertools.product(cube, repeat=2), budget):
-        yield None if not related(a, b) or related(b, a) else ("symmetry", (a, b))
+        checked += 1
+        if related(a, b) and not related(b, a):
+            return checked, ("symmetry", (a, b))
     for a, b, c in itertools.islice(itertools.product(cube, repeat=3), budget):
         if related(a, b) and related(b, c):
-            yield None if related(a, c) else ("transitivity", (a, b, c))
+            checked += 1
+            if not related(a, c):
+                return checked, ("transitivity", (a, b, c))
+    return checked, None
 
 
 def respects(f: Callable, eq: Callable, relations: Sequence[EquivRelation], budget: int):
@@ -373,19 +370,22 @@ def _scan(f: Callable, eq: Callable, segments: Iterable) -> tuple[int, int | Non
         except Exception as exc:
             raised = exc
         if raised is not None:
-            failed = next((k for k, (xs, ys) in enumerate(cases()) if not eq(f(*xs), f(*ys))),
-                          None)
-            if failed is None:
+            failed = _first_false(eq(f(*xs), f(*ys)) for xs, ys in cases())
+            if failed == size:
                 raise raised
         else:
-            try:
-                failed = operator.indexOf(map(operator.not_, map(eq, lefts, rights)), True)
-            except ValueError:
-                failed = None
-        if failed is not None:
+            failed = _first_false(map(eq, lefts, rights))
+        if failed < size:
             return checked + failed + 1, checked + failed
         checked += size
     return checked, None
+
+
+def _first_false(verdicts: Iterable) -> int:
+    """The position of the first false verdict of `verdicts`, asked in
+    order up to it, or their number when none is false: one C-level pass,
+    through which whatever a verdict raises propagates."""
+    return operator.indexOf(itertools.chain(map(operator.not_, verdicts), (True,)), True)
 
 
 def _cases(lead: tuple, xs: Sequence, other: tuple, ys: Sequence, lo: int, hi: int,

@@ -972,6 +972,33 @@ def test_kept_row_fails_or_raises_in_row_major_order(images, outcome):
     assert _outcome(check_respects, m, 9) == _outcome(equiv_oracle.check_respects, m, 9) == outcome
 
 
+def _value_error_at(n: int, verdict: Callable) -> Callable:
+    """`verdict`, raising `ValueError` on its n-th call instead, as a truth
+    test of an array with more than one element does."""
+    calls = itertools.count(1)
+
+    def raising(*args):
+        if next(calls) == n:
+            raise ValueError(f"call {n}")
+        return verdict(*args)
+
+    return raising
+
+
+@pytest.mark.parametrize("check", [
+    lambda: check_respects(RespectMap(NEG_MAP.function, NEG_MAP.sources,
+                                      _value_error_at(50, NEG_MAP.target_eq)), 200),
+    lambda: check_equivalence(EquivRelation(intrel.name, _value_error_at(500, intrel.decider),
+                                            intrel.carrier, intrel.related_pairs,
+                                            intrel.canonicalize), 200),
+], ids=["target-eq", "decider"])
+def test_a_value_error_in_a_verdict_stream_propagates(check):
+    # A verdict that raises ValueError is neither a pass nor the end of the
+    # cases: the check raises it, as the case-by-case oracle does.
+    with pytest.raises(ValueError, match="^call "):
+        check()
+
+
 @settings(max_examples=300, deadline=None)
 @given(_function_tables(), st.integers(1, 100))
 def test_respects2_via_commutativity_matches_oracle(m, budget):
@@ -1064,6 +1091,130 @@ def _tampered_relations(draw):
 def test_tampered_decider_matches_oracle(rel, budget):
     assert _outcome(check_equivalence, rel, budget) == \
         _outcome(equiv_oracle.check_equivalence, rel, budget)
+
+
+def _counted(rel):
+    """A copy of `rel` over the same pairs whose decider counts its calls,
+    and the counter."""
+    calls = [0]
+
+    def decider(x, y):
+        calls[0] += 1
+        return rel.decider(x, y)
+
+    return EquivRelation(rel.name, decider, rel.carrier, rel.related_pairs,
+                         rel.canonicalize), calls
+
+
+@pytest.mark.parametrize("rel, budget, asks, half_asks", [
+    (intrel, 20000, 65677, 33632),
+    (ratrel, 20000, 80459, 40435),
+    (msg_relation(6), 2000, 7869, 4152),
+], ids=["intrel", "ratrel", "msgrel-bound-6"])
+def test_a_kept_sample_drops_and_adds_no_decider_ask(rel, budget, asks, half_asks):
+    # The kept sample spares the carrier, the canonicalizer and the chain
+    # walk, never a decider ask: a first call, a repeat, half the budget
+    # and the full budget again each ask as often as a fresh sample would.
+    counted, calls = _counted(rel)
+    for b, expected in ((budget, asks), (budget, asks), (budget // 2, half_asks), (budget, asks)):
+        calls[0] = 0
+        check_equivalence(counted, b)
+        assert calls[0] == expected
+
+
+def _transitivity_cases(pairs: list, budget: int) -> list:
+    """The oracle's transitivity cases on `pairs` as pair positions (k, m):
+    each pair k with each pair m whose left is pair k's right, in order, the
+    first `budget` of them."""
+    by_first: dict = {}
+    for m, (x, _) in enumerate(pairs):
+        by_first.setdefault(x, []).append(m)
+    cases = ((k, m) for k, (_, y) in enumerate(pairs) for m in by_first.get(y, ()))
+    return list(itertools.islice(cases, budget))
+
+
+@pytest.mark.parametrize("rel", [intrel, ratrel], ids=["intrel", "ratrel"])
+def test_transitivity_cases_are_kept_for_the_last_budget(rel, monkeypatch):
+    # A repeat at the same budget walks no chain; another budget walks
+    # them again and replaces the kept columns, which no check grows.
+    walks = []
+    chains = runner._chains
+    monkeypatch.setattr(runner, "_chains", lambda *args: walks.append(args) or chains(*args))
+    fresh = EquivRelation(rel.name, rel.decider, rel.carrier, rel.related_pairs,
+                          rel.canonicalize)
+    kept = []
+    for budget, walked in ((2000, 1), (2000, 0), (1000, 1), (2000, 1), (2000, 0)):
+        del walks[:]
+        assert check_equivalence(fresh, budget) == equiv_oracle.check_equivalence(rel, budget)
+        assert len(walks) == walked
+        served, ks, ms = fresh._sample.chains
+        assert served == budget and len(ks) == len(ms) <= budget
+        assert list(zip(ks, ms)) == _transitivity_cases(rel.related_pairs(budget), budget)
+        if walked:
+            assert all(ks is not old for old, _ in kept)
+            kept.append((ks, len(ks)))
+    assert [len(ks) for ks, _ in kept] == [length for _, length in kept]
+
+
+def _fresh_transitivity_case(rel, budget: int) -> tuple:
+    """A transitivity case (x, y, z) of `rel` at `budget`, past the first
+    half of them, whose conclusion (x, z) no earlier case of the pairs,
+    their symmetry or reflexivity asks."""
+    pairs = rel.related_pairs(budget)
+    asked = set(pairs) | {(y, x) for x, y in pairs} | {(x, x) for pair in pairs for x in pair}
+    cases = _transitivity_cases(pairs, budget)
+    for t, (k, m) in enumerate(cases):
+        x, y, z = pairs[k][0], pairs[k][1], pairs[m][1]
+        if t >= len(cases) // 2 and (x, z) not in asked:
+            return x, y, z
+        asked.add((x, z))
+    raise AssertionError("no fresh transitivity case")
+
+
+def _path_partition(canonical: bool) -> EquivRelation:
+    """Ten classes of nine consecutive ints over a fresh `PairStream`: each
+    class a path of pairs (a, a + 1) and (a + 1, a), so most transitivity
+    conclusions are no generated pair; with the least of its class as each
+    element's canonical form, or no canonicalizer."""
+    pairs = [p for a in range(90) if a % 9 < 8 for p in ((a, a + 1), (a + 1, a))]
+    return EquivRelation(
+        name="paths",
+        decider=lambda x, y: x // 9 == y // 9,
+        carrier=lambda x: x in range(90),
+        related_pairs=PairStream(lambda: [([x for x, _ in pairs], [y for _, y in pairs])]),
+        canonicalize=(lambda x: x - x % 9) if canonical else None,
+    )
+
+
+@pytest.mark.parametrize("other", [50, 1200])
+@pytest.mark.parametrize("how", ["fail", "raise"])
+@pytest.mark.parametrize("make, budget", [
+    (partial(_path_partition, False), 200), (partial(_path_partition, True), 200),
+    (lambda: EquivRelation(ratrel.name, ratrel.decider, ratrel.carrier,
+                           PairStream(ratrel.related_pairs.tiers), ratrel.canonicalize), 600),
+], ids=["paths", "paths-canonical", "ratrel"])
+def test_tampered_transitivity_case_matches_oracle_across_budgets(make, budget, how, other):
+    # A decider that fails, or raises, at one transitivity case of a check
+    # at `budget` meets it there; the kept cases of another budget asked in
+    # between leave the report of `budget` asked again unchanged.
+    rel = make()
+    x, y, z = _fresh_transitivity_case(rel, budget)
+
+    def decider(u, v):
+        if u == x and v == z:
+            if how == "raise":
+                raise _OutsideCarrier(f"decider({u!r}, {v!r})")
+            return False
+        return rel.decider(u, v)
+
+    tampered = EquivRelation(rel.name, decider, rel.carrier, rel.related_pairs, rel.canonicalize)
+    outcomes = [_outcome(check_equivalence, tampered, b) for b in (budget, other, budget)]
+    assert outcomes == [_outcome(equiv_oracle.check_equivalence, tampered, b)
+                        for b in (budget, other, budget)]
+    if how == "raise":
+        assert outcomes[0] == ("raised", "_OutsideCarrier", f"decider({x!r}, {z!r})")
+    else:
+        assert outcomes[0][2:] == ("transitivity", (x, y, z))
 
 
 # (relation, its tier source, the reference generator of its pairs)
