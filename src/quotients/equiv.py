@@ -142,10 +142,11 @@ class PairStream(Record, Generic[T]):
     it may end.  A tier is the grade's pairs as two columns, the lists of
     their left and of their right elements, so no pair tuple is built until
     a request asks for it.  A call returns a new list of the first `budget`
-    pairs; `columns(budget)` returns them as two new column lists, which
-    the checks read.  The columns of the tiers reached so far are kept, and
-    a request extends them under a lock only through the tier its budget
-    ends in, so a request within them generates nothing.
+    pairs; `columns(budget)` returns them as two new column lists.  The
+    checks read the kept columns themselves, uncopied, through `_kept`.
+    The columns of the tiers reached so far are kept, and a request
+    extends them under a lock only through the tier its budget ends in, so
+    a request within them generates nothing.
     Nothing is dropped: memory is bounded by the largest budget asked.  A
     tier source that raises ends the stream: the request that met the
     exception raises it, and every later request past the kept pairs

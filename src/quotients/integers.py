@@ -4,9 +4,10 @@ A pair (x, y) stands for the integer x - y; two pairs are related when
 x + v = u + y, an equation stated entirely in the naturals.  A `QInt` is
 such a class.  Each operation is a RespectMap on representatives, certified
 representative-independent by the bounded congruence checks and applied to
-classes by `equiv.operation`; a native-int bridge is provided purely as a
-test oracle.  The maps return plain `(x, y)` tuples; a class stores the
-canonical `IntPair` that `class_of` makes of its image.
+classes by `equiv.operation`.  The native-int bridge `from_native` and
+`to_native` reads `int-eval`'s literals and prints its results, and the
+tests compare against it.  The maps return plain `(x, y)` tuples; a class
+stores the canonical `IntPair` that `class_of` makes of its image.
 
 `intrel.related_pairs` is a `PairStream`: each pair is generated once per
 process, `related_pairs(b)` is a prefix of `related_pairs(b')` for b <= b',
@@ -76,25 +77,14 @@ intrel: EquivRelation[IntPair] = EquivRelation(
 
 
 class QInt(EquivClass[IntPair]):
-    """An integer as a canonically-stored equivalence class of IntPairs."""
+    """An integer as a canonically-stored equivalence class of IntPairs.
+    Its operators `+`, `*`, unary `-` and `<=` are the lifted operations."""
 
     __slots__ = ()
 
     @property
     def pair(self) -> IntPair:
         return self.representative
-
-    def __add__(self, other: "QInt") -> "QInt":
-        return add(self, other)
-
-    def __mul__(self, other: "QInt") -> "QInt":
-        return mul(self, other)
-
-    def __neg__(self) -> "QInt":
-        return neg(self)
-
-    def __le__(self, other: "QInt") -> bool:
-        return le(self, other)
 
     def __repr__(self) -> str:
         return f"QInt({self.pair.x}, {self.pair.y})"
@@ -158,6 +148,7 @@ sub = operation(SUB_MAP, QInt)
 mul = operation(MUL_MAP, QInt)
 le = operation(LE_MAP)
 to_nat = operation(NAT_MAP)
+QInt.__add__, QInt.__mul__, QInt.__neg__, QInt.__le__ = add, mul, neg, le
 
 # The integer operations, declared once: eval symbol to lifted operation
 # (each names its map) in `check int-congruence` order, and the symbols it
@@ -167,10 +158,10 @@ COMMUTATIVE = ("+", "*")
 
 
 def from_native(i: int) -> QInt:
-    """Oracle bridge: a native signed integer as a QInt."""
+    """A native signed integer as a QInt."""
     return qint(i, 0) if i >= 0 else qint(0, -i)
 
 
 def to_native(z: QInt) -> int:
-    """Oracle bridge: the signed integer a QInt denotes."""
+    """The signed integer a QInt denotes."""
     return z.pair.x - z.pair.y

@@ -87,7 +87,8 @@ ratrel: EquivRelation[RatPair] = EquivRelation(
 
 
 class QRat(EquivClass[RatPair]):
-    """A rational as a canonically-stored equivalence class of RatPairs."""
+    """A rational as a canonically-stored equivalence class of RatPairs.
+    Its operators `+`, `*` and unary `-` are the lifted operations."""
 
     __slots__ = ()
 
@@ -102,15 +103,6 @@ class QRat(EquivClass[RatPair]):
     @property
     def den(self) -> int:
         return self.pair.den
-
-    def __add__(self, other: "QRat") -> "QRat":
-        return rat_add(self, other)
-
-    def __mul__(self, other: "QRat") -> "QRat":
-        return rat_mul(self, other)
-
-    def __neg__(self) -> "QRat":
-        return rat_neg(self)
 
     def __repr__(self) -> str:
         return f"QRat({self.num}/{self.den})"
@@ -151,6 +143,7 @@ rat_add = operation(RAT_ADD_MAP, QRat)
 rat_mul = operation(RAT_MUL_MAP, QRat)
 rat_neg = operation(RAT_NEG_MAP, QRat)
 rat_inv = operation(RAT_INV_MAP, QRat)
+QRat.__add__, QRat.__mul__, QRat.__neg__ = rat_add, rat_mul, rat_neg
 
 # Declared as in `integers`.  `inv` is partial: inv_pair raises DomainError
 # on the zero class, which holds the first related pair, so no suite runs it.

@@ -23,6 +23,7 @@ from .equiv import EquivRelation, PairStream, _set
 
 _UNASKED = 2  # an element's carrier verdict until a check asks for it
 _NO_FORM = object()  # a late form's own canonical form until a check asks for it
+_STOPPED = "StopIteration raised inside a check's cases"  # see `_first_false`
 
 
 class Sample:
@@ -73,7 +74,7 @@ class Sample:
         a pair verified before pays only for its decider."""
         related, carrier, pos, inside = rel.decider, rel.carrier, self.pos, self.inside
         kept = min(self.verified, len(xs))
-        k = _first_false(map(related, itertools.islice(xs, kept), ys))
+        k = _first_false(map(related, itertools.islice(xs, kept), ys), kept)
         if k < kept:
             return k + 1, "pair-generator-decider", (xs[k], ys[k])
         self.place(xs, ys, len(xs))
@@ -206,15 +207,15 @@ def _law_blocks(related: Callable, xs: Sequence, ys: Sequence, budget: int, elem
     of the pairs (`Sample.view`); transitivity case t chains pair ks[t]
     with pair ms[t].  Each block but the cube is one verdict stream of the
     decider, asked in case order up to its first false verdict."""
-    yield _block(_first_false(map(related, elems, elems)), len(elems), "reflexivity",
+    yield _block(_first_false(map(related, elems, elems), len(elems)), len(elems), "reflexivity",
                  lambda i: (elems[i], elems[i]))
-    yield _block(_first_false(map(related, ys, xs)), len(xs), "symmetry",
+    yield _block(_first_false(map(related, ys, xs), len(xs)), len(xs), "symmetry",
                  lambda k: (xs[k], ys[k]))
 
     # Chain generated pairs through shared midpoints for transitivity: each
     # pair (x, y), in order, with each pair (y, z).
     chained = map(related, map(xs.__getitem__, ks), map(ys.__getitem__, ms))
-    yield _block(_first_false(chained), len(ks), "transitivity",
+    yield _block(_first_false(chained, len(ks)), len(ks), "transitivity",
                  lambda t: (xs[ks[t]], ys[ks[t]], ys[ms[t]]))
 
     # Cross-sample a bounded cube of elements for laws the generator's own
@@ -222,7 +223,8 @@ def _law_blocks(related: Callable, xs: Sequence, ys: Sequence, budget: int, elem
     yield _cube_cases(related, elems[: round(budget ** (1 / 3)) + 2], budget)
 
     if forms is not None:
-        yield _block(_first_false(map(related, elems, forms())), len(elems), "canonical-related",
+        yield _block(_first_false(map(related, elems, forms()), len(elems)), len(elems),
+                     "canonical-related",
                      lambda i: (elems[i], next(itertools.islice(forms(), i, None))))
         yield _block(agree.find(0), len(xs), "canonical-agreement", lambda k: (xs[k], ys[k]))
 
@@ -361,7 +363,9 @@ def _scan(f: Callable, eq: Callable, segments: Iterable) -> tuple[int, int | Non
     once per case, in order, on images asked once per distinct argument
     tuple.  Should `fill()` raise, the segment's cases (`cases()` gives each
     one's left and right arguments) are asked one by one, as a scan with no
-    table would: one that fails before the raising one still refutes."""
+    table would: one that fails before the raising one still refutes.  A
+    fill that `f` cut short with `StopIteration` raises `RuntimeError`, so
+    its cases are asked one by one too."""
     checked = 0
     for size, fill, lefts, rights, cases in segments:
         try:
@@ -370,22 +374,28 @@ def _scan(f: Callable, eq: Callable, segments: Iterable) -> tuple[int, int | Non
         except Exception as exc:
             raised = exc
         if raised is not None:
-            failed = _first_false(eq(f(*xs), f(*ys)) for xs, ys in cases())
+            failed = _first_false((eq(f(*xs), f(*ys)) for xs, ys in cases()), size)
             if failed == size:
                 raise raised
         else:
-            failed = _first_false(map(eq, lefts, rights))
+            failed = _first_false(map(eq, lefts, rights), size)
         if failed < size:
             return checked + failed + 1, checked + failed
         checked += size
     return checked, None
 
 
-def _first_false(verdicts: Iterable) -> int:
-    """The position of the first false verdict of `verdicts`, asked in
-    order up to it, or their number when none is false: one C-level pass,
-    through which whatever a verdict raises propagates."""
-    return operator.indexOf(itertools.chain(map(operator.not_, verdicts), (True,)), True)
+def _first_false(verdicts: Iterable, size: int) -> int:
+    """The position of the first false verdict of the `size` verdicts of
+    `verdicts`, asked in order up to it, or `size` when none is false: one
+    C-level pass, through which whatever a verdict raises propagates.  A
+    `StopIteration` raised inside the pass would end it early, as if the
+    verdicts had run out; that raises `RuntimeError`, as in a generator."""
+    end = iter((True,))
+    failed = operator.indexOf(itertools.chain(map(operator.not_, verdicts), end), True)
+    if failed < size and not operator.length_hint(end):
+        raise RuntimeError(_STOPPED)
+    return failed
 
 
 def _cases(lead: tuple, xs: Sequence, other: tuple, ys: Sequence, lo: int, hi: int,
@@ -472,16 +482,22 @@ def _product_segments(f: Callable, sources: list, columns: list, limit: int,
 def _fill_rows(f: Callable, work: list) -> None:
     """Image each (table, leading arguments, items, wanted) of `work`:
     f(*leading arguments, items[i]) at each index i wanted that the table
-    lacks, where wanted is a prefix's length or a list of indices."""
+    lacks, where wanted is a prefix's length or a list of indices.  Should
+    `f` raise `StopIteration`, which ends a C-level pass as if its items had
+    run out, the table lacks an image: that raises `RuntimeError`."""
     for table, args, items, wanted in work:
         reps = map(itertools.repeat, args)
         if isinstance(wanted, int):
             table += map(f, *reps, itertools.islice(items, len(table), wanted))
-            continue
-        need = [i for i in dict.fromkeys(wanted) if i >= len(table) or table[i] is _HOLE]
-        table += itertools.repeat(_HOLE, max(need, default=-1) + 1 - len(table))
-        images = map(f, *reps, map(items.__getitem__, need))
-        collections.deque(map(table.__setitem__, need, images), maxlen=0)
+            short = len(table) < wanted
+        else:
+            need = [i for i in dict.fromkeys(wanted) if i >= len(table) or table[i] is _HOLE]
+            table += itertools.repeat(_HOLE, max(need, default=-1) + 1 - len(table))
+            images = map(f, *reps, map(items.__getitem__, need))
+            collections.deque(map(table.__setitem__, need, images), maxlen=0)
+            short = need and table[need[-1]] is _HOLE
+        if short:
+            raise RuntimeError(_STOPPED)
 
 
 def commutativity(f: Callable, eq: Callable, rel: EquivRelation, budget: int):
@@ -540,8 +556,11 @@ def _probe_segments(f: Callable, rows: list, elems: list, limit: int):
 def _fill_probe_row(f: Callable, rows: list, elems: list, i: int, w: int) -> None:
     """Image the first `w` cells of row i, and the cells of column i in
     rows i + 1 to w - 1.  Every earlier probe row is done, so each row
-    below row i holds its first i cells."""
+    below row i holds its first i cells.  Raises `RuntimeError` where, as
+    in `_fill_rows`, a `StopIteration` left a cell out."""
     a = elems[i]
     _fill_rows(f, [(rows[i], (a,), elems, w)])
     collections.deque(map(list.append, rows[i + 1:w], map(f, elems[i + 1:w], itertools.repeat(a))),
                       maxlen=0)
+    if len(rows[w - 1]) <= i:
+        raise RuntimeError(_STOPPED)

@@ -707,11 +707,15 @@ class _NoImage(Exception):
 
 
 def _outcome(check, *args):
-    """A report as a comparable tuple, or the exception it raised."""
+    """A report as a comparable tuple, or the exception it raised; a
+    StopIteration, or the RuntimeError a generator turns it into, reads as
+    "stopped"."""
     try:
         r = check(*args)
     except (_OutsideCarrier, _NoImage) as exc:
         return "raised", type(exc).__name__, str(exc)
+    except (StopIteration, RuntimeError):
+        return "stopped"
     if hasattr(r, "law"):
         return r.verdict, r.checked, r.law, r.witness
     return r.verdict, r.checked, r.counterexample, r.note
@@ -725,12 +729,12 @@ def _pair_lists(pool):
 
 
 @st.composite
-def _finite_relations(draw):
+def _finite_relations(draw, outside: type = _OutsideCarrier):
     """A relation on a subset of range(6): a boolean table (reflexive,
     symmetric or neither) or a partition,
-    with a decider that raises outside the carrier, 0-40 generated pairs
-    that may be unrelated or outside the carrier, and an optional
-    canonicalizer."""
+    with a decider that raises `outside` outside the carrier, 0-40
+    generated pairs that may be unrelated or outside the carrier, and an
+    optional canonicalizer."""
     mask = draw(st.lists(st.booleans(), min_size=6, max_size=6))
     carrier = frozenset(x for x in _R if mask[x])
     kind = draw(st.sampled_from(["table", "reflexive", "symmetric", "partition"]))
@@ -745,7 +749,7 @@ def _finite_relations(draw):
 
     def decider(x, y):
         if x not in carrier or y not in carrier:
-            raise _OutsideCarrier(f"decider({x}, {y})")
+            raise outside(f"decider({x}, {y})")
         return related(x, y)
 
     inside = sorted(carrier)
@@ -866,27 +870,27 @@ def _partitions(draw):
     return labels, rel
 
 
-def _table_map(draw, key: Callable[[tuple], int], size: int) -> Callable:
+def _table_map(draw, key: Callable[[tuple], int], size: int, hole: type) -> Callable:
     """A function whose image of `args` is entry `key(args)` of a random
     table of `size` entries; up to three drawn keys have no entry, and
-    their arguments raise `_NoImage`."""
+    their arguments raise `hole`."""
     table = draw(st.lists(st.integers(0, 5), min_size=size, max_size=size))
     holes = draw(st.sets(st.integers(0, size - 1), max_size=3))
 
     def f(*args):
         k = key(args)
         if k in holes:
-            raise _NoImage(f"f{args}")
+            raise hole(f"f{args}")
         return table[k]
 
     return f
 
 
 @st.composite
-def _function_tables(draw):
+def _function_tables(draw, hole: type = _NoImage):
     """A map on range(6)² over one random partition with 0-40 generated
     pairs: a random table, a commutative one, or one that respects the
-    partition; it may raise on some argument tuples."""
+    partition; it may raise `hole` on some argument tuples."""
     labels, rel = draw(_partitions())
     kind = draw(st.sampled_from(["any", "commutative", "respecting"]))
     if kind == "any":
@@ -895,14 +899,14 @@ def _function_tables(draw):
         key = lambda args: 6 * min(args) + max(args)
     else:
         key = lambda args: 6 * min(labels[a] for a in args) + max(labels[a] for a in args)
-    return RespectMap(_table_map(draw, key, 36), (rel, rel), operator.eq, kind)
+    return RespectMap(_table_map(draw, key, 36, hole), (rel, rel), operator.eq, kind)
 
 
 @st.composite
-def _maps(draw):
+def _maps(draw, hole: type = _NoImage):
     """A map of 0-3 arguments, each over its own random partition: a
     random table on the arguments, or one on their classes, which respects
-    the partitions; it may raise on some argument tuples."""
+    the partitions; it may raise `hole` on some argument tuples."""
     sources = [draw(_partitions()) for _ in range(draw(st.integers(0, 3)))]
     kind = draw(st.sampled_from(["any", "respecting"]))
 
@@ -912,7 +916,7 @@ def _maps(draw):
             k = 6 * k + (a if kind == "any" else labels[a])
         return k
 
-    f = _table_map(draw, key, 6 ** len(sources))
+    f = _table_map(draw, key, 6 ** len(sources), hole)
     return RespectMap(f, tuple(rel for _, rel in sources), operator.eq, kind)
 
 
@@ -972,14 +976,15 @@ def test_kept_row_fails_or_raises_in_row_major_order(images, outcome):
     assert _outcome(check_respects, m, 9) == _outcome(equiv_oracle.check_respects, m, 9) == outcome
 
 
-def _value_error_at(n: int, verdict: Callable) -> Callable:
-    """`verdict`, raising `ValueError` on its n-th call instead, as a truth
-    test of an array with more than one element does."""
+def _raising_at(n: int, verdict: Callable, error: type = ValueError) -> Callable:
+    """`verdict`, raising `error` on its n-th call instead: by default
+    `ValueError`, as a truth test of an array with more than one element
+    does."""
     calls = itertools.count(1)
 
     def raising(*args):
         if next(calls) == n:
-            raise ValueError(f"call {n}")
+            raise error(f"call {n}")
         return verdict(*args)
 
     return raising
@@ -987,8 +992,8 @@ def _value_error_at(n: int, verdict: Callable) -> Callable:
 
 @pytest.mark.parametrize("check", [
     lambda: check_respects(RespectMap(NEG_MAP.function, NEG_MAP.sources,
-                                      _value_error_at(50, NEG_MAP.target_eq)), 200),
-    lambda: check_equivalence(EquivRelation(intrel.name, _value_error_at(500, intrel.decider),
+                                      _raising_at(50, NEG_MAP.target_eq)), 200),
+    lambda: check_equivalence(EquivRelation(intrel.name, _raising_at(500, intrel.decider),
                                             intrel.carrier, intrel.related_pairs,
                                             intrel.canonicalize), 200),
 ], ids=["target-eq", "decider"])
@@ -997,6 +1002,112 @@ def test_a_value_error_in_a_verdict_stream_propagates(check):
     # cases: the check raises it, as the case-by-case oracle does.
     with pytest.raises(ValueError, match="^call "):
         check()
+
+
+def _mod3(decider: Callable = lambda x, y: x % 3 == y % 3, stream: bool = False,
+          canonicalize: Callable | None = None) -> EquivRelation:
+    """Congruence mod 3 on the naturals, over the pairs (x, x + 3)."""
+    pairs = [(x, x + 3) for x in range(10)]
+    related_pairs = (PairStream(lambda: [([x for x, _ in pairs], [y for _, y in pairs])])
+                     if stream else lambda budget: pairs[:budget])
+    return EquivRelation("mod3", decider, lambda x: isinstance(x, int) and x >= 0,
+                         related_pairs, canonicalize)
+
+
+def _add_stopping_on(stops: Callable) -> tuple:
+    """add_pair over intrel, raising StopIteration where `stops(p, q)`, at
+    budget 100."""
+    def f(p, q):
+        if stops(p, q):
+            raise StopIteration
+        return add_pair(p, q)
+
+    return RespectMap(f, (intrel, intrel), intrel_holds), 100
+
+
+def _stopped_one_argument_fill():
+    def f(p):
+        if p == IntPair(3, 5):
+            raise StopIteration
+        return p[0] - p[1]
+
+    return RespectMap(f, (intrel,), operator.eq), 50
+
+
+def _stopped_kept_pair():
+    # The second check re-asks the kept pairs in one stream, and the
+    # decider now stops on one of them.
+    stop = set()
+
+    def decider(x, y):
+        if (x, y) in stop:
+            raise StopIteration
+        return x % 3 == y % 3
+
+    rel = _mod3(decider, stream=True)
+    assert check_equivalence(rel, 10).certified
+    stop.add((4, 7))
+    return rel, 10
+
+
+def _stopped_late_form():
+    # 20 is the form of 2, 5, 8 and 11 but no sampled element: a late form,
+    # whose own form the canonical-related stream asks.  It stops the first
+    # time.
+    asked = []
+
+    def canonicalize(x):
+        if x == 20 and not asked:
+            asked.append(x)
+            raise StopIteration
+        return 20 if x % 3 == 2 else x % 3
+
+    return _mod3(canonicalize=canonicalize, stream=True), 10
+
+
+@pytest.mark.parametrize("check, make", [
+    # A row of the probe's table comes up short.
+    (respects2_via_commutativity,
+     lambda: _add_stopping_on(lambda p, q: q == (0, 3) and p != (0, 0))),
+    # Elements 5 and 2 of intrel's sample: a cell of column 2 is missing.
+    (respects2_via_commutativity,
+     lambda: _add_stopping_on(lambda p, q: (p, q) == ((2, 1), (0, 1)))),
+    (check_respects, _stopped_one_argument_fill),
+    (check_respects, lambda: (RespectMap(lambda p: p[0] - p[1], (intrel,),
+                                         _raising_at(7, operator.eq, StopIteration)), 50)),
+    (check_equivalence,
+     lambda: (_mod3(_raising_at(15, lambda x, y: x % 3 == y % 3, StopIteration)), 10)),
+    (check_equivalence, _stopped_kept_pair),
+    (check_equivalence, _stopped_late_form),
+], ids=["probe-row", "probe-column", "one-argument-fill", "target-eq", "decider", "kept-pair",
+        "late-form"])
+def test_a_stop_iteration_in_user_code_raises(check, make):
+    # A C-level pass takes a StopIteration for the end of its cases, so
+    # without a check it reads as a false verdict or a short table.  The
+    # check raises instead, as StopIteration or, as a generator turns it,
+    # RuntimeError, where the case-by-case oracle raises StopIteration.
+    oracle = getattr(equiv_oracle, check.__name__)
+    assert _outcome(oracle, *make()) == _outcome(check, *make()) == "stopped"
+
+
+@settings(max_examples=150, deadline=None)
+@given(_maps(StopIteration), _function_tables(StopIteration), st.integers(1, 100))
+def test_maps_that_stop_match_oracle(m, m2, budget):
+    assert _outcome(check_respects, m, budget) == _outcome(equiv_oracle.check_respects, m, budget)
+    assert _outcome(respects2_via_commutativity, m2, budget) == \
+        _outcome(equiv_oracle.respects2_via_commutativity, m2, budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_finite_relations(StopIteration), st.integers(1, 60))
+def test_deciders_that_stop_match_oracle(rel, budget):
+    pairs = list(rel.related_pairs(60))
+    streamed = EquivRelation(rel.name, rel.decider, rel.carrier,
+                             PairStream(lambda: [([x for x, _ in pairs], [y for _, y in pairs])]),
+                             rel.canonicalize)
+    for r in (rel, streamed, streamed):
+        assert _outcome(check_equivalence, r, budget) == \
+            _outcome(equiv_oracle.check_equivalence, rel, budget)
 
 
 @settings(max_examples=300, deadline=None)

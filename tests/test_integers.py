@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 import pair_oracles
 
+from quotients import integers
 from quotients.equiv import (
     RespectMap,
     Verdict,
@@ -15,8 +16,10 @@ from quotients.equiv import (
     class_of,
     revalidate_counterexample,
 )
+from quotients.errors import RelationMismatchError
 from quotients.integers import (
     IntPair,
+    QInt,
     add,
     add_pair,
     canonical,
@@ -34,6 +37,7 @@ from quotients.integers import (
     to_native,
     zero,
 )
+from quotients.rationals import qrat
 
 nats = st.integers(0, 200)
 small_ints = st.integers(-60, 60)
@@ -207,6 +211,15 @@ def test_dunder_operators():
     assert qint(2, 0) * qint(0, 3) == from_native(-6)
     assert -qint(2, 0) == from_native(-2)
     assert qint(0, 1) <= qint(1, 0)
+
+
+def test_operators_are_the_lifted_operations():
+    # No method of its own: each operator is the table's operation.
+    ops = integers.OPERATIONS
+    assert QInt.__add__ is ops["+"] and QInt.__mul__ is ops["*"]
+    assert QInt.__neg__ is ops["neg"] and QInt.__le__ is ops["le"]
+    with pytest.raises(RelationMismatchError):
+        qint(1, 0) + qrat(1, 2)
 
 
 def test_shift_pairs_match_reference():

@@ -13,12 +13,14 @@ from hypothesis import given, strategies as st
 
 import pair_oracles
 
+from quotients import rationals
 from quotients.equiv import Verdict, check_respects
 from quotients.errors import DomainError
 from quotients.rationals import (
     RAT_ADD_MAP,
     RAT_MUL_MAP,
     RAT_NEG_MAP,
+    QRat,
     RatPair,
     add_pair,
     inv_pair,
@@ -162,6 +164,11 @@ class TestFieldLaws:
             assert rat_mul(a, rat_one()) == a
             assert rat_add(a, rat_neg(a)) == rat_zero()
             assert a + -a == rat_zero() and a * rat_one() == a
+
+
+def test_operators_are_the_lifted_operations():
+    ops = rationals.OPERATIONS
+    assert QRat.__add__ is ops["+"] and QRat.__mul__ is ops["*"] and QRat.__neg__ is ops["neg"]
 
 
 def test_from_native():
