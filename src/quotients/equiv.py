@@ -101,7 +101,8 @@ class EquivRelation(Record, Generic[T]):
     which `check_equivalence` asks once per cell of its cube of sampled
     elements, and a `RespectMap.function`, which the congruence checks ask
     once per distinct argument tuple of their cases (arguments that are
-    equal, as dict keys, count as one).
+    equal, as dict keys, count as one; an unhashable argument counts as
+    its own at each slot of the pairs).
     The built-in relations' pairs come from a `PairStream`, kept per relation:
     `related_pairs(b)` is a prefix of `related_pairs(b')` for b <= b', and
     memory is bounded by the largest budget asked.  A relation whose
@@ -421,12 +422,13 @@ def operation(m: RespectMap[D], kind: type | None = None) -> Callable:
     """`m.function` on class values: the one path from a map on
     representatives to a function on classes.
 
-    The result checks its arity and each argument's relation against
-    `m.sources`, then applies `m.function` to the stored representatives.
-    With `kind`, it returns the image as a `kind` class of the first source
-    relation.  The result names the map it applies as its `map` attribute.
-    No certificate is consulted: `operation(m)` is the unchecked lift, and
-    `lift(report)` returns `operation(report.map)` for a certified report.
+    The result checks its arity, that each argument is a class, and each
+    argument's relation against `m.sources`, then applies `m.function` to
+    the stored representatives.  With `kind`, it returns the image as a
+    `kind` class of the first source relation.  The result names the map
+    it applies as its `map` attribute.  No certificate is consulted:
+    `operation(m)` is the unchecked lift, and `lift(report)` returns
+    `operation(report.map)` for a certified report.
     """
     f, sources, n = m.function, m.sources, len(m.sources)
 
@@ -434,10 +436,14 @@ def operation(m: RespectMap[D], kind: type | None = None) -> Callable:
         if len(classes) != n:
             raise TypeError(f"lifted function takes {n} arguments, got {len(classes)}")
         reps = []
-        for a, rel in zip(classes, sources):
-            if a.relation is not rel and not a.relation.same_as(rel):
-                raise RelationMismatchError(f"lifted over {rel.name}, applied to {a.relation.name}")
-            reps.append(a.representative)
+        try:
+            for a, rel in zip(classes, sources):
+                if a.relation is not rel and not a.relation.same_as(rel):
+                    raise RelationMismatchError(
+                        f"lifted over {rel.name}, applied to {a.relation.name}")
+                reps.append(a.representative)
+        except AttributeError:
+            raise TypeError(f"lifted function takes classes, got {type(a).__name__}") from None
         out = f(*reps)
         return out if kind is None else class_of(sources[0], out, kind)
 

@@ -33,16 +33,16 @@ class Sample:
     builds one.
 
     `elems` are the distinct elements of the pairs placed so far, in
-    first-seen order; `index` maps each to its position, and `inside` holds
-    each one's carrier verdict (0, 1, or `_UNASKED`).  `pos` holds two
-    positions per placed pair, its left's and its right's, and `new` a byte:
-    how many elements it drew first.  Both sides of the first `verified`
-    pairs lie in the carrier.  With a canonicalizer, `forms` are the
-    canonical forms of the first elements and `agree` has one byte per
-    pair: whether its two forms agree.  A form is held as the equal element
-    where one is placed at or before the element it is the form of; any
-    other is a late form, kept in `late` as [form, position of the first
-    element with that form, the form's own form or `_NO_FORM`].
+    first-seen order, an unhashable one at each slot (`place`); `index` maps
+    each hashable one to its position, and `inside` holds each one's carrier
+    verdict (0, 1, or `_UNASKED`).  `pos` holds each placed pair's left and
+    right positions, and `new` how many elements it drew first.  Both sides
+    of the first `verified` pairs lie in the carrier.  With a canonicalizer,
+    `forms` are the canonical forms of the first elements and `agree` has
+    one byte per pair: whether its two forms agree.  A form is held as the
+    equal element where one is placed at or before the element it is the
+    form of; any other is a late form, kept in `late` as [form, position of
+    the first element with that form, the form's own form or `_NO_FORM`].
     Everything only grows, by appending, and under `lock`, so a smaller
     budget reads a prefix; except `chains`: a budget and its transitivity
     cases as columns of pair positions k and m (`_chains`), for the last
@@ -99,16 +99,18 @@ class Sample:
 
     def place(self, xs: Sequence, ys: Sequence, n: int) -> int:
         """Place the elements of the first `n` pairs of `xs` and `ys` not
-        placed yet; return how many distinct elements those pairs draw.  An
-        unhashable element raises `TypeError` before its pair is placed."""
+        placed yet; return how many elements those pairs draw.  An element
+        equal, as a dict key, to one placed before takes its position; an
+        unhashable one is an element of its own at each slot it fills."""
         index, elems, inside, pos, new = self.index, self.elems, self.inside, self.pos, self.new
         for k in range(len(new), n):
             before = len(elems)
-            hash(ys[k])
             for x in (xs[k], ys[k]):
-                i = index.get(x)
-                if i is None:
-                    i = index[x] = len(elems)
+                try:
+                    i = index.setdefault(x, len(elems))
+                except TypeError:
+                    i = len(elems)
+                if i == len(elems):
                     elems.append(x)
                     inside.append(_UNASKED)
                 pos.append(i)
@@ -122,9 +124,12 @@ class Sample:
         those elements' forms (a late form's own form is asked when an
         iterator first reaches it) and the agreement byte of each pair, else
         None for both.  Each element is canonicalized once, in first-seen
-        order, when a view first reaches it."""
+        order, when a view first reaches it; a drawn element that is
+        unhashable raises `TypeError` first."""
         drawn = self.place(xs, ys, len(xs))
         elems = self.elems[:drawn]
+        if len(self.index) < len(self.elems):
+            hash(tuple(elems))
         canon = rel.canonicalize
         if canon is None:
             return elems, None, None
@@ -311,7 +316,10 @@ def respects(f: Callable, eq: Callable, relations: Sequence[EquivRelation], budg
     if n == 0:
         checked, failed = 1, None if eq(f(), f()) else 0
     else:
-        sources = [_positions(rel, *c) for rel, c in zip(relations, columns)]
+        sources = list(map(sample_of, relations))
+        for sample, c in zip(sources, columns):
+            with sample.lock:
+                sample.place(*c)
         checked, failed = _scan(f, eq, _product_segments(f, sources, columns, budget))
     if failed is None:
         return checked, None
@@ -329,22 +337,6 @@ def _columns(rel: EquivRelation, budget: int) -> tuple[Sequence, Sequence, int]:
         return rel.related_pairs._kept(budget)
     xs, ys = tuple(zip(*itertools.islice(rel.related_pairs(budget), budget))) or ((), ())
     return xs, ys, len(xs)
-
-
-def _positions(rel: EquivRelation, xs: Sequence, ys: Sequence, n: int):
-    """The sample of the first `n` pairs of `xs` and `ys`: its elements,
-    each pair's left and right position among them, interleaved, and how
-    many elements each pair draws first, as `Sample` keeps them (each may
-    hold more).  Where an element is unhashable, each slot of the pairs is
-    an element of its own."""
-    sample = sample_of(rel)
-    with sample.lock:
-        try:
-            sample.place(xs, ys, n)
-        except TypeError:
-            slots = [z for pair in zip(xs[:n], ys[:n]) for z in pair]
-            return slots, range(2 * n), bytearray(b"\2") * n
-    return sample.elems, sample.pos, sample.new
 
 
 def _drawn(new: bytearray, n: int) -> int:
@@ -417,8 +409,8 @@ _HOLE = object()  # a table cell not asked yet
 def _product_segments(f: Callable, sources: list, columns: list, limit: int,
                       tables: dict | None = None):
     """`_scan`'s segments for the first `limit` cases of the row-major
-    product of the per-argument `columns` (`_columns`), with each
-    argument's sample in `sources` (`_positions`).
+    product of the per-argument `columns` (`_columns`), over the `Sample`s
+    in `sources`, where their pairs are placed.
 
     One argument: one table, of the images of the sample's elements in
     first-seen order; a segment images those its cases draw first,
@@ -430,7 +422,8 @@ def _product_segments(f: Callable, sources: list, columns: list, limit: int,
     cells on either side are a prefix.  `tables` may hold some of them
     already.  A check keeps every image it asks for until it returns;
     between checks only the relation's `Sample` is kept."""
-    *lead, (elems, pos, new) = sources
+    *lead, last = sources
+    elems, pos, new = last.elems, last.pos, last.new
     xs, ys, width = columns[-1]
     total = min(limit, width * math.prod(c[2] for c in columns[:-1]))
     if not lead:
@@ -447,8 +440,8 @@ def _product_segments(f: Callable, sources: list, columns: list, limit: int,
     if not total:
         return
     rows = itertools.islice(zip(
-        itertools.product(*(p[0:2 * c[2]:2] for (_, p, _), c in zip(lead, columns))),
-        itertools.product(*(p[1:2 * c[2]:2] for (_, p, _), c in zip(lead, columns))),
+        itertools.product(*(s.pos[0:2 * c[2]:2] for s, c in zip(lead, columns))),
+        itertools.product(*(s.pos[1:2 * c[2]:2] for s, c in zip(lead, columns))),
         itertools.product(*(itertools.islice(c[0], c[2]) for c in columns[:-1])),
         itertools.product(*(itertools.islice(c[1], c[2]) for c in columns[:-1]))),
         -(-total // width))
@@ -472,7 +465,7 @@ def _product_segments(f: Callable, sources: list, columns: list, limit: int,
             table = tables.setdefault(t, [])
             gather = gathers[side] if w == width else gathers[side][:w]
             if w < width or len(table) < prefixes[side]:
-                args = [e[p] for (e, _, _), p in zip(lead, t)]
+                args = [s.elems[p] for s, p in zip(lead, t)]
                 work.append((table, args, items, prefixes[side] if w == width else gather))
             reads.append(map(table.__getitem__, gather))
         yield (w, partial(_fill_rows, f, work), reads[0], reads[1],
@@ -514,7 +507,6 @@ def commutativity(f: Callable, eq: Callable, rel: EquivRelation, budget: int):
     sample = sample_of(rel)
     with sample.lock:
         elems = sample.view(rel, xs, ys)[0]
-        pos = sample.pos
     if not elems:
         return 0, None, None
 
@@ -526,12 +518,11 @@ def commutativity(f: Callable, eq: Callable, rel: EquivRelation, budget: int):
 
     # The first-argument cases: pairs (x, y) against each element c as the
     # pair (c, c), over the probe's rows, which are their tables.
-    diagonal = (elems, array("I", itertools.chain.from_iterable(zip(range(k), range(k)))),
-                bytearray(b"\1") * k)
+    diagonal = Sample()
+    diagonal.place(elems, elems, k)
     tables = {(i,): row for i, row in enumerate(rows)}
     firsts, failed = _scan(f, eq, _product_segments(
-        f, [(elems, pos, sample.new), diagonal], [(xs, ys, n), (elems, elems, k)],
-        budget - checked, tables))
+        f, [sample, diagonal], [(xs, ys, n), (elems, elems, k)], budget - checked, tables))
     if failed is None:
         return checked + firsts, None, None
     c = elems[failed % k]

@@ -63,7 +63,7 @@ from quotients.messages import (
     msg_relation,
     msgrel,
 )
-from quotients.rationals import RAT_ADD_MAP, RatPair, qrat, rat_neg, ratrel
+from quotients.rationals import RAT_ADD_MAP, RatPair, qrat, rat_add, rat_neg, ratrel
 
 
 T = TypeVar("T")
@@ -687,6 +687,17 @@ class TestOperation:
         with pytest.raises(RelationMismatchError):
             op(arg)
 
+    @pytest.mark.parametrize("call, got", [
+        (lambda: neg(1), "int"),
+        (lambda: qint(1, 0) + 1, "int"),
+        (lambda: qint(1, 0) <= 2, "int"),
+        (lambda: rat_add(qrat(1, 2), 3), "int"),
+        (lambda: left(Nonce(1)), "Nonce"),
+    ], ids=["neg", "add-operator", "le-operator", "rat_add", "left"])
+    def test_argument_that_is_no_class_rejected(self, call, got):
+        with pytest.raises(TypeError, match=f"^lifted function takes classes, got {got}$"):
+            call()
+
     def test_integer_never_equals_rational(self):
         assert (qint(1, 0) == qrat(1, 1)) is False
         assert (qrat(1, 1) == qint(1, 0)) is False
@@ -804,6 +815,20 @@ def test_pairs_that_are_no_prefix_match_oracle(rel, budget, other):
     for b in (budget, other, budget):
         assert _outcome(check_equivalence, shuffled, b) == \
             _outcome(equiv_oracle.check_equivalence, shuffled, b)
+
+
+@pytest.mark.parametrize("carrier, law", [
+    (lambda x: True, "pair-generator-decider"),
+    (lambda x: x != [1], "pair-generator-carrier"),
+], ids=["decider", "carrier"])
+def test_unhashable_elements_meet_the_contract_first(carrier, law):
+    # The generator's contract is checked before the sample is read as
+    # distinct elements, which unhashable ones cannot be: a pair that
+    # breaks it refutes, as the oracle does, before anything raises.
+    pairs = [([0], [0]), ([0], [1]), ([1], [1])]
+    rel = EquivRelation("lists", operator.eq, carrier, lambda budget: pairs)
+    assert _outcome(check_equivalence, rel, 3) == \
+        _outcome(equiv_oracle.check_equivalence, rel, 3) == (Verdict.REFUTED, 2, law, ([0], [1]))
 
 
 def _partition_with_canonicalizer(canon):
@@ -1131,6 +1156,71 @@ def test_respects2_via_commutativity_stays_in_budget(m, target_eq, budget):
     m = RespectMap(m.function, m.sources, target_eq, m.name)
     outcome = _outcome(respects2_via_commutativity, m, budget)
     assert outcome[0] == "raised" or outcome[1] <= budget
+
+
+@st.composite
+def _wrappings(draw):
+    """Which of the up to 80 generated elements of a relation to make
+    one-item lists: all of them, or a drawn mix."""
+    if draw(st.booleans()):
+        return [True] * 80
+    return draw(st.lists(st.booleans(), min_size=80, max_size=80))
+
+
+def _unwrap(z):
+    return z[0] if isinstance(z, list) else z
+
+
+def _wrapped(rel: EquivRelation, wrap: list, stream: bool) -> EquivRelation:
+    """`rel` with its k-th generated element made a one-item list, which is
+    unhashable, where wrap[k], over a `PairStream` if `stream`.  The
+    decider, carrier and canonicalizer read through a list, and a list's
+    form is a list."""
+    pairs = [tuple([z] if wrap[2 * k + i] else z for i, z in enumerate(pair))
+             for k, pair in enumerate(rel.related_pairs(60))]
+    canon = rel.canonicalize
+    return EquivRelation(
+        rel.name, lambda x, y: rel.decider(_unwrap(x), _unwrap(y)),
+        lambda x: rel.carrier(_unwrap(x)),
+        PairStream(lambda: [([x for x, _ in pairs], [y for _, y in pairs])]) if stream
+        else lambda budget: pairs,
+        None if canon is None else lambda x: [canon(x[0])] if isinstance(x, list) else canon(x))
+
+
+def _wrapped_map(m: RespectMap, wrap: list, stream: bool) -> RespectMap:
+    """`m` over its sources `_wrapped`, each once, reading through lists."""
+    wrapped = {id(rel): _wrapped(rel, wrap, stream) for rel in m.sources}
+    return RespectMap(lambda *args: m.function(*map(_unwrap, args)),
+                      tuple(wrapped[id(rel)] for rel in m.sources), m.target_eq, m.name)
+
+
+def _outcome_or_type_error(check, *args):
+    """`_outcome`, or the `TypeError` the check raised."""
+    try:
+        return _outcome(check, *args)
+    except TypeError as exc:
+        return "raised", "TypeError", str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_finite_relations(), _maps(), _function_tables(), _wrappings(), st.integers(1, 100))
+def test_unhashable_elements_match_oracle(rel, m, m2, wrap, budget):
+    # An unhashable element is an element of its own at each slot it
+    # fills, in every check.  check_equivalence and the shortcut, which
+    # read the sample as distinct elements, raise TypeError where the
+    # oracle does: check_equivalence after the generator's contract.
+    # Each check runs twice on sources over a PairStream, whose kept
+    # sample then holds the lists.
+    for stream in (False, True):
+        r, mw, m2w = _wrapped(rel, wrap, stream), _wrapped_map(m, wrap, stream), \
+            _wrapped_map(m2, wrap, stream)
+        for _ in range(1 + stream):
+            for check, args in ((check_equivalence, (r, budget)), (check_respects, (mw, budget)),
+                                (check_respects, (m2w, budget)),
+                                (respects2_via_commutativity, (m2w, budget))):
+                oracle = getattr(equiv_oracle, check.__name__)
+                assert _outcome_or_type_error(check, *args) == \
+                    _outcome_or_type_error(oracle, *args)
 
 
 # The kept relations the image tables are filled over: their samples, and
