@@ -386,6 +386,10 @@ def _closure(shapes, parent: list[int], seen: dict, stop: int) -> None:
     confluence.  A union of two older classes raises instead of running a
     signature loop, so no partition that may not be closed is returned; in
     size order none occurs, as the cancellation rules' critical pairs meet.
+    In size order a class's root is also its only member of its size, by
+    induction on size: a term joins an older class by a seed, whose
+    grandchild is smaller, or by a signature, whose first term is the one
+    over its parts' roots, smaller than every other term that has it.
     """
     for i in range(len(parent), stop):
         shape = shapes[i]
@@ -439,17 +443,18 @@ def _layers(bound: int, keys, nonces):
 
     Layer s pairs terms of size at most s - 1, so it first draws size
     c = s - 1 from `_universe`, listed and closed, builds its sort keys and
-    files what it adds to later layers: a term alone in its class, its
-    reflexive pair to layer 2c; a class's members `new` of size c, the
-    blocks (us, new) and (new, us) to layer a + c for each older size group
-    (a, us) of the class, and (new, new) to layer 2c.  Sizes no request
-    reaches are never listed or closed, and only the sides of emitted pairs
-    and their subterms are built, each once."""
+    files what it adds to later layers: a class's root, its one member of
+    its size (`_closure`), its reflexive pair to layer 2c; the class's other
+    members `new` of size c, the blocks (us, new) and (new, us) to layer
+    a + c for each older size group (a, us) of the class, and (new, new) to
+    layer 2c.  Sizes no request reaches are never listed or closed, and
+    only the sides of emitted pairs and their subterms are built, each
+    once."""
     universe = _universe(bound, keys, nonces)
     terms: list = []  # by index, None until built
     sort_keys: list[tuple] = []
     groups: dict[int, list] = {}  # root -> its (size, members) groups, if not alone
-    reflexive: dict[int, list[int]] = {}  # layer -> terms alone in their class
+    reflexive: dict[int, list[int]] = {}  # layer -> class roots
     blocks: dict[int, list] = {}  # layer -> (us, vs) blocks
     for s in range(2, 2 * bound + 1):
         c = s - 1
@@ -469,13 +474,9 @@ def _layers(bound: int, keys, nonces):
             for i in range(lo, hi):
                 if parent[i] != i:
                     joined.setdefault(parent[i], []).append(i)
-            reflexive[2 * c] = [i for i in range(lo, hi) if parent[i] == i and i not in joined]
-            for root, new in joined.items():
-                if root >= lo:
-                    new.insert(0, root)
-                    old = []
-                else:
-                    old = groups.get(root) or [(bisect.bisect_right(starts, root), [root])]
+            reflexive[2 * c] = [i for i in range(lo, hi) if parent[i] == i]
+            for root, new in joined.items():  # each root is of an older size
+                old = groups.get(root) or [(bisect.bisect_right(starts, root), [root])]
                 for a, us in old:
                     blocks.setdefault(a + c, []).extend(((us, new), (new, us)))
                 blocks.setdefault(2 * c, []).append((new, new))

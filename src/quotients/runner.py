@@ -5,7 +5,7 @@ only applies lifted operations never loads it.  A relation whose pairs come
 from a `PairStream` keeps a `Sample` of them; the congruence checks read
 each case's images from tables filled once per distinct argument tuple over
 the sample's positions, and `check_equivalence` asks each law block as one
-verdict stream, reading its cube of sampled elements from one decider table.
+verdict stream, and each cube cell once, when a case first needs it.
 """
 
 from __future__ import annotations
@@ -34,20 +34,22 @@ class Sample:
 
     `elems` are the distinct elements of the pairs placed so far, in
     first-seen order, an unhashable one at each slot (`place`); `index` maps
-    each hashable one to its position, and `inside` holds each one's carrier
-    verdict (0, 1, or `_UNASKED`).  `pos` holds each placed pair's left and
-    right positions, and `new` how many elements it drew first.  Both sides
-    of the first `verified` pairs lie in the carrier.  With a canonicalizer,
-    `forms` are the canonical forms of the first elements and `agree` has
-    one byte per pair: whether its two forms agree.  A form is held as the
-    equal element where one is placed at or before the element it is the
-    form of; any other is a late form, kept in `late` as [form, position of
-    the first element with that form, the form's own form or `_NO_FORM`].
-    Everything only grows, by appending, and under `lock`, so a smaller
-    budget reads a prefix; except `chains`: a budget and its transitivity
-    cases as columns of pair positions k and m (`_chains`), for the last
-    budget a check asked, which a check at another budget replaces.  So a
-    repeated `check_equivalence` at the same budget asks only its decider.
+    each hashable one to its position.  `pos` holds each placed pair's left
+    and right positions, and `new` how many elements it drew first.  What a
+    check asks of them covers a prefix: `inside` holds the carrier verdict
+    (0, 1, or `_UNASKED`) of the elements `verify` has drawn, both sides of
+    the first `verified` pairs lie in the carrier, and with a canonicalizer
+    `forms` are the canonical forms of the elements `view` has drawn and
+    `agree` has one byte per pair it has read: whether its two forms agree.
+    A form is held as the equal element where one is placed at or before
+    the element it is the form of; any other is a late form, kept in `late`
+    as [form, position of the first element with that form, the form's own
+    form or `_NO_FORM`].  Everything only grows, by appending, and under
+    `lock`, so a smaller budget reads a prefix; except `chains`: a budget
+    and its transitivity cases as columns of pair positions k and m
+    (`_chains`), for the last budget a check asked, which a check at
+    another budget replaces.  So a repeated `check_equivalence` at the same
+    budget asks only its decider.
     """
 
     __slots__ = ("lock", "index", "elems", "inside", "pos", "new", "verified", "forms",
@@ -70,14 +72,15 @@ class Sample:
         """The generator-contract cases of `check_equivalence` on the pairs of
         `xs` and `ys`, in order: each pair's carrier test, then its decider.
         Returns the first failure as (checked, law, witness), else None.  The
-        carrier is asked once per element, at the first pair that draws it;
-        a pair verified before pays only for its decider."""
+        carrier is asked once per element, at the first pair that draws it,
+        into `inside`, which grows here to the elements the pairs draw; a
+        pair verified before pays only for its decider."""
         related, carrier, pos, inside = rel.decider, rel.carrier, self.pos, self.inside
         kept = min(self.verified, len(xs))
         k = _first_false(map(related, itertools.islice(xs, kept), ys), kept)
         if k < kept:
             return k + 1, "pair-generator-decider", (xs[k], ys[k])
-        self.place(xs, ys, len(xs))
+        inside += bytes([_UNASKED]) * (self.place(xs, ys, len(xs)) - len(inside))
 
         def carried(i: int, x) -> int:
             if inside[i] == _UNASKED:
@@ -101,8 +104,9 @@ class Sample:
         """Place the elements of the first `n` pairs of `xs` and `ys` not
         placed yet; return how many elements those pairs draw.  An element
         equal, as a dict key, to one placed before takes its position; an
-        unhashable one is an element of its own at each slot it fills."""
-        index, elems, inside, pos, new = self.index, self.elems, self.inside, self.pos, self.new
+        unhashable one is an element of its own at each slot it fills.  What
+        a check asks of the elements, `verify` and `view` append."""
+        index, elems, pos, new = self.index, self.elems, self.pos, self.new
         for k in range(len(new), n):
             before = len(elems)
             for x in (xs[k], ys[k]):
@@ -112,7 +116,6 @@ class Sample:
                     i = len(elems)
                 if i == len(elems):
                     elems.append(x)
-                    inside.append(_UNASKED)
                 pos.append(i)
             new.append(len(elems) - before)
         return _drawn(new, n)
@@ -123,9 +126,9 @@ class Sample:
         order; with a canonicalizer, a function giving an iterator over
         those elements' forms (a late form's own form is asked when an
         iterator first reaches it) and the agreement byte of each pair, else
-        None for both.  Each element is canonicalized once, in first-seen
-        order, when a view first reaches it; a drawn element that is
-        unhashable raises `TypeError` first."""
+        None for both.  A drawn element that is unhashable raises
+        `TypeError` first; then each new element is canonicalized once, in
+        first-seen order, before any new pair's forms are compared."""
         drawn = self.place(xs, ys, len(xs))
         elems = self.elems[:drawn]
         if len(self.index) < len(self.elems):
@@ -134,14 +137,10 @@ class Sample:
         if canon is None:
             return elems, None, None
         index, pos, forms, agree = self.index, self.pos, self.forms, self.agree
-        for k in range(len(agree), len(xs)):
-            x, y = xs[k], ys[k]
-            i, j = pos[2 * k], pos[2 * k + 1]
-            if i == len(forms):
-                forms.append(self._held(canon(x), i))
-            if j == len(forms):
-                forms.append(self._held(canon(y), j))
-            agree.append(1 if forms[i] == forms[j] else 0)
+        forms += map(self._held, map(canon, elems[len(forms):]), range(len(forms), drawn))
+        k, n = 2 * len(agree), 2 * len(xs)
+        agree.extend(map(bool, map(operator.eq, map(forms.__getitem__, pos[k:n:2]),
+                                   map(forms.__getitem__, pos[k + 1:n:2]))))
         late = [entry for entry in self.late.values()
                 if entry[1] < drawn and index.get(entry[0], drawn) >= drawn]
         held, own = forms[:drawn], partial(self._own_form, canon)
@@ -255,30 +254,33 @@ def _chains(pos: array, n: int, limit: int) -> tuple[array, array]:
 
 
 def _cube_cases(related: Callable, cube: list, budget: int) -> tuple[int, tuple | None]:
-    """The cube's block of `_law_blocks`: symmetry on the first `budget`
-    pairs of `cube` elements, then transitivity on the first `budget`
-    triples, of which only those whose premises hold count.  The decider
-    is asked once per cell of the cube, and each case reads its premises
-    and conclusion from those cells; should a cell raise, the cases are
-    asked one by one, as they come."""
+    """The cube's block of `_law_blocks`, in the reference order: symmetry
+    on the first `budget` pairs of `cube` elements, then transitivity on
+    the first `budget` triples, of which only those whose premises hold
+    count.  Each cell related(a, b) is asked once, when a case first needs
+    it, into bit b of rows[a].  Once symmetry on every pair has asked every
+    cell, each transitivity row is read off `rows` as a bitmask; under that
+    budget the transitivity cases are asked one by one."""
     c = len(cube)
-    try:
-        cells = [related(a, b) for a in cube for b in cube]
-    except Exception:
-        return _cube_cases_one_by_one(related, cube, budget)
-    rows, cols = [0] * c, [0] * c  # bit b of rows[a] (of cols[b]): related(a, b)
-    for k in itertools.compress(range(c * c), cells):
-        a, b = divmod(k, c)
-        rows[a] |= 1 << b
-        cols[b] |= 1 << a
-    checked = 0
-    for a in range(min(c, -(-budget // c))):
-        width = (1 << min(c, budget - a * c)) - 1
-        bad = rows[a] & ~cols[a] & width  # a ~ b but not b ~ a
-        if bad:
-            b = (bad & -bad).bit_length() - 1
-            return checked + b + 1, ("symmetry", (cube[a], cube[b]))
-        checked += width.bit_length()
+    asked, rows = bytearray(c * c), [0] * c
+
+    def cell(a: int, b: int) -> int:
+        if not asked[a * c + b]:
+            asked[a * c + b] = 1
+            rows[a] |= bool(related(cube[a], cube[b])) << b
+        return rows[a] >> b & 1
+
+    checked = min(c * c, budget)
+    for a, b in itertools.islice(itertools.product(range(c), repeat=2), checked):
+        if cell(a, b) and not cell(b, a):
+            return a * c + b + 1, ("symmetry", (cube[a], cube[b]))
+    if checked < c * c:
+        for a, b, x in itertools.islice(itertools.product(range(c), repeat=3), budget):
+            if cell(a, b) and cell(b, x):
+                checked += 1
+                if not cell(a, x):
+                    return checked, ("transitivity", (cube[a], cube[b], cube[x]))
+        return checked, None
     for ab in range(min(c * c, -(-budget // c))):
         a, b = divmod(ab, c)
         if rows[a] >> b & 1:
@@ -289,21 +291,6 @@ def _cube_cases(related: Callable, cube: list, budget: int) -> tuple[int, tuple 
                 checked += bin(held & (1 << x) - 1).count("1") + 1
                 return checked, ("transitivity", (cube[a], cube[b], cube[x]))
             checked += bin(held).count("1")
-    return checked, None
-
-
-def _cube_cases_one_by_one(related: Callable, cube: list, budget: int) -> tuple[int, tuple | None]:
-    """`_cube_cases`, asking the decider as each case comes."""
-    checked = 0
-    for a, b in itertools.islice(itertools.product(cube, repeat=2), budget):
-        checked += 1
-        if related(a, b) and not related(b, a):
-            return checked, ("symmetry", (a, b))
-    for a, b, c in itertools.islice(itertools.product(cube, repeat=3), budget):
-        if related(a, b) and related(b, c):
-            checked += 1
-            if not related(a, c):
-                return checked, ("transitivity", (a, b, c))
     return checked, None
 
 

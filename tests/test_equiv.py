@@ -878,6 +878,114 @@ def test_form_placed_later_is_appended_to_a_smaller_sample():
     assert equiv_oracle._sample_elements(rel, pairs[:2]) == [0, 1, 2, 3, 5]
 
 
+class _CellError(_OutsideCarrier):
+    """What a decider raises on the one cell of carrier elements it cannot
+    decide."""
+
+
+def _raising_on(cell: tuple | None, decider: Callable) -> Callable:
+    """`decider`, raising `_CellError` on `cell`, and recording every cell
+    it is asked in its `asked` list."""
+    def raising(x, y):
+        raising.asked.append((x, y))
+        if (x, y) == cell:
+            raise _CellError(f"decider{cell}")
+        return decider(x, y)
+
+    raising.asked = []
+    return raising
+
+
+@pytest.mark.parametrize("pairs, cell, related, budget, outcome", [
+    # At budget 4 the cube's cases are its first four pairs and triples,
+    # all led by 0, so none needs (4, 3).
+    ([(0, 3), (3, 0), (1, 4), (4, 1)], (4, 3), lambda x, y: x % 3 == y % 3, 4,
+     (Verdict.CERTIFIED, 22, None, None)),
+    # Cube symmetry fails at (0, 1), its third pair, before any case
+    # reaches (3, 4).
+    ([(0, 3), (1, 4)], (3, 4), lambda x, y: (x, y) == (0, 1) or x % 3 == y % 3, 30,
+     (Verdict.REFUTED, 11, "symmetry", (0, 1))),
+], ids=["cell-no-case-asks", "refuted-before-the-cell"])
+def test_the_cube_asks_in_case_order(pairs, cell, related, budget, outcome):
+    # Each cube cell is asked when a case first needs it, so a cell that
+    # no case reaches is never asked, and a decider that would raise there
+    # gets the oracle's report.
+    decider = _raising_on(cell, related)
+    rel = EquivRelation("mod3", decider, lambda x: True, lambda b: pairs)
+    assert _outcome(check_equivalence, rel, budget) == outcome
+    assert cell not in decider.asked
+    assert _outcome(equiv_oracle.check_equivalence, rel, budget) == outcome
+
+
+@st.composite
+def _relations_raising_on_a_cell(draw):
+    """`_finite_relations` whose decider records what it is asked
+    (`_raising_on`) and raises `_CellError` on one drawn cell of carrier
+    elements, where the carrier has any: mostly a cell of the first four
+    sampled ones, where the cube's cases are."""
+    rel = draw(_finite_relations())
+    inside = [x for x in _R if rel.carrier(x)]
+    sampled = dict.fromkeys(itertools.chain.from_iterable(rel.related_pairs(60)))
+    early = [x for x in sampled if rel.carrier(x)][:4]
+    cell = None
+    if inside:
+        pool = draw(st.sampled_from([inside] + [early] * 3 if early else [inside]))
+        cell = draw(st.tuples(st.sampled_from(pool), st.sampled_from(pool)))
+    return EquivRelation(rel.name, _raising_on(cell, rel.decider), rel.carrier,
+                         rel.related_pairs, rel.canonicalize)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_relations_raising_on_a_cell(), st.integers(1, 60))
+def test_a_decider_raising_on_a_cell_matches_oracle(rel, budget):
+    # The check asks the decider only what the oracle asks, so it raises
+    # where the oracle raises; a kept sample asks less.
+    pairs = list(rel.related_pairs(60))
+    streamed = EquivRelation(rel.name, rel.decider, rel.carrier,
+                             PairStream(lambda: [([x for x, _ in pairs], [y for _, y in pairs])]),
+                             rel.canonicalize)
+    asked = rel.decider.asked
+    for r in (rel, streamed, streamed):
+        asked.clear()
+        outcome = _outcome(check_equivalence, r, budget)
+        by_check = set(asked)
+        asked.clear()
+        assert outcome == _outcome(equiv_oracle.check_equivalence, rel, budget)
+        assert by_check <= set(asked)
+
+
+class _CanonError(Exception):
+    pass
+
+
+class _Form:
+    """A canonical form hashed by identity that cannot be compared."""
+
+    def __init__(self, label: int):
+        self.label = label
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        raise AssertionError("a form was compared")
+
+
+def test_forms_are_asked_before_any_is_compared():
+    # The oracle canonicalizes every sampled element before it compares
+    # the forms of any pair, so the canonicalizer's error on element 7
+    # comes first.
+    def canonicalize(x):
+        if x == 7:
+            raise _CanonError(x)
+        return _Form(x % 3)
+
+    for stream in (False, True):
+        rel = _mod3(stream=stream, canonicalize=canonicalize)
+        for check in (check_equivalence, equiv_oracle.check_equivalence):
+            with pytest.raises(_CanonError):
+                check(rel, 10)
+
+
 @st.composite
 def _partitions(draw):
     """A random partition of range(6), as its labels and a relation with

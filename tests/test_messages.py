@@ -1,5 +1,6 @@
 """The message algebra: rewriting, the closure oracle, and the quotient."""
 
+import bisect
 import copy
 import gc
 import hashlib
@@ -429,6 +430,18 @@ class TestClosureOracle:
         expected = [len(c) for c in closure_classes(bound, keys, nonces)]
         monkeypatch.setattr(messages, "_build", None)  # building a term would raise
         assert messages.class_sizes(bound, keys, nonces) == expected
+
+    @pytest.mark.parametrize("bound, keys, nonces", [
+        (8, (0, 1), (0, 1)), (7, (0,), (0, 1, 2)), (7, (0, 1, 2), (0,)),
+        (6, (0, 1, 2), (0, 1, 2)), (9, (0,), (0,)),
+    ])
+    def test_a_root_is_the_only_member_of_its_size(self, bound, keys, nonces):
+        # `_layers` files a class's root alone at its size and every other
+        # member with a larger size group.
+        _, starts, parent = listed_universe(bound, keys, nonces)
+        sizes = [bisect.bisect_right(starts, i) for i in range(len(parent))]
+        assert any(root != i for i, root in enumerate(parent))
+        assert all(sizes[root] < sizes[i] for i, root in enumerate(parent) if root != i)
 
 
 class TestFreeFunctions:
