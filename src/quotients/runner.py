@@ -128,7 +128,8 @@ class Sample:
         iterator first reaches it) and the agreement byte of each pair, else
         None for both.  A drawn element that is unhashable raises
         `TypeError` first; then each new element is canonicalized once, in
-        first-seen order, before any new pair's forms are compared."""
+        first-seen order, before any new pair's forms are compared, and a
+        `StopIteration` that ends either pass early raises `RuntimeError`."""
         drawn = self.place(xs, ys, len(xs))
         elems = self.elems[:drawn]
         if len(self.index) < len(self.elems):
@@ -139,8 +140,11 @@ class Sample:
         index, pos, forms, agree = self.index, self.pos, self.forms, self.agree
         forms += map(self._held, map(canon, elems[len(forms):]), range(len(forms), drawn))
         k, n = 2 * len(agree), 2 * len(xs)
-        agree.extend(map(bool, map(operator.eq, map(forms.__getitem__, pos[k:n:2]),
-                                   map(forms.__getitem__, pos[k + 1:n:2]))))
+        if len(forms) == drawn:
+            agree.extend(map(bool, map(operator.eq, map(forms.__getitem__, pos[k:n:2]),
+                                       map(forms.__getitem__, pos[k + 1:n:2]))))
+        if len(agree) < len(xs):  # a StopIteration ended a pass (`_first_false`)
+            raise RuntimeError(_STOPPED)
         late = [entry for entry in self.late.values()
                 if entry[1] < drawn and index.get(entry[0], drawn) >= drawn]
         held, own = forms[:drawn], partial(self._own_form, canon)
@@ -257,30 +261,25 @@ def _cube_cases(related: Callable, cube: list, budget: int) -> tuple[int, tuple 
     """The cube's block of `_law_blocks`, in the reference order: symmetry
     on the first `budget` pairs of `cube` elements, then transitivity on
     the first `budget` triples, of which only those whose premises hold
-    count.  Each cell related(a, b) is asked once, when a case first needs
-    it, into bit b of rows[a].  Once symmetry on every pair has asked every
-    cell, each transitivity row is read off `rows` as a bitmask; under that
-    budget the transitivity cases are asked one by one."""
+    count.  Each cell related(a, b) is asked once, when a symmetry case
+    first needs it, and kept as bit b of rows[a] when it holds: case (a, b)
+    with b < a finds related(b, a) asked in row b, and its own cell too
+    where that held.  Triple t (a, b, x) reads cells (a, b), (b, x) and
+    (a, x), none past pair t in row-major order, so the symmetry cases
+    have asked every cell the transitivity cases read, and each
+    transitivity row is read off `rows` as a bitmask."""
     c = len(cube)
-    asked, rows = bytearray(c * c), [0] * c
-
-    def cell(a: int, b: int) -> int:
-        if not asked[a * c + b]:
-            asked[a * c + b] = 1
-            rows[a] |= bool(related(cube[a], cube[b])) << b
-        return rows[a] >> b & 1
-
-    checked = min(c * c, budget)
-    for a, b in itertools.islice(itertools.product(range(c), repeat=2), checked):
-        if cell(a, b) and not cell(b, a):
-            return a * c + b + 1, ("symmetry", (cube[a], cube[b]))
-    if checked < c * c:
-        for a, b, x in itertools.islice(itertools.product(range(c), repeat=3), budget):
-            if cell(a, b) and cell(b, x):
-                checked += 1
-                if not cell(a, x):
-                    return checked, ("transitivity", (cube[a], cube[b], cube[x]))
-        return checked, None
+    rows, checked = [0] * c, min(c * c, budget)
+    for a, x in enumerate(cube[:-(-checked // c)]):
+        for b, y in enumerate(cube[:checked - a * c]):
+            if b < a:
+                if not rows[b] >> a & 1 and related(x, y):
+                    return a * c + b + 1, ("symmetry", (x, y))
+            elif related(x, y):
+                rows[a] |= 1 << b
+                if b > a and not related(y, x):
+                    return a * c + b + 1, ("symmetry", (x, y))
+                rows[b] |= 1 << a
     for ab in range(min(c * c, -(-budget // c))):
         a, b = divmod(ab, c)
         if rows[a] >> b & 1:

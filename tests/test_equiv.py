@@ -954,6 +954,42 @@ def test_a_decider_raising_on_a_cell_matches_oracle(rel, budget):
         assert by_check <= set(asked)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda c: st.lists(st.booleans(), min_size=c * c,
+                                                   max_size=c * c)),
+       st.integers(1, 130))
+def test_the_cube_asks_each_cell_once_in_case_order(table, budget):
+    # The cube's cases, asked one by one as the oracle asks them: the
+    # symmetry cases' first asks are the cube's asks, in order, and the
+    # transitivity cases find every cell they read asked already.
+    c = round(len(table) ** 0.5)
+    asked = []
+
+    def related(a, b):
+        asked.append((a, b))
+        return table[a * c + b]
+
+    def reference():
+        checked = 0
+        for a, b in itertools.islice(itertools.product(range(c), repeat=2), budget):
+            checked += 1
+            if related(a, b) and not related(b, a):
+                return checked, ("symmetry", (a, b))
+        symmetry = set(asked)
+        for a, b, x in itertools.islice(itertools.product(range(c), repeat=3), budget):
+            if related(a, b) and related(b, x):
+                checked += 1
+                if not related(a, x):
+                    return checked, ("transitivity", (a, b, x))
+            assert set(asked) == symmetry
+        return checked, None
+
+    outcome, first_asks = reference(), list(dict.fromkeys(asked))
+    asked.clear()
+    assert runner._cube_cases(related, list(range(c)), budget) == outcome
+    assert asked == first_asks
+
+
 class _CanonError(Exception):
     pass
 
@@ -1198,6 +1234,34 @@ def _stopped_late_form():
     return _mod3(canonicalize=canonicalize, stream=True), 10
 
 
+def _canon_stopping_on_7(x):
+    if x == 7:
+        raise StopIteration
+    return x % 3
+
+
+class _StoppingForm:
+    """A canonical form hashed by identity whose == raises StopIteration."""
+
+    def __init__(self, label: int):
+        self.label = label
+
+    __hash__ = object.__hash__
+
+    def __eq__(self, other):
+        raise StopIteration
+
+
+def _stopped_form_equality():
+    # Every form is late and stops when compared, so the agreement pass
+    # ends at its first pair; the second check reads the kept sample.
+    label = lambda z: z.label if isinstance(z, _StoppingForm) else z % 3
+    rel = _mod3(lambda x, y: label(x) == label(y), stream=True,
+                canonicalize=lambda x: x if isinstance(x, _StoppingForm) else _StoppingForm(x % 3))
+    assert _outcome(check_equivalence, rel, 10) == "stopped"
+    return rel, 10
+
+
 @pytest.mark.parametrize("check, make", [
     # A row of the probe's table comes up short.
     (respects2_via_commutativity,
@@ -1212,8 +1276,10 @@ def _stopped_late_form():
      lambda: (_mod3(_raising_at(15, lambda x, y: x % 3 == y % 3, StopIteration)), 10)),
     (check_equivalence, _stopped_kept_pair),
     (check_equivalence, _stopped_late_form),
+    (check_equivalence, lambda: (_mod3(canonicalize=_canon_stopping_on_7), 10)),
+    (check_equivalence, _stopped_form_equality),
 ], ids=["probe-row", "probe-column", "one-argument-fill", "target-eq", "decider", "kept-pair",
-        "late-form"])
+        "late-form", "canonicalizer", "form-equality"])
 def test_a_stop_iteration_in_user_code_raises(check, make):
     # A C-level pass takes a StopIteration for the end of its cases, so
     # without a check it reads as a false verdict or a short table.  The
